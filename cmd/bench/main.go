@@ -26,7 +26,6 @@ func main() {
 	var (
 		label      = flag.String("label", "dev", "benchmark point label (e.g. PR2)")
 		iterations = flag.Int("iterations", 3, "sweep repetitions; the fastest provides the timings")
-		forked     = flag.Bool("forked", false, "reuse warmup snapshots across iterations (forks each class's warmed machine instead of re-simulating its warmup; needs iterations >= 2 to time the forked steady state)")
 		out        = flag.String("out", "", "write the BENCH JSON document to this file (default stdout)")
 		beforePath = flag.String("before", "", "embed this previously measured point as the 'before' side")
 		check      = flag.String("check", "", "validate an existing BENCH JSON file against the schema and exit")
@@ -62,11 +61,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	run := harness.RunBenchCtx
-	if *forked {
-		run = harness.RunBenchForkedCtx
-	}
-	p, err := run(ctx, *label, *iterations)
+	p, err := harness.RunBenchCtx(ctx, *label, *iterations)
 	if err != nil {
 		fatal(err)
 	}

@@ -77,7 +77,8 @@ type EvictEvent struct {
 	Meta       uint64
 }
 
-// Listener observes L1I events; the prefetcher adapter implements it.
+// Listener observes L1I events; prefetchers and the lifecycle tracker
+// implement it.
 type Listener interface {
 	OnAccess(AccessEvent)
 	OnFill(FillEvent)

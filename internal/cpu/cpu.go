@@ -155,41 +155,19 @@ func (r *Results) L1IHitRate() float64 {
 	return float64(r.L1I.Hits) / float64(r.L1I.Accesses)
 }
 
-// runState is the Machine's lifecycle position. A Machine moves
-// strictly forward: idle (fresh from New) -> warm (warmup window
-// consumed) -> done (measurement finished, or the run was canceled /
-// single-window). The state gates every entry point, so reusing a
-// consumed machine — which would silently fold one run's warmed
-// microarchitectural state into the next run's "warmup" — fails loudly
-// instead of corrupting windowed statistics.
-type runState uint8
-
-const (
-	stateIdle runState = iota
-	stateWarm
-	stateDone
-)
-
-// ErrMachineUsed reports an attempt to run or fork a Machine whose run
-// already completed (or was canceled partway). Build a new Machine
-// with New, or Fork a warm one.
+// ErrMachineUsed reports an attempt to run a Machine whose run already
+// completed (or was canceled partway). Build a new Machine with New.
 var ErrMachineUsed = errors.New("cpu: machine already consumed by a previous run")
-
-// ErrNotWarmed reports a measurement or Fork on a machine that has not
-// completed a warmup window.
-var ErrNotWarmed = errors.New("cpu: machine has no completed warmup window")
-
-// ErrNotForkable reports a Fork of a machine whose configuration pins
-// state Fork cannot deep-copy: an external L1I listener or branch
-// hook, or a prefetcher that does not implement prefetch.Forkable.
-// Such configurations simply stay on the sequential warmup path.
-var ErrNotForkable = errors.New("cpu: machine configuration does not support forking")
 
 // Machine is an assembled simulator instance. Build one per run.
 type Machine struct {
 	cfg Config
 
-	state runState
+	// used is set when a run starts. Reusing a consumed machine would
+	// silently fold one run's warmed microarchitectural state into the
+	// next run's "warmup", so a second run fails loudly instead of
+	// corrupting windowed statistics.
+	used bool
 
 	icache  *cache.ICache
 	l1d     *cache.TimingCache
@@ -244,13 +222,6 @@ func (t teeListener) OnAccess(e cache.AccessEvent) { t.a.OnAccess(e); t.b.OnAcce
 func (t teeListener) OnFill(e cache.FillEvent)     { t.a.OnFill(e); t.b.OnFill(e) }
 func (t teeListener) OnEvict(e cache.EvictEvent)   { t.a.OnEvict(e); t.b.OnEvict(e) }
 
-// listenerAdapter exposes a Prefetcher as a cache.Listener.
-type listenerAdapter struct{ p prefetch.Prefetcher }
-
-func (l listenerAdapter) OnAccess(e cache.AccessEvent) { l.p.OnAccess(e) }
-func (l listenerAdapter) OnFill(e cache.FillEvent)     { l.p.OnFill(e) }
-func (l listenerAdapter) OnEvict(e cache.EvictEvent)   { l.p.OnEvict(e) }
-
 // New assembles a machine from cfg.
 func New(cfg Config) *Machine {
 	m := &Machine{cfg: cfg}
@@ -272,7 +243,7 @@ func New(cfg Config) *Machine {
 	// prefetcher cares (implements cache.FeedbackSink).
 	sink, _ := m.pf.(cache.FeedbackSink)
 	m.tracker = cache.NewLifecycleTracker(sink)
-	var listener cache.Listener = teeListener{a: listenerAdapter{m.pf}, b: m.tracker}
+	var listener cache.Listener = teeListener{a: m.pf, b: m.tracker}
 	if cfg.ExtraL1IListener != nil {
 		listener = teeListener{a: listener, b: cfg.ExtraL1IListener}
 	}
@@ -298,15 +269,6 @@ func (m *Machine) Prefetcher() prefetch.Prefetcher { return m.pf }
 // quantiles in Results cover the measurement window only.
 func (m *Machine) LeadHistogram() *stats.Histogram { return m.tracker.LeadHistogram() }
 
-// Consumed returns how many instructions the machine has consumed from
-// its source — the trace-position handle a forked machine's caller
-// uses to advance a fresh SliceSource to the shared warmup boundary.
-func (m *Machine) Consumed() uint64 { return m.instrIdx }
-
-// Warmed reports whether the machine holds a completed warmup window
-// and may be forked or measured.
-func (m *Machine) Warmed() bool { return m.state == stateWarm }
-
 // fetchLine maps an instruction byte address to the line address the
 // hierarchy operates on.
 func (m *Machine) fetchLine(pc uint64) uint64 {
@@ -330,8 +292,7 @@ type snapshot struct {
 	cycle             uint64
 	lifecycle         stats.PrefetchLifecycle
 	stalls            stats.StallBreakdown
-	// lead is a deep copy of the lead histogram at window start; nil
-	// (the whole-run snapshot) means "diff against empty".
+	// lead is a deep copy of the lead histogram at window start.
 	lead *stats.Histogram
 }
 
@@ -355,23 +316,11 @@ func (m *Machine) snap() snapshot {
 	}
 }
 
-// Run consumes up to maxInstrs instructions from src and returns the
-// run's results. A Machine must not be reused across runs: a second
-// Run (or any run entry point) on a consumed machine panics with
-// ErrMachineUsed.
-func (m *Machine) Run(src trace.Source, maxInstrs uint64) Results {
-	if m.state != stateIdle {
-		panic(ErrMachineUsed)
-	}
-	m.state = stateDone
-	m.consume(src, maxInstrs, nil)
-	return m.resultsSince(snapshot{})
-}
-
 // RunWindows runs a warmup window whose statistics are discarded (the
 // paper uses a 20M-instruction warm-up, §IV-A), then a measurement
-// window, and returns results for the measurement window only. It
-// panics with ErrMachineUsed on a consumed machine.
+// window, and returns results for the measurement window only; a zero
+// warmup measures the whole run. It panics with ErrMachineUsed on a
+// consumed machine.
 func (m *Machine) RunWindows(src trace.Source, warmup, measure uint64) Results {
 	res, err := m.RunWindowsCtx(context.Background(), src, warmup, measure)
 	if err != nil {
@@ -389,44 +338,17 @@ func (m *Machine) RunWindows(src trace.Source, warmup, measure uint64) Results {
 // context.Background() has a nil Done channel, so the uncancellable
 // path stays on the allocation-free fast loop with no select.
 //
-// It is exactly WarmupCtx followed by MeasureCtx — the same two halves
-// the warmup-snapshot fork path runs on different machines — so the
-// sequential and forked paths cannot drift apart.
+// A Machine runs once: on a consumed machine RunWindowsCtx returns
+// ErrMachineUsed. A canceled run consumes the machine too, because its
+// partial state must never masquerade as a fresh warmup.
 func (m *Machine) RunWindowsCtx(ctx context.Context, src trace.Source, warmup, measure uint64) (Results, error) {
-	if err := m.WarmupCtx(ctx, src, warmup); err != nil {
-		return Results{}, err
-	}
-	return m.MeasureCtx(ctx, src, measure)
-}
-
-// WarmupCtx consumes the warmup window, moving the machine from idle
-// to warm. A warm machine can be forked (Fork) and measured
-// (MeasureCtx). A canceled warmup leaves the machine consumed (done):
-// its partial state must never masquerade as a fresh warmup.
-func (m *Machine) WarmupCtx(ctx context.Context, src trace.Source, warmup uint64) error {
-	if m.state != stateIdle {
-		return ErrMachineUsed
-	}
-	if !m.consume(src, warmup, ctx.Done()) {
-		m.state = stateDone
-		return ctx.Err()
-	}
-	m.state = stateWarm
-	return nil
-}
-
-// MeasureCtx runs the measurement window on a warm machine and returns
-// windowed results, moving it warm -> done. src must be positioned at
-// the machine's consumption point (Consumed()) — for a forked machine,
-// a fresh SliceSource over the shared trace advanced to that handle.
-func (m *Machine) MeasureCtx(ctx context.Context, src trace.Source, measure uint64) (Results, error) {
-	switch m.state {
-	case stateIdle:
-		return Results{}, ErrNotWarmed
-	case stateDone:
+	if m.used {
 		return Results{}, ErrMachineUsed
 	}
-	m.state = stateDone
+	m.used = true
+	if !m.consume(src, warmup, ctx.Done()) {
+		return Results{}, ctx.Err()
+	}
 	s := m.snap()
 	if !m.consume(src, m.instrIdx+measure, ctx.Done()) {
 		return Results{}, ctx.Err()
@@ -689,12 +611,8 @@ func (m *Machine) resultsSince(s snapshot) Results {
 	}
 	// Window the lead distribution exactly like the counters above: the
 	// quantiles are computed on (current - snapshot), so warmup-window
-	// samples never leak into measured results. A nil snapshot (whole-
-	// run Run) diffs against empty.
-	lead := m.tracker.LeadHistogram()
-	if s.lead != nil {
-		lead = lead.Sub(s.lead)
-	}
+	// samples never leak into measured results.
+	lead := m.tracker.LeadHistogram().Sub(s.lead)
 	if lead.Total() > 0 {
 		res.LeadP50 = lead.Quantile(0.50)
 		res.LeadP99 = lead.Quantile(0.99)

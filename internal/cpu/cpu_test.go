@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"entangling/internal/prefetch"
@@ -22,7 +24,7 @@ func run(t *testing.T, cat workload.Category, seed uint64, n uint64, mutate func
 		mutate(&cfg)
 	}
 	m := New(cfg)
-	return m.Run(workload.NewWalker(prog), n)
+	return m.RunWindows(workload.NewWalker(prog), 0, n)
 }
 
 func TestBaselineRunSanity(t *testing.T) {
@@ -159,10 +161,50 @@ func TestLimitedRunStopsEarly(t *testing.T) {
 	prog, _ := workload.BuildProgram(p)
 	m := New(DefaultConfig())
 	src := &trace.LimitSource{Src: workload.NewWalker(prog), N: 1234}
-	r := m.Run(src, 1_000_000)
+	r := m.RunWindows(src, 0, 1_000_000)
 	if r.Instructions != 1234 {
 		t.Errorf("Instructions = %d, want 1234 (source-limited)", r.Instructions)
 	}
+}
+
+// TestMachineSingleUse holds the "a Machine must not be reused across
+// runs" contract: every second use of a consumed machine fails loudly.
+func TestMachineSingleUse(t *testing.T) {
+	src := func() trace.Source { return loopSource(0x1000, 30, 2000) }
+
+	t.Run("second RunWindows panics", func(t *testing.T) {
+		m := New(DefaultConfig())
+		m.RunWindows(src(), 20_000, 20_000)
+		defer func() {
+			if err, _ := recover().(error); !errors.Is(err, ErrMachineUsed) {
+				t.Errorf("panic %v, want ErrMachineUsed", err)
+			}
+		}()
+		m.RunWindows(src(), 20_000, 20_000)
+		t.Fatal("second RunWindows did not panic")
+	})
+
+	t.Run("ctx entry points return typed errors", func(t *testing.T) {
+		m := New(DefaultConfig())
+		if _, err := m.RunWindowsCtx(context.Background(), src(), 20_000, 20_000); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RunWindowsCtx(context.Background(), src(), 20_000, 20_000); !errors.Is(err, ErrMachineUsed) {
+			t.Errorf("RunWindowsCtx on consumed machine: %v, want ErrMachineUsed", err)
+		}
+	})
+
+	t.Run("canceled run leaves machine used", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		m := New(DefaultConfig())
+		if _, err := m.RunWindowsCtx(ctx, src(), 20_000, 20_000); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunWindowsCtx under canceled ctx: %v", err)
+		}
+		if _, err := m.RunWindowsCtx(context.Background(), src(), 20_000, 20_000); !errors.Is(err, ErrMachineUsed) {
+			t.Errorf("RunWindowsCtx after canceled run: %v, want ErrMachineUsed", err)
+		}
+	})
 }
 
 func TestLargerL1IReducesMisses(t *testing.T) {

@@ -87,7 +87,7 @@ func TestFeedbackReachesPrefetcher(t *testing.T) {
 		return dj
 	}
 	m := New(cfg)
-	r := m.Run(workload.NewWalker(prog), 300_000)
+	r := m.RunWindows(workload.NewWalker(prog), 0, 300_000)
 	if r.Lifecycle.Late > 0 && dj.FeedbackLate != r.Lifecycle.Late {
 		t.Errorf("djolt saw %d late feedbacks, lifecycle counted %d", dj.FeedbackLate, r.Lifecycle.Late)
 	}
@@ -112,7 +112,7 @@ func TestLifecycleWindowSubtraction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Prefetcher = func(i prefetch.Issuer) prefetch.Prefetcher { return prefetch.NewDJolt(i) }
 	m := New(cfg)
-	full := m.Run(workload.NewWalker(prog), 400_000)
+	full := m.RunWindows(workload.NewWalker(prog), 0, 400_000)
 
 	m2 := New(cfg)
 	second := m2.RunWindows(workload.NewWalker(prog), 200_000, 200_000)

@@ -52,7 +52,7 @@ func TestColdSequentialStreamBound(t *testing.T) {
 		pc += 4
 	}
 	m := New(DefaultConfig())
-	r := m.Run(&trace.SliceSource{Instrs: instrs}, uint64(len(instrs)))
+	r := m.RunWindows(&trace.SliceSource{Instrs: instrs}, 0, uint64(len(instrs)))
 	if r.L1I.Misses < uint64(len(instrs)/16-10) {
 		t.Errorf("cold stream misses = %d, want ~%d", r.L1I.Misses, len(instrs)/16)
 	}
@@ -78,8 +78,8 @@ func TestFTQDepthHidesMissLatency(t *testing.T) {
 	deep := DefaultConfig()
 	shallow := DefaultConfig()
 	shallow.FTQDepth = 1
-	rDeep := New(deep).Run(mkStream(), 30_000)
-	rShallow := New(shallow).Run(mkStream(), 30_000)
+	rDeep := New(deep).RunWindows(mkStream(), 0, 30_000)
+	rShallow := New(shallow).RunWindows(mkStream(), 0, 30_000)
 	if rDeep.Cycles >= rShallow.Cycles {
 		t.Errorf("deep FTQ (%d cycles) should beat shallow FTQ (%d cycles)",
 			rDeep.Cycles, rShallow.Cycles)
@@ -113,8 +113,8 @@ func TestROBBoundsMemoryParallelism(t *testing.T) {
 	small.ROBSize = 16
 	big := DefaultConfig()
 	big.ROBSize = 512
-	rSmall := New(small).Run(mkStream(), 4000)
-	rBig := New(big).Run(mkStream(), 4000)
+	rSmall := New(small).RunWindows(mkStream(), 0, 4000)
+	rBig := New(big).RunWindows(mkStream(), 0, 4000)
 	if rBig.Cycles >= rSmall.Cycles {
 		t.Errorf("big ROB (%d cycles) should beat small ROB (%d cycles)",
 			rBig.Cycles, rSmall.Cycles)
@@ -150,7 +150,7 @@ func TestMispredictPenaltyCosts(t *testing.T) {
 		return &trace.SliceSource{Instrs: instrs}
 	}
 	run := func(p func(i int) bool) Results {
-		return New(DefaultConfig()).Run(mkLoop(p), 120_000)
+		return New(DefaultConfig()).RunWindows(mkLoop(p), 0, 120_000)
 	}
 	biased := run(func(i int) bool { return true })
 	lcg := 12345
@@ -172,16 +172,16 @@ func TestMispredictPenaltyCosts(t *testing.T) {
 
 func TestRunWindowsEqualsManualDelta(t *testing.T) {
 	// RunWindows(w, m) must equal the delta between full runs of w and
-	// w+m instructions. A machine is single-use now (a second Run
-	// panics — see TestMachineSingleUse in fork_test.go), so each run
-	// gets its own machine over the same deterministic stream; the two
-	// prefixes replay identically, making the delta exact.
+	// w+m instructions. A machine is single-use (see
+	// TestMachineSingleUse), so each run gets its own machine over the
+	// same deterministic stream; the two prefixes replay identically,
+	// making the delta exact.
 	p := loopSource(0x1000, 30, 10_000)
 	a := New(DefaultConfig())
 	ra := a.RunWindows(p, 50_000, 50_000)
 
-	r1 := New(DefaultConfig()).Run(loopSource(0x1000, 30, 10_000), 50_000)
-	r2 := New(DefaultConfig()).Run(loopSource(0x1000, 30, 10_000), 100_000)
+	r1 := New(DefaultConfig()).RunWindows(loopSource(0x1000, 30, 10_000), 0, 50_000)
+	r2 := New(DefaultConfig()).RunWindows(loopSource(0x1000, 30, 10_000), 0, 100_000)
 	if ra.Instructions != r2.Instructions-r1.Instructions {
 		t.Errorf("instruction deltas differ: %d vs %d",
 			ra.Instructions, r2.Instructions-r1.Instructions)
@@ -197,7 +197,7 @@ func TestRunWindowsEqualsManualDelta(t *testing.T) {
 
 func TestEmptySource(t *testing.T) {
 	m := New(DefaultConfig())
-	r := m.Run(&trace.SliceSource{}, 1000)
+	r := m.RunWindows(&trace.SliceSource{}, 0, 1000)
 	if r.Instructions != 0 || r.Cycles != 0 || r.IPC != 0 {
 		t.Errorf("empty run: %+v", r)
 	}
@@ -246,8 +246,8 @@ func TestBTBMissRedirectCheaperThanMispredict(t *testing.T) {
 		}
 		return &trace.SliceSource{Instrs: instrs}
 	}
-	jumps := New(DefaultConfig()).Run(mkJumps(), 32_000)
-	conds := New(DefaultConfig()).Run(mkRandomCond(), 32_000)
+	jumps := New(DefaultConfig()).RunWindows(mkJumps(), 0, 32_000)
+	conds := New(DefaultConfig()).RunWindows(mkRandomCond(), 0, 32_000)
 	// Both streams redirect heavily; jumps only via BTB misses (and
 	// only until the BTB warms), conds via execute-stage mispredicts.
 	if jumps.Redirects == 0 {
@@ -271,7 +271,7 @@ func TestStoreTrafficCounted(t *testing.T) {
 		})
 	}
 	m := New(DefaultConfig())
-	r := m.Run(&trace.SliceSource{Instrs: instrs}, 1000)
+	r := m.RunWindows(&trace.SliceSource{Instrs: instrs}, 0, 1000)
 	if r.L1D.Accesses < 900 {
 		t.Errorf("stores not reaching L1D: %d accesses", r.L1D.Accesses)
 	}

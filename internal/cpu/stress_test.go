@@ -45,7 +45,7 @@ func TestRandomConfigurationsDoNotPanic(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := New(cfg)
-		r := m.Run(workload.NewWalker(prog), 60_000)
+		r := m.RunWindows(workload.NewWalker(prog), 0, 60_000)
 		if r.Instructions != 60_000 {
 			t.Fatalf("config %d (%s): ran %d instructions", i, name, r.Instructions)
 		}
@@ -87,7 +87,7 @@ func TestHostileStreamsDoNotPanic(t *testing.T) {
 			return pf
 		}
 		m := New(cfg)
-		r := m.Run(&trace.SliceSource{Instrs: instrs}, 20_000)
+		r := m.RunWindows(&trace.SliceSource{Instrs: instrs}, 0, 20_000)
 		if r.Instructions != 20_000 {
 			t.Errorf("%s: ran %d instructions", name, r.Instructions)
 		}
@@ -115,7 +115,7 @@ func TestAllRegisteredPrefetchersRun(t *testing.T) {
 			return pf
 		}
 		m := New(cfg)
-		r := m.Run(workload.NewWalker(prog), 50_000)
+		r := m.RunWindows(workload.NewWalker(prog), 0, 50_000)
 		if r.Instructions != 50_000 {
 			t.Errorf("%s: incomplete run", name)
 		}

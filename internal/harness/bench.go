@@ -44,14 +44,6 @@ type BenchPoint struct {
 	GOMAXPROCS    int        `json:"gomaxprocs"`
 	Sweep         BenchSweep `json:"sweep"`
 
-	// ForkedWarmup records that the sweep ran with a warmup-snapshot
-	// cache (Options.Warm): iteration 1 warms every class sequentially
-	// and later iterations fork the snapshots, so the fastest-of-N
-	// timing measures the measure-only steady state. The metrics
-	// fingerprint is still asserted identical across iterations, which
-	// is the forked-vs-sequential equivalence gate.
-	ForkedWarmup bool `json:"forked_warmup,omitempty"`
-
 	// Iterations is how many times the sweep ran; the timing fields
 	// report the fastest iteration (least-noise estimator).
 	Iterations  int     `json:"iterations"`
@@ -139,37 +131,18 @@ func RunBench(label string, iterations int) (BenchPoint, error) {
 // abandons the remaining iterations instead of leaving a half-measured
 // point behind.
 func RunBenchCtx(ctx context.Context, label string, iterations int) (BenchPoint, error) {
-	return runBenchCtx(ctx, label, iterations, false)
-}
-
-// RunBenchForkedCtx runs the pinned mini-sweep with a warmup-snapshot
-// cache shared across iterations: the first iteration pays every
-// class's warmup and offers the snapshots, later iterations fork them
-// and simulate only their measured windows. With iterations >= 2 the
-// fastest iteration therefore times the forked steady state, and the
-// cross-iteration fingerprint assertion doubles as the proof that the
-// forked path reproduces the sequential path byte for byte.
-func RunBenchForkedCtx(ctx context.Context, label string, iterations int) (BenchPoint, error) {
-	return runBenchCtx(ctx, label, iterations, true)
-}
-
-func runBenchCtx(ctx context.Context, label string, iterations int, forked bool) (BenchPoint, error) {
 	if iterations < 1 {
 		iterations = 1
 	}
 	specs := PinnedBenchSpecs()
 	cfgs := PinnedBenchConfigurations()
 	opt := PinnedBenchOptions()
-	if forked {
-		opt.Warm = NewWarmupSnapshots()
-	}
 
 	p := BenchPoint{
 		SchemaVersion: BenchSchemaVersion,
 		Label:         label,
 		GoVersion:     runtime.Version(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		ForkedWarmup:  forked,
 		Iterations:    iterations,
 		Sweep: BenchSweep{
 			Warmup:      opt.Warmup,

@@ -148,6 +148,23 @@ func TestValidateBenchFileErrors(t *testing.T) {
 	}
 }
 
+// TestPinnedBenchFingerprint pins the metrics fingerprint of the 28-cell
+// benchmark sweep, the contract every refactor must keep: any change to
+// simulated behaviour or to the metrics export moves it.
+func TestPinnedBenchFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full 28-cell pinned sweep")
+	}
+	const want = "7a8390cd658a6e433effaac4463bc5eb18e0856b1f157235b1c40f34e17f840b"
+	p, err := RunBench("t", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.MetricsSHA256 != want {
+		t.Errorf("pinned sweep fingerprint %s, want %s", p.MetricsSHA256, want)
+	}
+}
+
 // benchCell returns a small cached-trace cell of the pinned sweep for
 // allocation measurements.
 func benchCell(tb testing.TB, warmup, measure uint64) (Configuration, workload.Spec, *workload.Trace) {

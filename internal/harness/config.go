@@ -179,14 +179,6 @@ type Options struct {
 	// be safe for concurrent use.
 	Observe func(cfg Configuration, spec workload.Spec, res RunResult)
 
-	// Warm, when non-nil, caches post-warmup machine snapshots keyed
-	// by warmup-equivalence class (see WarmupSnapshots): cells whose
-	// class already has a snapshot fork it and simulate only their
-	// measured window. Nil keeps every cell on the sequential
-	// warmup+measure path. Configurations that cannot fork fall back
-	// to the sequential path cell by cell either way.
-	Warm *WarmupSnapshots
-
 	// Checkpoint, when non-nil, persists every completed cell to the
 	// store so an interrupted sweep can be resumed.
 	Checkpoint *CheckpointStore
@@ -244,13 +236,7 @@ func Run(cfg Configuration, spec workload.Spec, warmup, measure uint64,
 		return RunResult{}, err
 	}
 	r := m.RunWindows(workload.NewWalker(prog), warmup, measure)
-
-	out := RunResult{Config: cfg.Name, Workload: spec.Name, Category: spec.Params.Category, R: r}
-	if ent, ok := m.Prefetcher().(*core.Entangling); ok {
-		s := ent.Stats()
-		out.Ent = &s
-	}
-	return out, nil
+	return runResultFrom(cfg, spec, m, r), nil
 }
 
 // RunTrace executes one configuration over a pre-materialized workload
@@ -285,12 +271,18 @@ func RunSource(cfg Configuration, src trace.Source, warmup, measure uint64) (Run
 		return RunResult{}, err
 	}
 	r := m.RunWindows(src, warmup, measure)
-	out := RunResult{Config: cfg.Name, Workload: "trace", R: r}
+	return runResultFrom(cfg, workload.Spec{Name: "trace"}, m, r), nil
+}
+
+// runResultFrom packages a finished machine's results as the cell's
+// RunResult.
+func runResultFrom(cfg Configuration, spec workload.Spec, m *cpu.Machine, r cpu.Results) RunResult {
+	out := RunResult{Config: cfg.Name, Workload: spec.Name, Category: spec.Params.Category, R: r}
 	if ent, ok := m.Prefetcher().(*core.Entangling); ok {
 		s := ent.Stats()
 		out.Ent = &s
 	}
-	return out, nil
+	return out
 }
 
 // machineFor assembles the simulated machine for a configuration.

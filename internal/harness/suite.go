@@ -368,7 +368,7 @@ func (r *suiteRunner) attemptCell(ctx context.Context, cfg Configuration, spec w
 	r.holdTrace(spec)
 	defer r.cache.Release(spec, r.traceLen)
 
-	res, rerr := RunTraceWarmCtx(cellCtx, cfg, spec, tr, r.opt.Warmup, r.opt.Measure, r.opt.Warm)
+	res, rerr := RunTraceCtx(cellCtx, cfg, spec, tr, r.opt.Warmup, r.opt.Measure)
 	if rerr != nil {
 		if ctx.Err() != nil {
 			return RunResult{}, fmt.Errorf("%w: %v", ErrCellCanceled, ctx.Err())

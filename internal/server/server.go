@@ -598,6 +598,10 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 			existing.addOwner(owner.t.Name)
 			owner.countDeduped()
 		}
+		// The hit makes the job the newest remembered one, so pruning
+		// cannot forget it before the deduping client reads it.
+		s.dropJobOrderLocked(spec.id)
+		s.jobOrder = append(s.jobOrder, spec.id)
 		s.mu.Unlock()
 		s.stats.inc(&s.stats.jobsDeduped)
 		return existing, true, nil
@@ -630,12 +634,7 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 		// a job that will never run) and refund the quota charge.
 		s.mu.Lock()
 		delete(s.jobs, spec.id)
-		for i, id := range s.jobOrder {
-			if id == spec.id {
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				break
-			}
-		}
+		s.dropJobOrderLocked(spec.id)
 		s.mu.Unlock()
 		if owner != nil {
 			owner.refundAdmission(spec.cellCount(), spec.approximate)
@@ -646,6 +645,16 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 	}
 	s.stats.inc(&s.stats.jobsSubmitted)
 	return j, false, nil
+}
+
+// dropJobOrderLocked removes id from jobOrder.
+func (s *Server) dropJobOrderLocked(id string) {
+	for i, o := range s.jobOrder {
+		if o == id {
+			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
+			return
+		}
+	}
 }
 
 // pruneJobsLocked forgets the oldest terminal jobs beyond MaxJobs.

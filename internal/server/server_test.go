@@ -341,6 +341,36 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerDedupeKeepsJobRemembered: a submission deduped onto a
+// remembered job makes it the newest, so the next submission prunes an
+// older job instead and the deduping client can still read its result.
+func TestServerDedupeKeepsJobRemembered(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxJobs = 2
+	_, ts := startTestServer(t, cfg)
+	job := func(wl string) JobRequest {
+		return JobRequest{Configurations: []string{"no"}, Workloads: []string{wl}, Warmup: testWarmup, Measure: testMeasure}
+	}
+	a := submitOK(t, ts, job("crypto-00"))
+	waitResult(t, ts, a.ID)
+	b := submitOK(t, ts, job("int-00"))
+	waitResult(t, ts, b.ID)
+	if again := submitOK(t, ts, job("crypto-00")); again.ID != a.ID || !again.Deduped {
+		t.Fatalf("resubmission of A: %+v, want a dedupe onto %s", again, a.ID)
+	}
+	c := submitOK(t, ts, job("fp-00"))
+	waitResult(t, ts, c.ID)
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + a.ID + "/result")
+	if err != nil {
+		t.Fatalf("GET result: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result of the deduped job: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestServerDuplicateSubmissionsSimulateOnce(t *testing.T) {
 	s, ts := startTestServer(t, testConfig())
 	req := JobRequest{

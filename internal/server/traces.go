@@ -17,7 +17,7 @@ import (
 // or billion-record upload dies at the cap), and stores it
 // content-addressed next to the checkpoints. Job specs then reference
 // it as workload "trace:<id>" — the same sweep machinery (trace cache,
-// warmup classes, checkpointing) runs it unmodified, because the
+// checkpointing) runs it unmodified, because the
 // content address flows through workload.Params into every identity
 // hash.
 

@@ -229,9 +229,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Clone returns an independent deep copy of h. Forked simulations
-// snapshot histograms with Clone so the fork and the original can keep
-// counting without sharing bucket storage.
+// Clone returns an independent deep copy of h. The simulator's window
+// snapshot (cpu's snap()) clones the lead histogram at window start so
+// the live histogram can keep counting and be diffed with Sub later.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
 	c.Buckets = append([]uint64(nil), h.Buckets...)

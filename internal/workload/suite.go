@@ -26,8 +26,8 @@ type TraceOpener func() (io.ReadCloser, error)
 func (s Spec) TraceBacked() bool { return s.Params.TraceSHA256 != "" }
 
 // TraceSpec builds the Spec for an ingested trace: the content address
-// is the workload's entire identity (it feeds warmup classes and cell
-// fingerprints through Params), and open streams the stored payload.
+// is the workload's entire identity (it feeds cell fingerprints through
+// Params), and open streams the stored payload.
 func TraceSpec(name, sha256hex string, open TraceOpener) Spec {
 	return Spec{
 		Name: name,

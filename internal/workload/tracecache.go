@@ -41,16 +41,6 @@ func (t *Trace) Source() trace.Source {
 	return &trace.SliceSource{Instrs: t.Instrs}
 }
 
-// SourceAt returns a fresh reader positioned n instructions into the
-// trace. A machine forked from a warmup snapshot that consumed n
-// instructions resumes its measured window from exactly this source,
-// reading the same remaining stream a sequential run would.
-func (t *Trace) SourceAt(n uint64) trace.Source {
-	s := &trace.SliceSource{Instrs: t.Instrs}
-	s.Advance(int(n))
-	return s
-}
-
 // Materialize builds a spec's program and walks exactly n instructions
 // into an immutable trace. Two calls with the same spec and n yield
 // identical streams (the walk is deterministic), which is what makes
