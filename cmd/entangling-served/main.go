@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -73,9 +72,6 @@ func main() {
 	flag.StringVar(&cfg.TraceDir, "trace-dir", "", "store uploaded traces here (default <checkpoint-dir>/traces when -checkpoint-dir is set)")
 	flag.Int64Var(&cfg.MaxTraceBytes, "max-trace-bytes", 128<<20, "largest accepted trace upload body in bytes")
 	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 10*time.Second, "how long a drain waits for running jobs before canceling them")
-	flag.BoolVar(&cfg.Approximate, "approximate", false, "train the internal/predict model on exact cells and accept mode=approximate jobs answered with error bars")
-	flag.StringVar(&cfg.ModelDir, "model-dir", "", "persist the approximate model snapshot here (default <checkpoint-dir>/model when -checkpoint-dir is set)")
-	flag.Float64Var(&cfg.MaxRelErr, "max-rel-err", 0.25, "default approximate-mode error budget: widest acceptable relative interval half-width before a cell falls back to exact simulation")
 	flag.Parse()
 
 	if *tenantsFile != "" {
@@ -193,12 +189,6 @@ func runCoordinator(ctx context.Context, cfg server.Config, peers string, stealA
 		var err error
 		if store, err = harness.OpenCheckpointStore(cfg.CheckpointDir); err != nil {
 			return err
-		}
-		// The model lives coordinator-side (workers stay model-free),
-		// so resolve its default location before the checkpoint dir is
-		// handed to the dispatcher.
-		if cfg.Approximate && cfg.ModelDir == "" {
-			cfg.ModelDir = filepath.Join(cfg.CheckpointDir, "model")
 		}
 		cfg.CheckpointDir = "" // the dispatcher owns the store now
 	}

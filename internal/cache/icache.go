@@ -279,7 +279,7 @@ func (c *ICache) drainPQ(now uint64) bool {
 	progress := false
 	interval := uint64(1)
 	if c.cfg.PQIssuePerCycle > 1 {
-		interval = 0 // multiple per cycle approximated as back-to-back
+		interval = 0 // multiple per cycle are treated as back-to-back
 	}
 	for c.pqLen > 0 {
 		head := c.pq[c.pqHead]

@@ -351,59 +351,6 @@ func (c *Client) WaitResult(ctx context.Context, id string) (server.ResultDoc, [
 	}
 }
 
-// ApproximateResult is the typed view of a mode=approximate job's
-// outcome: the model-answered cells with their error bars, and the
-// share that fell back to exact simulation (whose metrics are in
-// Doc.Metrics, exactly as an exact job would report them).
-type ApproximateResult struct {
-	// Doc is the full result document (Doc.Approximate is true).
-	Doc server.ResultDoc
-	// Predictions are the model-answered cells with per-metric bands.
-	Predictions []server.PredictedCell
-	// PredictedCells and FallbackCells partition the job's successful
-	// cells; FallbackRate is FallbackCells over their sum (0 when the
-	// job had no successful cells).
-	PredictedCells int
-	FallbackCells  int
-	FallbackRate   float64
-}
-
-// WaitApproximateResult polls a mode=approximate job to completion
-// and returns the typed approximate view plus the raw result bytes.
-// It errors if the job turns out not to be approximate — that means
-// the caller submitted (or deduped onto) an exact job.
-func (c *Client) WaitApproximateResult(ctx context.Context, id string) (ApproximateResult, []byte, error) {
-	doc, raw, err := c.WaitResult(ctx, id)
-	if err != nil {
-		return ApproximateResult{}, nil, err
-	}
-	if !doc.Approximate {
-		return ApproximateResult{}, nil, fmt.Errorf("client: job %s is not an approximate-mode job", id)
-	}
-	out := ApproximateResult{
-		Doc:            doc,
-		Predictions:    doc.Predictions,
-		PredictedCells: doc.Cells.Predicted,
-		FallbackCells:  doc.Cells.Fallback,
-	}
-	if n := out.PredictedCells + out.FallbackCells; n > 0 {
-		out.FallbackRate = float64(out.FallbackCells) / float64(n)
-	}
-	return out, raw, nil
-}
-
-// RefineToExact resubmits the same cells in exact mode: the
-// approximate request with mode and max_rel_err stripped. The exact
-// job has its own content address, so it never dedupes onto the
-// approximate one; its results are byte-identical to any other exact
-// run of the same cells, and the server scores the predictions it
-// served against them (the refinement counters on /metrics).
-func (c *Client) RefineToExact(ctx context.Context, req server.JobRequest) (SubmitResponse, error) {
-	req.Mode = ""
-	req.MaxRelErr = 0
-	return c.Submit(ctx, req)
-}
-
 // UploadTrace ingests one trace body. format is "" (ENTRACE1),
 // "entrace1" or "champsim". The body is buffered so transport retries
 // can replay it; traces the server already stores dedupe server-side.

@@ -122,7 +122,7 @@ func Config8K(space AddressSpace) Config {
 	return cfg
 }
 
-// ConfigEPI approximates the performance-oriented (IPC-1 winning)
+// ConfigEPI stands in for the performance-oriented (IPC-1 winning)
 // Entangling prefetcher the paper lists as EPI: a ~1000-entry history
 // and a 34-way, >8K-entry table, hardly implementable in hardware but
 // a useful upper bound. The paper quotes 127.9KB.

@@ -170,15 +170,6 @@ type Options struct {
 	// Called concurrently from worker goroutines; see ProgressFunc.
 	Progress ProgressFunc
 
-	// Observe, when set, receives every completed cell's result —
-	// both cells simulated by this run and cells restored from the
-	// checkpoint store — exactly once per (config, workload) cell.
-	// It feeds online consumers such as the internal/predict training
-	// loop and has no effect on the sweep's own results or
-	// checkpoints. Called concurrently from worker goroutines; must
-	// be safe for concurrent use.
-	Observe func(cfg Configuration, spec workload.Spec, res RunResult)
-
 	// Checkpoint, when non-nil, persists every completed cell to the
 	// store so an interrupted sweep can be resumed.
 	Checkpoint *CheckpointStore

@@ -123,9 +123,6 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 					opt.Progress.emit(CellEvent{
 						Type: CellRestored, Config: c.Name, Workload: s.Name,
 					})
-					if opt.Observe != nil {
-						opt.Observe(c, s, rec.Result)
-					}
 				}
 			}
 		}
@@ -317,9 +314,6 @@ func (r *suiteRunner) runCell(ctx context.Context, cfg Configuration, spec workl
 				Type: CellFinished, Config: cfg.Name, Workload: spec.Name,
 				Attempt: attempt, Duration: time.Since(start),
 			})
-			if r.opt.Observe != nil {
-				r.opt.Observe(cfg, spec, res)
-			}
 			return res, nil
 		}
 		if errors.Is(err, ErrCellCanceled) {

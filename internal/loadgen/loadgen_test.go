@@ -33,20 +33,11 @@ func TestReportRoundTrip(t *testing.T) {
 		CellsDone:      120,
 		CellsSimulated: 30,
 		CacheHitRate:   0.75,
-		CellsPredicted: 16,
-		CellsFallback:  4,
-		FallbackRate:   0.2,
 		SubmitLatencyMS: LatencyStats{
 			Count: 64, P50: 1.5, P90: 3.25, P99: 9, Max: 12,
 		},
 		E2ELatencyMS: LatencyStats{
 			Count: 61, P50: 20, P90: 55, P99: 140, Max: 150,
-		},
-		ApproxSubmitLatencyMS: LatencyStats{
-			Count: 12, P50: 1.1, P90: 2.5, P99: 4, Max: 5,
-		},
-		ApproxE2ELatencyMS: LatencyStats{
-			Count: 12, P50: 4, P90: 9, P99: 15, Max: 16,
 		},
 		PerTenant: map[string]*TenantOutcome{
 			"acme": {Ops: 32, Errors: map[string]uint64{"quota_cells_per_sec": 3}},
@@ -69,26 +60,22 @@ func TestReportRoundTrip(t *testing.T) {
 // TestReportParseRejections: the strict decoder refuses unknown
 // fields, trailing data, wrong kinds/schemas and out-of-range rates.
 func TestReportParseRejections(t *testing.T) {
-	valid := `{"schema_version":2,"kind":"entangling-loadgen-report","seed":1,"submissions":4,` +
+	valid := `{"schema_version":3,"kind":"entangling-loadgen-report","seed":1,"submissions":4,` +
 		`"elapsed_ms":10,"ops":{"cache-cold":4},"deduped":0,"traces_uploaded":0,"traces_deduped":0,` +
 		`"cells_done":4,"cells_simulated":4,"cache_hit_rate":0,` +
-		`"cells_predicted":2,"cells_fallback":1,"fallback_rate":0.334,` +
 		`"submit_latency_ms":{"count":4,"p50":1,"p90":1,"p99":1,"max":1},` +
-		`"e2e_latency_ms":{"count":4,"p50":1,"p90":1,"p99":1,"max":1},` +
-		`"approx_submit_latency_ms":{"count":1,"p50":1,"p90":1,"p99":1,"max":1},` +
-		`"approx_e2e_latency_ms":{"count":1,"p50":1,"p90":1,"p99":1,"max":1}}`
+		`"e2e_latency_ms":{"count":4,"p50":1,"p90":1,"p99":1,"max":1}}`
 	if _, err := ParseReport(strings.NewReader(valid)); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	for name, doc := range map[string]string{
-		"unknown field":     strings.Replace(valid, `"seed":1`, `"seed":1,"p999":7`, 1),
-		"trailing data":     valid + `{"second":"doc"}`,
-		"wrong schema":      strings.Replace(valid, `"schema_version":2`, `"schema_version":9`, 1),
-		"old schema":        strings.Replace(valid, `"schema_version":2`, `"schema_version":1`, 1),
-		"wrong kind":        strings.Replace(valid, "entangling-loadgen-report", "mystery-report", 1),
-		"bad hit rate":      strings.Replace(valid, `"cache_hit_rate":0`, `"cache_hit_rate":1.5`, 1),
-		"bad fallback rate": strings.Replace(valid, `"fallback_rate":0.334`, `"fallback_rate":-0.5`, 1),
-		"no work":           strings.Replace(valid, `"submissions":4`, `"submissions":0`, 1),
+		"unknown field": strings.Replace(valid, `"seed":1`, `"seed":1,"p999":7`, 1),
+		"trailing data": valid + `{"second":"doc"}`,
+		"wrong schema":  strings.Replace(valid, `"schema_version":3`, `"schema_version":9`, 1),
+		"old schema":    strings.Replace(valid, `"schema_version":3`, `"schema_version":2`, 1),
+		"wrong kind":    strings.Replace(valid, "entangling-loadgen-report", "mystery-report", 1),
+		"bad hit rate":  strings.Replace(valid, `"cache_hit_rate":0`, `"cache_hit_rate":1.5`, 1),
+		"no work":       strings.Replace(valid, `"submissions":4`, `"submissions":0`, 1),
 	} {
 		if _, err := ParseReport(strings.NewReader(doc)); err == nil {
 			t.Fatalf("%s: accepted", name)
@@ -184,7 +171,6 @@ func TestRunEndToEnd(t *testing.T) {
 		PerCategory:     1,
 		TraceDir:        t.TempDir(),
 		DrainGrace:      2 * time.Second,
-		Approximate:     true, // the default mix carries approx-query ops
 		Logf:            t.Logf,
 	})
 	if err != nil {

@@ -43,12 +43,6 @@ const (
 	// KindCancelMid submits a job and cancels it immediately,
 	// exercising the cancel/ownership path under load.
 	KindCancelMid = "cancel-mid-job"
-	// KindApproxQuery submits the dedup-heavy shape pool in
-	// mode=approximate, so the replay measures the predicted-answer
-	// latency lane against the exact lanes and the fallback rate of a
-	// node's model. Requires a node running with -approximate; against
-	// an exact-only node every op records a bad_request outcome.
-	KindApproxQuery = "approx-query"
 )
 
 // knownKinds guards plan validation.
@@ -58,7 +52,6 @@ var knownKinds = map[string]bool{
 	KindTraceUpload: true,
 	KindFaultPlan:   true,
 	KindCancelMid:   true,
-	KindApproxQuery: true,
 }
 
 // MixEntry weights one submission kind in the replay.
@@ -113,7 +106,6 @@ func DefaultPlan() Plan {
 		Mix: []MixEntry{
 			{Kind: KindDedupHeavy, Weight: 4},
 			{Kind: KindCacheCold, Weight: 2},
-			{Kind: KindApproxQuery, Weight: 2},
 			{Kind: KindTraceUpload, Weight: 1},
 			{Kind: KindCancelMid, Weight: 1},
 		},

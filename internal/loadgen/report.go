@@ -13,9 +13,9 @@ import (
 
 // ReportSchemaVersion identifies the LOAD_*.json layout. Bump on any
 // incompatible change so downstream tooling refuses rather than
-// misreads. v2 added the approximate-mode lanes (approx latency
-// stats, predicted/fallback cell counts, fallback_rate).
-const ReportSchemaVersion = 2
+// misreads. v3 removed v2's model-answer lanes (cells_predicted,
+// cells_fallback, fallback_rate and the approx_* latency stats).
+const ReportSchemaVersion = 3
 
 // ReportKind tags report documents.
 const ReportKind = "entangling-loadgen-report"
@@ -94,23 +94,11 @@ type Report struct {
 	CellsSimulated uint64  `json:"cells_simulated"`
 	CacheHitRate   float64 `json:"cache_hit_rate"`
 
-	// CellsPredicted/CellsFallback aggregate approx-query outcomes:
-	// cells answered by the node's model vs. cells that simulated
-	// exactly after all; FallbackRate = fallback/(predicted+fallback)
-	// (0 when the plan ran no approx-query ops).
-	CellsPredicted uint64  `json:"cells_predicted"`
-	CellsFallback  uint64  `json:"cells_fallback"`
-	FallbackRate   float64 `json:"fallback_rate"`
-
 	// SubmitLatencyMS measures the POST round trip; E2ELatencyMS
 	// measures admission-to-result (submit start to terminal result)
-	// for every job the replay waited on. The Approx* lanes isolate
-	// approx-query ops so predicted-answer latency is directly
-	// comparable with the exact lanes above.
-	SubmitLatencyMS       LatencyStats `json:"submit_latency_ms"`
-	E2ELatencyMS          LatencyStats `json:"e2e_latency_ms"`
-	ApproxSubmitLatencyMS LatencyStats `json:"approx_submit_latency_ms"`
-	ApproxE2ELatencyMS    LatencyStats `json:"approx_e2e_latency_ms"`
+	// for every job the replay waited on.
+	SubmitLatencyMS LatencyStats `json:"submit_latency_ms"`
+	E2ELatencyMS    LatencyStats `json:"e2e_latency_ms"`
 
 	// PerTenant breaks ops and errors down by submitting lane ("" for
 	// anonymous load), keys sorted in the serialized form.
@@ -130,9 +118,6 @@ func (r Report) Validate() error {
 	}
 	if r.CacheHitRate < 0 || r.CacheHitRate > 1 {
 		return fmt.Errorf("loadgen: cache hit rate %v outside [0,1]", r.CacheHitRate)
-	}
-	if r.FallbackRate < 0 || r.FallbackRate > 1 {
-		return fmt.Errorf("loadgen: fallback rate %v outside [0,1]", r.FallbackRate)
 	}
 	return nil
 }

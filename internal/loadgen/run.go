@@ -49,12 +49,8 @@ type collector struct {
 	tracesDeduped  uint64
 	cellsDone      uint64
 	cellsSimulated uint64
-	cellsPredicted uint64
-	cellsFallback  uint64
 	submitMS       []float64
 	e2eMS          []float64
-	approxSubmitMS []float64
-	approxE2eMS    []float64
 }
 
 func (c *collector) op(tenant, kind string) {
@@ -170,20 +166,13 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 		TracesDeduped:  col.tracesDeduped,
 		CellsDone:      col.cellsDone,
 		CellsSimulated: col.cellsSimulated,
-		CellsPredicted: col.cellsPredicted,
-		CellsFallback:  col.cellsFallback,
 		PerTenant:      col.perTenant,
 	}
 	if col.cellsDone > 0 {
 		rep.CacheHitRate = 1 - float64(col.cellsSimulated)/float64(col.cellsDone)
 	}
-	if n := col.cellsPredicted + col.cellsFallback; n > 0 {
-		rep.FallbackRate = float64(col.cellsFallback) / float64(n)
-	}
 	rep.SubmitLatencyMS = summarize(col.submitMS)
 	rep.E2ELatencyMS = summarize(col.e2eMS)
-	rep.ApproxSubmitLatencyMS = summarize(col.approxSubmitMS)
-	rep.ApproxE2ELatencyMS = summarize(col.approxE2eMS)
 	// Empty maps serialize as {}; drop them so omitempty applies.
 	if len(rep.States) == 0 {
 		rep.States = nil
@@ -298,10 +287,7 @@ func runOp(ctx context.Context, plan Plan, ln *lane, i int, col *collector, trac
 		return
 	}
 
-	// Submission kinds that wait for the full result. approx-query ops
-	// land in their own latency lanes so the report compares
-	// predicted-answer latency against the exact lanes directly.
-	approx := kind == KindApproxQuery
+	// Submission kinds that wait for the full result.
 	req := jobShape(plan, kind, r1, i)
 	startAt := time.Now()
 	sub, err := ln.cl.Submit(ctx, req)
@@ -316,13 +302,8 @@ func runOp(ctx context.Context, plan Plan, ln *lane, i int, col *collector, trac
 		return
 	}
 	col.mu.Lock()
-	if approx {
-		col.approxSubmitMS = append(col.approxSubmitMS, submitMS)
-		col.approxE2eMS = append(col.approxE2eMS, float64(time.Since(startAt).Microseconds())/1000)
-	} else {
-		col.submitMS = append(col.submitMS, submitMS)
-		col.e2eMS = append(col.e2eMS, float64(time.Since(startAt).Microseconds())/1000)
-	}
+	col.submitMS = append(col.submitMS, submitMS)
+	col.e2eMS = append(col.e2eMS, float64(time.Since(startAt).Microseconds())/1000)
 	col.states[doc.State]++
 	if sub.Deduped {
 		col.deduped++
@@ -330,8 +311,6 @@ func runOp(ctx context.Context, plan Plan, ln *lane, i int, col *collector, trac
 	ok := uint64(doc.Cells.Done - doc.Cells.Failed)
 	col.cellsDone += ok
 	col.cellsSimulated += uint64(doc.Cells.Simulated)
-	col.cellsPredicted += uint64(doc.Cells.Predicted)
-	col.cellsFallback += uint64(doc.Cells.Fallback)
 	col.mu.Unlock()
 }
 
@@ -361,16 +340,6 @@ func jobShape(plan Plan, kind string, r uint64, i int) server.JobRequest {
 		n := 1 + int(p)%len(plan.Configurations)
 		req.Configurations = append([]string(nil), plan.Configurations[:n]...)
 		req.Workloads = []string{plan.Workloads[0]}
-	case KindApproxQuery:
-		// Same nested shape pool as dedup-heavy, submitted in
-		// approximate mode: the exact dedup-heavy jobs train the node's
-		// model on exactly these cells, so replays observe real
-		// predicted answers (and real fallbacks while the model warms).
-		p := r % 4
-		n := 1 + int(p)%len(plan.Configurations)
-		req.Configurations = append([]string(nil), plan.Configurations[:n]...)
-		req.Workloads = []string{plan.Workloads[0]}
-		req.Mode = server.ModeApproximate
 	case KindCacheCold:
 		req.Warmup = plan.Warmup + 1 + uint64(i)
 	case KindCancelMid:

@@ -32,7 +32,6 @@ const (
 	SourceShared      = "shared"       // joined another job's in-flight resolution
 	SourceFleet       = "fleet"        // a fleet worker ran it for this coordinator
 	SourceFleetStolen = "fleet-stolen" // a non-primary worker won it (steal or failover)
-	SourcePredicted   = "predicted"    // answered by the internal/predict model (approximate mode)
 )
 
 // Event is one progress record of a job, serialized as the SSE data
@@ -60,12 +59,6 @@ type Event struct {
 	Total int `json:"total,omitempty"`
 	// State is the job's terminal state on job.done.
 	State string `json:"state,omitempty"`
-
-	// Approximate marks a cell.finished answered by the predictor
-	// (Source == SourcePredicted); Bands carries its per-metric
-	// prediction intervals. Never set on exact results.
-	Approximate bool         `json:"approximate,omitempty"`
-	Bands       []MetricBand `json:"bands,omitempty"`
 }
 
 func (e Event) data() []byte {

@@ -39,35 +39,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(b, '\n'))
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeErrorReason(w, status, defaultReason(status), format, args...)
-}
-
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	writeJSON(w, status, errorDoc{Error: fmt.Sprintf(format, args...), Reason: reason})
-}
-
-// defaultReason maps a status to its generic reason; call sites with
-// a more specific class (quotas, draining) use writeErrorReason.
-func defaultReason(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return ReasonBadRequest
-	case http.StatusUnauthorized:
-		return ReasonUnauthorized
-	case http.StatusForbidden:
-		return ReasonForbidden
-	case http.StatusNotFound:
-		return ReasonNotFound
-	case http.StatusRequestEntityTooLarge:
-		return ReasonTooLarge
-	case http.StatusTooManyRequests:
-		return ReasonQueueFull
-	case http.StatusServiceUnavailable:
-		return ReasonUnavailable
-	default:
-		return ReasonInternal
-	}
 }
 
 // authenticate resolves the request's tenant. On an open server it
@@ -99,21 +72,37 @@ func (s *Server) authenticate(w http.ResponseWriter, r *http.Request) (*tenantSt
 	return st, true
 }
 
-// authorizeJob enforces job ownership on a multi-tenant server: only
-// a tenant that submitted (or deduped onto) the job may read or
-// cancel it. Open servers skip the check.
-func (s *Server) authorizeJob(w http.ResponseWriter, st *tenantState, j *job) bool {
-	if s.tenants == nil || st == nil {
-		return true
+// reject answers a request with an error and, when a tenant made it,
+// counts the rejection under that tenant's reason. Quota rejections
+// are counted by the quota check itself and do not come through here.
+func reject(w http.ResponseWriter, st *tenantState, status int, reason, format string, args ...any) {
+	if st != nil {
+		st.countRejected(reason)
 	}
-	if !j.isOwner(st.t.Name) {
+	writeErrorReason(w, status, reason, format, args...)
+}
+
+// requestJob authenticates the request and resolves its {id} job. On
+// a multi-tenant server only a tenant that submitted (or deduped onto)
+// the job may read or cancel it. On false the response is written and
+// the caller must stop.
+func (s *Server) requestJob(w http.ResponseWriter, r *http.Request) (*tenantState, *job, bool) {
+	st, ok := s.authenticate(w, r)
+	if !ok {
+		return nil, nil, false
+	}
+	j, ok := s.lookup(r.PathValue("id"))
+	if !ok {
+		reject(w, st, http.StatusNotFound, ReasonNotFound, "unknown job %q", r.PathValue("id"))
+		return nil, nil, false
+	}
+	if st != nil && !j.isOwner(st.t.Name) {
 		s.stats.inc(&s.stats.authForbidden)
-		st.countRejected(ReasonForbidden)
-		writeErrorReason(w, http.StatusForbidden, ReasonForbidden,
+		reject(w, st, http.StatusForbidden, ReasonForbidden,
 			"tenant %q does not own job %s", st.t.Name, j.spec.id)
-		return false
+		return nil, nil, false
 	}
-	return true
+	return st, j, true
 }
 
 // Handler returns the server's HTTP API.
@@ -154,24 +143,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			reject(w, st, http.StatusRequestEntityTooLarge, ReasonTooLarge,
 				"request body exceeds %d bytes", tooLarge.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		reject(w, st, http.StatusBadRequest, ReasonBadRequest, "%v", err)
 		return
 	}
 	if req.FaultPlan != nil && st != nil && !st.t.AllowFaults {
 		s.stats.inc(&s.stats.authForbidden)
-		st.countRejected(ReasonForbidden)
-		writeErrorReason(w, http.StatusForbidden, ReasonForbidden,
+		reject(w, st, http.StatusForbidden, ReasonForbidden,
 			"tenant %q is not allowed to submit fault plans", st.t.Name)
 		return
 	}
-	approx := approxPolicy{enabled: s.predictor != nil, defaultMaxRelErr: s.cfg.MaxRelErr}
-	spec, err := s.reg.resolve(req, s.cfg.Budget, s.cfg.MaxCells, s.cfg.AllowFaults, approx, s.resolveTraceWorkload)
+	spec, err := s.reg.resolve(req, s.cfg.Budget, s.cfg.MaxCells, s.cfg.AllowFaults, s.resolveTraceWorkload)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		reject(w, st, http.StatusBadRequest, ReasonBadRequest, "%v", err)
 		return
 	}
 
@@ -179,7 +166,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var qerr *quotaError
 	switch {
 	case errors.Is(err, errDraining):
-		writeErrorReason(w, http.StatusServiceUnavailable, ReasonDraining, "server is draining")
+		reject(w, st, http.StatusServiceUnavailable, ReasonDraining, "server is draining")
 		return
 	case errors.As(err, &qerr):
 		retry := 1
@@ -191,11 +178,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests,
+		reject(w, st, http.StatusTooManyRequests, ReasonQueueFull,
 			"job queue full (%d jobs); retry later", s.cfg.QueueCapacity)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeErrorReason(w, http.StatusInternalServerError, ReasonInternal, "%v", err)
 		return
 	}
 
@@ -232,32 +219,16 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.authenticate(w, r)
+	_, j, ok := s.requestJob(w, r)
 	if !ok {
-		return
-	}
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if !s.authorizeJob(w, st, j) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.authenticate(w, r)
+	_, j, ok := s.requestJob(w, r)
 	if !ok {
-		return
-	}
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if !s.authorizeJob(w, st, j) {
 		return
 	}
 	b, state, terminal := j.resultBytes()
@@ -276,16 +247,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // earlier cancels just withdraw that tenant's interest, so one tenant
 // cannot kill a sweep another tenant is still waiting on.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.authenticate(w, r)
+	st, j, ok := s.requestJob(w, r)
 	if !ok {
-		return
-	}
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if !s.authorizeJob(w, st, j) {
 		return
 	}
 	if st == nil || j.dropOwner(st.t.Name) == 0 {
@@ -299,21 +262,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // reconnect), then the stream follows the live tail and ends after
 // the terminal job.done event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.authenticate(w, r)
+	_, j, ok := s.requestJob(w, r)
 	if !ok {
-		return
-	}
-	j, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if !s.authorizeJob(w, st, j) {
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		writeErrorReason(w, http.StatusInternalServerError, ReasonInternal, "streaming unsupported")
 		return
 	}
 
@@ -358,7 +313,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		writeErrorReason(w, http.StatusServiceUnavailable, ReasonUnavailable, "draining")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -401,15 +356,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("entangling_auth_forbidden_total", "Requests rejected 403 (disallowed action).", ld(&c.authForbidden))
 	counter("entangling_quota_rejected_total", "Submissions rejected 429 by a tenant quota.", ld(&c.quotaRejected))
 
-	counter("entangling_predictions_served_total", "Approximate-mode cells answered by the model.", ld(&c.predictionsServed))
-	counter("entangling_predictions_fallback_total", "Approximate-mode cells that fell back to exact simulation.", ld(&c.predictionsFallback))
-	counter("entangling_predictions_refined_total", "Predicted cells later refined by an exact result.", ld(&c.predictionsRefined))
-	counter("entangling_predictions_within_interval_total", "Refinements where the exact value fell inside the stated interval.", ld(&c.predictionsWithin))
-	counter("entangling_predictions_outside_interval_total", "Refinements where the exact value fell outside the stated interval.", ld(&c.predictionsOutside))
-	if s.predictor != nil {
-		gauge("entangling_model_examples", "Cells the approximate model has trained on.", s.predictor.Len())
-	}
-
 	builds, hits, resident := s.traces.CacheStats()
 	counter("entangling_trace_builds_total", "Workload trace materializations performed.", builds)
 	counter("entangling_trace_hits_total", "Workload trace cache hits.", hits)
@@ -446,17 +392,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, m := range snaps {
 			fmt.Fprintf(&sb, "entangling_tenant_jobs_completed_total{tenant=%q} %d\n", m.Name, m.JobsCompleted)
 		}
-		labeled("entangling_tenant_cells_charged_total", "Cells charged against the tenant's rate quota at full price.", "counter")
+		labeled("entangling_tenant_cells_charged_total", "Cells charged against the tenant's rate quota.", "counter")
 		for _, m := range snaps {
 			fmt.Fprintf(&sb, "entangling_tenant_cells_charged_total{tenant=%q} %d\n", m.Name, m.CellsCharged)
-		}
-		labeled("entangling_tenant_approx_cells_charged_total", "Cells admitted at the reduced approximate-mode rate (0.1 tokens each).", "counter")
-		for _, m := range snaps {
-			fmt.Fprintf(&sb, "entangling_tenant_approx_cells_charged_total{tenant=%q} %d\n", m.Name, m.ApproxCellsCharged)
-		}
-		labeled("entangling_tenant_fallback_cells_charged_total", "Approximate cells that simulated exactly and paid the remaining 0.9 tokens.", "counter")
-		for _, m := range snaps {
-			fmt.Fprintf(&sb, "entangling_tenant_fallback_cells_charged_total{tenant=%q} %d\n", m.Name, m.FallbackCellsCharged)
 		}
 		labeled("entangling_tenant_traces_uploaded_total", "Traces the tenant ingested.", "counter")
 		for _, m := range snaps {

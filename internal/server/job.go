@@ -48,13 +48,7 @@ type CellCounts struct {
 	// non-primary worker after a steal deadline or failover.
 	Fleet  int `json:"fleet,omitempty"`
 	Stolen int `json:"stolen,omitempty"`
-	// Predicted counts cells answered by the model (approximate mode
-	// only); Fallback counts approximate-mode cells that had to
-	// simulate exactly (interval too wide or model not ready). A
-	// fallback cell is also counted under its exact provenance above.
-	Predicted int `json:"predicted,omitempty"`
-	Fallback  int `json:"fallback,omitempty"`
-	Failed    int `json:"failed"`
+	Failed int `json:"failed"`
 }
 
 // FailedCell is the typed record of one cell that produced no result.
@@ -79,43 +73,15 @@ type StatusDoc struct {
 	Tenants []string   `json:"tenants,omitempty"`
 }
 
-// MetricBand is one metric's approximate answer: the point estimate
-// with its conformal prediction interval.
-type MetricBand struct {
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
-	Lo     float64 `json:"lo"`
-	Hi     float64 `json:"hi"`
-}
-
-// PredictedCell is one cell answered by the model instead of the
-// simulator, with its per-metric error bars and the training history
-// size the answer was computed from.
-type PredictedCell struct {
-	Config          string       `json:"config"`
-	Workload        string       `json:"workload"`
-	Bands           []MetricBand `json:"bands"`
-	TrainSize       int          `json:"train_size"`
-	CalibrationSize int          `json:"calibration_size"`
-}
-
 // ResultDoc is the GET /v1/jobs/{id}/result body: the counts, the
 // typed failures, and the full metrics export with its fingerprint.
 // MetricsSHA256 hashes exactly the bytes harness.WriteMetricsJSON
 // produces for this sweep, so it is directly comparable with the
 // metrics_sha256 of a BENCH_*.json point measured on the same cells.
-//
-// On a mode=approximate job, Predictions carries the model-answered
-// cells and Metrics/MetricsSHA256 cover only the cells that actually
-// simulated (the fallbacks) — a predicted value is never mixed into
-// the exact metrics export or its fingerprint.
 type ResultDoc struct {
 	ID            string          `json:"id"`
 	State         string          `json:"state"`
 	Cells         CellCounts      `json:"cells"`
-	Approximate   bool            `json:"approximate,omitempty"`
-	MaxRelErr     float64         `json:"max_rel_err,omitempty"`
-	Predictions   []PredictedCell `json:"predictions,omitempty"`
 	FailedCells   []FailedCell    `json:"failed_cells,omitempty"`
 	MetricsSHA256 string          `json:"metrics_sha256"`
 	Metrics       json.RawMessage `json:"metrics"`
@@ -141,11 +107,7 @@ type job struct {
 	state   string
 	counts  CellCounts
 	results map[string]map[string]harness.RunResult
-	// predictions holds the model-answered cells of an approximate
-	// job; kept apart from results so predicted values can never reach
-	// the exact metrics export. Sorted canonically at finalize.
-	predictions []PredictedCell
-	failed      []FailedCell
+	failed  []FailedCell
 	// owners are the tenants allowed to read and cancel this job: the
 	// submitter plus every tenant whose identical submission deduped
 	// onto it. Empty in open mode.
@@ -263,32 +225,6 @@ func (j *job) recordResult(r harness.RunResult, source string, elapsedMS int64) 
 	})
 }
 
-// recordPrediction stores one model-answered cell and emits its
-// tagged event. The prediction goes into its own slice, never into
-// j.results — the exact metrics export cannot see it.
-func (j *job) recordPrediction(p PredictedCell, elapsedMS int64) {
-	j.mu.Lock()
-	j.predictions = append(j.predictions, p)
-	j.counts.Done++
-	j.counts.Predicted++
-	done, total := j.counts.Done, j.counts.Total
-	j.mu.Unlock()
-	j.log.append(Event{
-		Type: EventCellFinished, Config: p.Config, Workload: p.Workload,
-		Source: SourcePredicted, ElapsedMS: elapsedMS, Done: done, Total: total,
-		Approximate: true, Bands: p.Bands,
-	})
-}
-
-// noteFallback marks one approximate-mode cell as falling back to
-// exact simulation; the cell's result is recorded separately by
-// recordResult with its exact provenance.
-func (j *job) noteFallback() {
-	j.mu.Lock()
-	j.counts.Fallback++
-	j.mu.Unlock()
-}
-
 // recordFailure stores one failed cell and emits its event.
 func (j *job) recordFailure(cerr *harness.CellError, elapsedMS int64) {
 	fc := FailedCell{
@@ -335,24 +271,12 @@ func (j *job) finalize() bool {
 	}
 	j.state = state
 
-	// Cells finish concurrently, so the prediction slice order is
-	// scheduling-dependent; canonicalize so the rendered document is a
-	// pure function of the answers themselves.
-	sort.Slice(j.predictions, func(a, b int) bool {
-		if j.predictions[a].Config != j.predictions[b].Config {
-			return j.predictions[a].Config < j.predictions[b].Config
-		}
-		return j.predictions[a].Workload < j.predictions[b].Workload
-	})
 	metrics := j.metricsBytesLocked()
 	sum := sha256.Sum256(metrics)
 	doc := ResultDoc{
 		ID:            j.spec.id,
 		State:         state,
 		Cells:         j.counts,
-		Approximate:   j.spec.approximate,
-		MaxRelErr:     j.spec.maxRelErr,
-		Predictions:   j.predictions,
 		FailedCells:   j.failed,
 		MetricsSHA256: hex.EncodeToString(sum[:]),
 		Metrics:       json.RawMessage(metrics),

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"entangling/internal/faultinject"
@@ -33,30 +32,11 @@ type JobRequest struct {
 	Warmup         uint64   `json:"warmup"`
 	Measure        uint64   `json:"measure"`
 
-	// Mode selects how cells are answered: "" or "exact" runs the
-	// simulator (the only pre-PR10 behavior), "approximate" lets the
-	// server answer cells from the internal/predict model when it can
-	// state intervals tighter than MaxRelErr, falling back to exact
-	// simulation cell by cell otherwise. Rejected unless the server
-	// runs with -approximate.
-	Mode string `json:"mode,omitempty"`
-	// MaxRelErr is the approximate-mode error budget: the widest
-	// acceptable per-metric relative interval half-width. Zero takes
-	// the server default; setting it without mode=approximate is a
-	// validation error.
-	MaxRelErr float64 `json:"max_rel_err,omitempty"`
-
 	// FaultPlan, when present, injects deterministic faults into this
 	// job's cells (degraded-result testing). Rejected unless the server
 	// runs with fault injection enabled.
 	FaultPlan *faultinject.Plan `json:"fault_plan,omitempty"`
 }
-
-// Job modes.
-const (
-	ModeExact       = "exact"
-	ModeApproximate = "approximate"
-)
 
 // jobSpec is a fully resolved, validated request: the exact cells a
 // job will run, plus the job's content-addressed identity.
@@ -70,11 +50,6 @@ type jobSpec struct {
 	// fingerprints[cfg.Name][spec.Name], precomputed once.
 	fingerprints map[string]map[string]string
 	plan         *faultinject.Plan
-	// approximate marks a mode=approximate job: cells may be answered
-	// by the predictor within the maxRelErr budget, with exact
-	// simulation as the per-cell fallback.
-	approximate bool
-	maxRelErr   float64
 	// tenant names the submitting tenant ("" in open mode); carried
 	// into CellSpec for fleet attribution, never into cell identity.
 	tenant string
@@ -143,40 +118,12 @@ func parseJobRequest(r io.Reader) (JobRequest, error) {
 	return req, nil
 }
 
-// approxPolicy is the server's approximate-mode stance handed to
-// resolve: whether a predictor is available at all, and the default
-// error budget when the request leaves max_rel_err unset.
-type approxPolicy struct {
-	enabled          bool
-	defaultMaxRelErr float64
-}
-
 // resolve validates the request against the registries, the cell
 // budget and the fault policy, and returns the executable jobSpec.
 // traces resolves "trace:<id>" workload names (nil rejects them).
-func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells int, allowFaults bool, approx approxPolicy, traces traceResolver) (*jobSpec, error) {
+func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells int, allowFaults bool, traces traceResolver) (*jobSpec, error) {
 	if len(req.Configurations) == 0 {
 		return nil, fmt.Errorf("job request: no configurations")
-	}
-	switch req.Mode {
-	case "", ModeExact:
-		if req.MaxRelErr != 0 {
-			return nil, fmt.Errorf("job request: max_rel_err requires mode=%s", ModeApproximate)
-		}
-	case ModeApproximate:
-		if !approx.enabled {
-			return nil, fmt.Errorf("job request: approximate mode is disabled on this server")
-		}
-		if req.MaxRelErr < 0 {
-			return nil, fmt.Errorf("job request: max_rel_err must not be negative")
-		}
-		if req.FaultPlan != nil {
-			// A fault plan changes cell outcomes; a model trained on
-			// fault-free history must not answer for them.
-			return nil, fmt.Errorf("job request: mode=%s cannot be combined with a fault plan", ModeApproximate)
-		}
-	default:
-		return nil, fmt.Errorf("job request: unknown mode %q", req.Mode)
 	}
 	if len(req.Workloads) == 0 {
 		return nil, fmt.Errorf("job request: no workloads")
@@ -193,13 +140,6 @@ func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells in
 		warmup:       req.Warmup,
 		measure:      req.Measure,
 		fingerprints: make(map[string]map[string]string, len(req.Configurations)),
-	}
-	if req.Mode == ModeApproximate {
-		js.approximate = true
-		js.maxRelErr = req.MaxRelErr
-		if js.maxRelErr == 0 {
-			js.maxRelErr = approx.defaultMaxRelErr
-		}
 	}
 	seenCfg := make(map[string]bool, len(req.Configurations))
 	for _, name := range req.Configurations {
@@ -289,13 +229,6 @@ func (j *jobSpec) computeID() string {
 		}
 		io.WriteString(h, "faults:")
 		h.Write(b)
-	}
-	if j.approximate {
-		// An approximate job must never dedupe onto an exact job of the
-		// same cells (or vice versa): the two produce different result
-		// documents. The error budget separates identities too, since
-		// it changes which cells fall back.
-		fmt.Fprintf(h, "approx:%s", strconv.FormatFloat(j.maxRelErr, 'g', -1, 64))
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"entangling/internal/harness"
-	"entangling/internal/predict"
 	"entangling/internal/trace"
 	"entangling/internal/workload"
 )
@@ -82,25 +81,6 @@ type Config struct {
 	// AllowFaults permits fault_plan in submissions (testing only).
 	AllowFaults bool
 
-	// Approximate enables the internal/predict fast path: the server
-	// trains an online model on every exactly-simulated cell and
-	// accepts mode=approximate jobs whose cells it answers with
-	// per-metric prediction intervals when they are tighter than the
-	// job's max_rel_err budget. Exact-mode jobs are byte-identical
-	// with or without this flag.
-	Approximate bool
-	// ModelDir, when set (with Approximate), persists the model
-	// snapshot across restarts via temp+rename next to the checkpoint
-	// store; defaults to CheckpointDir/model when CheckpointDir is
-	// set. The directory is never shared with checkpoint or trace
-	// files.
-	ModelDir string
-	// MaxRelErr is the default approximate-mode error budget applied
-	// when a request leaves max_rel_err unset (default 0.25). A cell
-	// whose widest stated interval exceeds the budget falls back to
-	// exact simulation.
-	MaxRelErr float64
-
 	// DrainGrace is how long Drain waits for running jobs before
 	// canceling them (default 10s).
 	DrainGrace time.Duration
@@ -150,12 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceDir == "" && c.CheckpointDir != "" {
 		c.TraceDir = filepath.Join(c.CheckpointDir, "traces")
 	}
-	if c.Approximate && c.ModelDir == "" && c.CheckpointDir != "" {
-		c.ModelDir = filepath.Join(c.CheckpointDir, "model")
-	}
-	if c.MaxRelErr <= 0 {
-		c.MaxRelErr = 0.25
-	}
 	if c.MaxTraceBytes <= 0 {
 		c.MaxTraceBytes = 128 << 20
 	}
@@ -194,16 +168,6 @@ type counters struct {
 	authFailures  uint64 // 401s: missing or unknown API key
 	authForbidden uint64 // 403s: known tenant, disallowed action
 	quotaRejected uint64 // 429s from any tenant quota
-
-	// Approximate-mode accounting: cells answered by the model, cells
-	// that fell back to exact simulation, predicted cells later
-	// refined by an exact run, and the observed-vs-predicted
-	// calibration split of those refinements.
-	predictionsServed   uint64
-	predictionsFallback uint64
-	predictionsRefined  uint64
-	predictionsWithin   uint64 // refined: truth inside the stated interval
-	predictionsOutside  uint64 // refined: truth outside the stated interval
 }
 
 func (c *counters) inc(f *uint64) { atomic.AddUint64(f, 1) }
@@ -218,17 +182,6 @@ type Server struct {
 	tstore   *trace.Store // uploaded traces; nil when TraceDir unset
 	dispatch Dispatcher
 	stats    counters
-
-	// predictor is the approximate-mode model (nil unless
-	// cfg.Approximate); it sits above the Dispatcher, so coordinator
-	// mode trains and serves it without any fleet-worker change.
-	predictor  *predict.Predictor
-	modelStore *predict.ModelStore // nil when ModelDir unset
-	// predMu guards served: the predictions currently outstanding per
-	// fingerprint, kept so a later exact result for the same cell can
-	// be scored against the stated interval (refinement calibration).
-	predMu sync.Mutex
-	served map[string]predict.Prediction
 
 	// tenants is the auth/quota table; nil means the server runs
 	// open (no auth, one tier, no quotas).
@@ -262,33 +215,6 @@ func New(cfg Config) (*Server, error) {
 		draining: make(chan struct{}),
 		drained:  make(chan struct{}),
 		jobs:     make(map[string]*job),
-	}
-	if cfg.Approximate {
-		s.predictor = predict.New(predict.Config{})
-		s.served = make(map[string]predict.Prediction)
-		if cfg.ModelDir != "" {
-			ms, err := predict.OpenModelStore(cfg.ModelDir)
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-			s.modelStore = ms
-			snap, ok, err := ms.Load()
-			if err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
-			if ok {
-				if rerr := s.predictor.Restore(snap); rerr != nil {
-					// A snapshot that decoded but no longer matches the
-					// model schema starts fresh; it is only an optimization.
-					cfg.Logf("server: model snapshot not restorable (%v); starting fresh", rerr)
-				} else {
-					cfg.Logf("server: restored model snapshot (%d examples)", s.predictor.Len())
-				}
-			}
-			if q := ms.Quarantined(); q > 0 {
-				cfg.Logf("server: quarantined %d corrupt model snapshot(s)", q)
-			}
-		}
 	}
 	tiers := 1
 	if cfg.Tenants != nil {
@@ -412,47 +338,19 @@ func (s *Server) runJob(j *job) {
 	if j.finalize() {
 		s.countTerminal(j)
 	}
-	s.saveModel()
 	doc := j.status()
-	s.cfg.Logf("server: job %s %s (%d/%d cells, %d simulated, %d cached, %d shared, %d predicted, %d failed)",
+	s.cfg.Logf("server: job %s %s (%d/%d cells, %d simulated, %d cached, %d shared, %d failed)",
 		doc.ID, doc.State, doc.Cells.Done, doc.Cells.Total,
 		doc.Cells.Simulated, doc.Cells.CacheMemory+doc.Cells.CacheStore,
-		doc.Cells.Shared, doc.Cells.Predicted, doc.Cells.Failed)
+		doc.Cells.Shared, doc.Cells.Failed)
 }
 
-// runCell resolves one cell and records the outcome on the job. On an
-// approximate job the predictor is consulted first; only when it
-// declines (not enough calibrated history, or intervals wider than
-// the job's budget) does the cell fall back to the exact dispatcher.
+// runCell resolves one cell through the dispatcher and records the
+// outcome on the job.
 func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec, lease *traceLease) {
 	j.log.append(Event{Type: EventCellStarted, Config: cfg.Name, Workload: spec.Name})
 	start := time.Now()
 	fp := j.spec.fingerprints[cfg.Name][spec.Name]
-
-	if j.spec.approximate && s.predictor != nil {
-		features := predict.CellFeatures(cfg, spec, j.spec.warmup, j.spec.measure)
-		if pred, ok := s.predictor.Predict(features); ok && pred.MaxRelWidth() <= j.spec.maxRelErr {
-			bands := make([]MetricBand, len(pred.Intervals))
-			for i, iv := range pred.Intervals {
-				bands[i] = MetricBand{Metric: iv.Metric, Value: iv.Value, Lo: iv.Lo, Hi: iv.Hi}
-			}
-			s.stats.inc(&s.stats.predictionsServed)
-			s.rememberPrediction(fp, pred)
-			j.recordPrediction(PredictedCell{
-				Config: cfg.Name, Workload: spec.Name, Bands: bands,
-				TrainSize: pred.TrainSize, CalibrationSize: pred.CalibrationSize,
-			}, time.Since(start).Milliseconds())
-			return
-		}
-		// Fallback: simulate exactly. The cell completes the remainder
-		// of its full-price quota charge — the admission discount
-		// assumed no simulation would run.
-		s.stats.inc(&s.stats.predictionsFallback)
-		j.noteFallback()
-		if j.payer != nil {
-			j.payer.chargeFallback(1)
-		}
-	}
 
 	progress := func(ev harness.CellEvent) {
 		if ev.Type == harness.CellRetried {
@@ -484,62 +382,7 @@ func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec, 
 		return
 	}
 	s.countSource(out.Source)
-	// Every exact result trains the model and refines any prediction
-	// previously served for the same cell. Fault-plan cells are
-	// excluded: injected faults are not representative history.
-	if s.predictor != nil && j.spec.plan == nil {
-		s.observeCell(fp, cfg, spec, j.spec.warmup, j.spec.measure, out.Result)
-	}
 	j.recordResult(out.Result, out.Source, elapsed)
-}
-
-// observeCell feeds one exact result into the model and scores any
-// outstanding prediction for the same fingerprint against the truth.
-func (s *Server) observeCell(fp string, cfg harness.Configuration, spec workload.Spec, warmup, measure uint64, res harness.RunResult) {
-	targets := predict.Targets(res)
-	s.predictor.Observe(fp, predict.CellFeatures(cfg, spec, warmup, measure), targets)
-
-	s.predMu.Lock()
-	pred, ok := s.served[fp]
-	if ok {
-		delete(s.served, fp)
-	}
-	s.predMu.Unlock()
-	if ok {
-		s.stats.inc(&s.stats.predictionsRefined)
-		if pred.Covers(targets) {
-			s.stats.inc(&s.stats.predictionsWithin)
-		} else {
-			s.stats.inc(&s.stats.predictionsOutside)
-		}
-	}
-}
-
-// maxServedPredictions bounds the outstanding-prediction map; past it
-// refinement scoring simply stops registering new cells (accounting
-// only, never correctness).
-const maxServedPredictions = 4096
-
-// rememberPrediction registers a served prediction for later
-// refinement scoring.
-func (s *Server) rememberPrediction(fp string, pred predict.Prediction) {
-	s.predMu.Lock()
-	if len(s.served) < maxServedPredictions {
-		s.served[fp] = pred
-	}
-	s.predMu.Unlock()
-}
-
-// saveModel persists the model snapshot when a store is configured;
-// best-effort (the model is an optimization, so a failed save logs
-// and moves on).
-func (s *Server) saveModel() {
-	if s.predictor == nil || s.modelStore == nil {
-		return
-	}
-	if err := s.modelStore.Save(s.predictor.Snapshot()); err != nil {
-		s.cfg.Logf("server: saving model snapshot: %v", err)
-	}
 }
 
 // countSource bumps the provenance counter for a resolved cell.
@@ -610,7 +453,7 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 	if owner != nil {
 		// A deduped submission is free; only net-new work is charged
 		// against the tenant's in-flight and cells/sec quotas.
-		if qerr := owner.admitJob(spec.cellCount(), spec.approximate, s.tenants.now()); qerr != nil {
+		if qerr := owner.admitJob(spec.cellCount(), s.tenants.now()); qerr != nil {
 			s.mu.Unlock()
 			s.stats.inc(&s.stats.quotaRejected)
 			return nil, false, qerr
@@ -625,7 +468,6 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 	}
 	s.jobs[spec.id] = j
 	s.jobOrder = append(s.jobOrder, spec.id)
-	s.pruneJobsLocked()
 	s.mu.Unlock()
 
 	if !s.queue.push(j, tier) {
@@ -637,12 +479,17 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 		s.dropJobOrderLocked(spec.id)
 		s.mu.Unlock()
 		if owner != nil {
-			owner.refundAdmission(spec.cellCount(), spec.approximate)
+			owner.refundAdmission(spec.cellCount())
 		}
 		j.cancel()
 		s.stats.inc(&s.stats.jobsRejected)
 		return nil, false, errQueueFull
 	}
+	// Prune only once the job is admitted: a rejected submission must
+	// not cost an older finished job its place in memory.
+	s.mu.Lock()
+	s.pruneJobsLocked(spec.id)
+	s.mu.Unlock()
 	s.stats.inc(&s.stats.jobsSubmitted)
 	return j, false, nil
 }
@@ -657,11 +504,15 @@ func (s *Server) dropJobOrderLocked(id string) {
 	}
 }
 
-// pruneJobsLocked forgets the oldest terminal jobs beyond MaxJobs.
-func (s *Server) pruneJobsLocked() {
+// pruneJobsLocked forgets the oldest terminal jobs beyond MaxJobs,
+// never the just-admitted job keep (it may already have finished).
+func (s *Server) pruneJobsLocked(keep string) {
 	for len(s.jobOrder) > s.cfg.MaxJobs {
 		pruned := false
 		for i, id := range s.jobOrder {
+			if id == keep {
+				continue
+			}
 			j := s.jobs[id]
 			j.mu.Lock()
 			terminal := terminalState(j.state)
@@ -721,7 +572,6 @@ func (s *Server) Drain() {
 			s.mu.Unlock()
 			<-s.drained
 		}
-		s.saveModel()
 		s.cfg.Logf("server: drained")
 	})
 }

@@ -71,56 +71,20 @@ func postJob(t *testing.T, ts *httptest.Server, req JobRequest) (int, []byte) {
 	if err != nil {
 		t.Fatalf("marshal request: %v", err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("POST /v1/jobs: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading response: %v", err)
-	}
-	return resp.StatusCode, body
+	return doAs(t, ts, "", "POST", "/v1/jobs", b)
 }
 
 // submitOK submits a request that must be admitted (202) or deduped
 // (200) and returns the decoded response.
 func submitOK(t *testing.T, ts *httptest.Server, req JobRequest) submitResponse {
 	t.Helper()
-	status, body := postJob(t, ts, req)
-	if status != http.StatusAccepted && status != http.StatusOK {
-		t.Fatalf("submit: status %d, body %s", status, body)
-	}
-	var sr submitResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("decoding submit response: %v (%s)", err, body)
-	}
-	return sr
+	return submitAs(t, ts, "", req)
 }
 
 // waitStatus polls GET /v1/jobs/{id} until pred holds.
 func waitStatus(t *testing.T, ts *httptest.Server, id string, pred func(StatusDoc) bool) StatusDoc {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatalf("GET status: %v", err)
-		}
-		var doc StatusDoc
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decoding status: %v", err)
-		}
-		if pred(doc) {
-			return doc
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never reached the expected status (last: %+v)", id, doc)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return waitStatusAs(t, ts, "", id, pred)
 }
 
 // waitResult polls GET /v1/jobs/{id}/result until the job is terminal
@@ -361,13 +325,23 @@ func TestServerDedupeKeepsJobRemembered(t *testing.T) {
 	c := submitOK(t, ts, job("fp-00"))
 	waitResult(t, ts, c.ID)
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + a.ID + "/result")
-	if err != nil {
-		t.Fatalf("GET result: %v", err)
+	if status, _ := doAs(t, ts, "", "GET", "/v1/jobs/"+a.ID+"/result", nil); status != http.StatusOK {
+		t.Fatalf("GET result of the deduped job: status %d, want 200", status)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET result of the deduped job: status %d, want 200", resp.StatusCode)
+}
+
+// TestServerJobIDPinned pins one exact job's content address: job IDs
+// are client-visible dedupe keys and must not drift.
+func TestServerJobIDPinned(t *testing.T) {
+	_, ts := startTestServer(t, testConfig())
+	sr := submitOK(t, ts, JobRequest{
+		Configurations: []string{"no", "entangling-2k"},
+		Workloads:      []string{"int-00"},
+		Warmup:         20000,
+		Measure:        10000,
+	})
+	if want := "fbc44cc4cb40d171"; sr.ID != want {
+		t.Fatalf("job ID %s, want %s", sr.ID, want)
 	}
 }
 
@@ -480,11 +454,18 @@ func TestServerCellCacheAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestServerQueueFull429: a full queue rejects with 429 and
+// Retry-After, and the rejected submission neither leaves a
+// half-registered job behind nor prunes an older finished one.
 func TestServerQueueFull429(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueCapacity = 1
+	cfg.MaxJobs = 3
 	cfg.AllowFaults = true
 	s, ts := startTestServer(t, cfg)
+
+	d := submitOK(t, ts, JobRequest{Configurations: []string{"no"}, Workloads: []string{"int-00"}, Warmup: testWarmup, Measure: testMeasure})
+	waitResult(t, ts, d.ID)
 
 	slow := &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond, FaultsPerSite: -1}
 	mkReq := func(measure uint64) JobRequest {
@@ -520,6 +501,7 @@ func TestServerQueueFull429(t *testing.T) {
 	if got := atomic.LoadUint64(&s.stats.jobsRejected); got != 1 {
 		t.Fatalf("jobsRejected = %d, want 1", got)
 	}
+	waitResult(t, ts, d.ID) // still remembered: fails on 404
 
 	// Once the backlog clears the same request is admitted fresh — the
 	// rejected submission left no half-registered job behind.
@@ -548,14 +530,8 @@ func TestServerCancelMidJob(t *testing.T) {
 	})
 	waitStatus(t, ts, sr.ID, func(d StatusDoc) bool { return d.State == StateRunning })
 
-	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+sr.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("DELETE: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE status %d", resp.StatusCode)
+	if status, _ := doAs(t, ts, "", "DELETE", "/v1/jobs/"+sr.ID, nil); status != http.StatusOK {
+		t.Fatalf("DELETE status %d", status)
 	}
 
 	doc, _ := waitResult(t, ts, sr.ID)
@@ -702,16 +678,7 @@ func TestServerRequestValidation(t *testing.T) {
 		Warmup:         testWarmup,
 		Measure:        testMeasure,
 	}
-	post := func(body []byte) (int, []byte) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST: %v", err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, b
-	}
+	post := func(body []byte) (int, []byte) { return doAs(t, ts, "", "POST", "/v1/jobs", body) }
 	mustJSON := func(v any) []byte {
 		b, err := json.Marshal(v)
 		if err != nil {
@@ -746,13 +713,8 @@ func TestServerRequestValidation(t *testing.T) {
 
 	// Unknown job IDs are 404 on every job resource.
 	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/events", "/v1/jobs/nope/result"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		if status, _ := doAs(t, ts, "", "GET", path, nil); status != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, status)
 		}
 	}
 }

@@ -223,26 +223,13 @@ type tenantState struct {
 	traceBytes int64 // cumulative accepted upload bytes
 
 	// Counters for the per-tenant /metrics section.
-	jobsSubmitted uint64
-	jobsDeduped   uint64
-	jobsCompleted uint64
-	cellsCharged  uint64
-	// approxCellsCharged counts cells admitted at the reduced
-	// approximate rate (approxCellCost tokens each instead of 1);
-	// fallbackCellsCharged counts approximate cells that simulated
-	// after all and paid the remaining 1-approxCellCost tokens.
-	approxCellsCharged   uint64
-	fallbackCellsCharged uint64
-	tracesUploaded       uint64
-	rejected             map[string]uint64 // by Reason*
+	jobsSubmitted  uint64
+	jobsDeduped    uint64
+	jobsCompleted  uint64
+	cellsCharged   uint64
+	tracesUploaded uint64
+	rejected       map[string]uint64 // by Reason*
 }
-
-// approxCellCost is the cells/sec token price of an approximate-mode
-// cell at admission, as a fraction of an exact cell's price of 1. A
-// model answer skips simulation entirely, so it is charged this
-// discounted rate; a cell that then falls back to exact simulation
-// pays the remaining 1-approxCellCost via chargeFallback.
-const approxCellCost = 0.1
 
 // tenants is the server's tenant table: key → state, plus the tier
 // lineup. Nil *tenants means the server runs open.
@@ -321,9 +308,8 @@ func (ts *tenants) lookup(key string) (*tenantState, bool) {
 func (ts *tenants) tierCount() int { return len(ts.tiers) }
 
 // admitJob checks the jobs-in-flight and cells/sec quotas and, when
-// both pass, atomically charges them. cells is the job's cell count;
-// approx jobs are charged the reduced approxCellCost per cell.
-func (st *tenantState) admitJob(cells int, approx bool, now time.Time) *quotaError {
+// both pass, atomically charges them. cells is the job's cell count.
+func (st *tenantState) admitJob(cells int, now time.Time) *quotaError {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.inflight >= st.t.MaxJobsInFlight {
@@ -346,27 +332,10 @@ func (st *tenantState) admitJob(cells int, approx bool, now time.Time) *quotaErr
 		}
 	}
 	st.inflight++
-	if approx {
-		st.tokens -= float64(cells) * approxCellCost
-		st.approxCellsCharged += uint64(cells)
-	} else {
-		st.tokens -= float64(cells)
-		st.cellsCharged += uint64(cells)
-	}
+	st.tokens -= float64(cells)
+	st.cellsCharged += uint64(cells)
 	st.jobsSubmitted++
 	return nil
-}
-
-// chargeFallback posts the price difference for approximate cells
-// that fell back to exact simulation: each pays the remaining
-// 1-approxCellCost tokens its discounted admission skipped. The
-// charge may push the bucket into debt (like any admitted job), which
-// delays the tenant's next admission rather than failing this cell.
-func (st *tenantState) chargeFallback(cells int) {
-	st.mu.Lock()
-	st.tokens -= float64(cells) * (1 - approxCellCost)
-	st.fallbackCellsCharged += uint64(cells)
-	st.mu.Unlock()
 }
 
 // refillLocked credits the token bucket for the time elapsed since
@@ -401,16 +370,11 @@ func (st *tenantState) retryAfter(now time.Time) int {
 // refundAdmission reverses admitJob for a submission the queue then
 // rejected: the tenant neither holds the slot nor pays for cells that
 // will never run.
-func (st *tenantState) refundAdmission(cells int, approx bool) {
+func (st *tenantState) refundAdmission(cells int) {
 	st.mu.Lock()
 	st.inflight--
-	if approx {
-		st.tokens += float64(cells) * approxCellCost
-		st.approxCellsCharged -= uint64(cells)
-	} else {
-		st.tokens += float64(cells)
-		st.cellsCharged -= uint64(cells)
-	}
+	st.tokens += float64(cells)
+	st.cellsCharged -= uint64(cells)
 	st.jobsSubmitted--
 	st.mu.Unlock()
 }
@@ -472,18 +436,16 @@ func (st *tenantState) countRejected(reason string) {
 
 // metricsSnapshot is one tenant's counter snapshot for /metrics.
 type tenantMetrics struct {
-	Name                 string
-	Tier                 string
-	Inflight             int
-	JobsSubmitted        uint64
-	JobsDeduped          uint64
-	JobsCompleted        uint64
-	CellsCharged         uint64
-	ApproxCellsCharged   uint64
-	FallbackCellsCharged uint64
-	TracesUploaded       uint64
-	TraceBytes           int64
-	Rejected             map[string]uint64
+	Name           string
+	Tier           string
+	Inflight       int
+	JobsSubmitted  uint64
+	JobsDeduped    uint64
+	JobsCompleted  uint64
+	CellsCharged   uint64
+	TracesUploaded uint64
+	TraceBytes     int64
+	Rejected       map[string]uint64
 }
 
 // snapshot collects every tenant's counters in name order.
@@ -498,18 +460,16 @@ func (ts *tenants) snapshot() []tenantMetrics {
 		st := ts.byName[n]
 		st.mu.Lock()
 		m := tenantMetrics{
-			Name:                 st.t.Name,
-			Tier:                 ts.tiers[st.tier].Name,
-			Inflight:             st.inflight,
-			JobsSubmitted:        st.jobsSubmitted,
-			JobsDeduped:          st.jobsDeduped,
-			JobsCompleted:        st.jobsCompleted,
-			CellsCharged:         st.cellsCharged,
-			ApproxCellsCharged:   st.approxCellsCharged,
-			FallbackCellsCharged: st.fallbackCellsCharged,
-			TracesUploaded:       st.tracesUploaded,
-			TraceBytes:           st.traceBytes,
-			Rejected:             make(map[string]uint64, len(st.rejected)),
+			Name:           st.t.Name,
+			Tier:           ts.tiers[st.tier].Name,
+			Inflight:       st.inflight,
+			JobsSubmitted:  st.jobsSubmitted,
+			JobsDeduped:    st.jobsDeduped,
+			JobsCompleted:  st.jobsCompleted,
+			CellsCharged:   st.cellsCharged,
+			TracesUploaded: st.tracesUploaded,
+			TraceBytes:     st.traceBytes,
+			Rejected:       make(map[string]uint64, len(st.rejected)),
 		}
 		for r, v := range st.rejected {
 			m.Rejected[r] = v

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +52,8 @@ func tenantTestConfig() Config {
 	return cfg
 }
 
-// doAs performs one authenticated API call and returns status + body.
+// doAs performs one API call, authenticated unless key is empty, and
+// returns status + body.
 func doAs(t *testing.T, ts *httptest.Server, key, method, path string, body []byte) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
@@ -96,7 +99,8 @@ func reasonOf(t *testing.T, body []byte) string {
 	return reason
 }
 
-// submitAs submits a job as the given tenant, requiring admission.
+// submitAs submits a job as the given tenant (anonymously when key is
+// empty), requiring admission.
 func submitAs(t *testing.T, ts *httptest.Server, key string, req JobRequest) submitResponse {
 	t.Helper()
 	b, _ := json.Marshal(req)
@@ -111,7 +115,7 @@ func submitAs(t *testing.T, ts *httptest.Server, key string, req JobRequest) sub
 	return sr
 }
 
-// waitStatusAs polls GET /v1/jobs/{id} with auth until pred holds.
+// waitStatusAs polls GET /v1/jobs/{id} as key until pred holds.
 func waitStatusAs(t *testing.T, ts *httptest.Server, key, id string, pred func(StatusDoc) bool) StatusDoc {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -517,12 +521,7 @@ func TestPerTenantMetrics(t *testing.T) {
 	}
 	waitStatusAs(t, ts, goldKey, first.ID, func(d StatusDoc) bool { return terminalState(d.State) })
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, body := doAs(t, ts, "", "GET", "/metrics", nil)
 	text := string(body)
 	for _, want := range []string{
 		`entangling_tenant_jobs_submitted_total{tenant="acme"} 1`,
@@ -538,114 +537,101 @@ func TestPerTenantMetrics(t *testing.T) {
 	}
 }
 
-// TestQuotaApproximateDiscount: approximate-mode cells are admitted at
-// the reduced approxCellCost rate, every cell that falls back to exact
-// simulation posts the remaining 1-approxCellCost tokens, and served
-// predictions never pay the difference. The injected frozen clock
-// makes the token arithmetic exact — no refill happens mid-test.
-func TestQuotaApproximateDiscount(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Unix(1_700_000_000, 0)
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-
+// TestTenantRejectionCounters walks every rejection a tenant can hit
+// and checks that each moves exactly one per-tenant counter, by 1,
+// under the reason its response body names. Rows run in order against
+// one server; setup steps build the state a row needs.
+func TestTenantRejectionCounters(t *testing.T) {
+	const soloKey, rateKey = "solo-key-000001", "rate-key-000001"
+	frozen := time.Unix(1_700_000_000, 0)
 	cfg := tenantTestConfig()
-	cfg.Approximate = true
-	cfg.Tenants.Tenants[0].CellsPerSec = 2 // acme: burst of 2 tokens
-	cfg.clock = clock
+	cfg.QueueCapacity, cfg.AllowFaults = 1, true
+	cfg.MaxBodyBytes, cfg.MaxTraceBytes = 4<<10, 4<<10
+	cfg.TraceDir = filepath.Join(t.TempDir(), "traces")
+	cfg.clock = func() time.Time { return frozen } // rate's bucket never refills
+	cfg.Tenants.Tenants[1].MaxTraceBytes = 1       // zeta: one upload, then over quota
+	cfg.Tenants.Tenants = append(cfg.Tenants.Tenants,
+		Tenant{Name: "solo", Key: soloKey, MaxJobsInFlight: 1, CellsPerSec: 1e9, MaxTraceBytes: 1 << 30, AllowFaults: true},
+		Tenant{Name: "rate", Key: rateKey, MaxJobsInFlight: 8, CellsPerSec: 1, MaxTraceBytes: 1 << 30})
 	s, ts := startTestServer(t, cfg)
-
-	// Four approximate cells cost 4*0.1 = 0.4 tokens at admission: the
-	// 2-token burst admits them with room to spare, where four exact
-	// cells would have drained it straight into debt.
-	sub := submitAs(t, ts, goldKey, JobRequest{
-		Configurations: []string{"no", "nextline"},
-		Workloads:      []string{"crypto-00", "int-00"},
-		Warmup:         testWarmup,
-		Measure:        testMeasure,
-		Mode:           ModeApproximate,
-		MaxRelErr:      testBudget,
-	})
-	waitStatusAs(t, ts, goldKey, sub.ID, func(d StatusDoc) bool { return terminalState(d.State) })
-
-	// The model is untrained, so all four cells simulated after all and
-	// each posted the remaining 0.9 tokens: 2 - 4*0.1 - 4*0.9 = -2.
-	acme := s.tenants.byName["acme"]
-	acme.mu.Lock()
-	tokens, approxCharged, fallbackCharged := acme.tokens, acme.approxCellsCharged, acme.fallbackCellsCharged
-	acme.mu.Unlock()
-	if approxCharged != 4 || fallbackCharged != 4 {
-		t.Fatalf("approx/fallback cells charged = %d/%d, want 4/4", approxCharged, fallbackCharged)
-	}
-	if math.Abs(tokens-(-2)) > 1e-9 {
-		t.Fatalf("token balance %v after four fallbacks, want -2", tokens)
+	owner := map[string]*tenantState{}
+	for _, st := range s.tenants.byName {
+		owner[st.t.Key] = st
 	}
 
-	// The fallback charges left the bucket in debt, so the next
-	// submission is rate-limited even though its own admission price is
-	// tiny: the discount defers the cost, it does not waive it.
-	b, _ := json.Marshal(smallJob(700))
-	status, body := doAs(t, ts, goldKey, "POST", "/v1/jobs", b)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("post-fallback submit: status %d, want 429 (%s)", status, body)
-	}
-	if r := reasonOf(t, body); r != ReasonQuotaCellRate {
-		t.Fatalf("post-fallback reason %q, want %q", r, ReasonQuotaCellRate)
-	}
+	slow := JobRequest{Configurations: []string{"no"}, Workloads: []string{"srv-00"}, Warmup: testWarmup, Measure: testMeasure,
+		FaultPlan: &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond, FaultsPerSite: -1}}
+	body := func(req JobRequest) []byte { b, _ := json.Marshal(req); return b }
+	trace := encodeWalkerTrace(t, 300)
+	var acmeJob string
 
-	// Train the server-side model through zeta's exact jobs, then query
-	// held-out cells approximately: served predictions pay only the
-	// discounted admission, never the fallback difference.
-	for _, w := range trainWarmups {
-		tr := submitAs(t, ts, bronzeKey, JobRequest{
-			Configurations: approxConfigs,
-			Workloads:      approxWorkloads,
-			Warmup:         w,
-			Measure:        testMeasure,
-		})
-		waitStatusAs(t, ts, bronzeKey, tr.ID, func(d StatusDoc) bool { return terminalState(d.State) })
-	}
-	q := submitAs(t, ts, bronzeKey, JobRequest{
-		Configurations: approxConfigs,
-		Workloads:      approxWorkloads,
-		Warmup:         queryWarmup,
-		Measure:        testMeasure,
-		Mode:           ModeApproximate,
-		MaxRelErr:      testBudget,
-	})
-	waitStatusAs(t, ts, bronzeKey, q.ID, func(d StatusDoc) bool { return terminalState(d.State) })
-
-	cells := uint64(len(approxConfigs) * len(approxWorkloads))
-	zeta := s.tenants.byName["zeta"]
-	zeta.mu.Lock()
-	zApprox, zFallback := zeta.approxCellsCharged, zeta.fallbackCellsCharged
-	zeta.mu.Unlock()
-	if zApprox != cells {
-		t.Fatalf("zeta approx cells charged = %d, want %d", zApprox, cells)
-	}
-	if zFallback != 0 {
-		t.Fatalf("served predictions posted fallback charges: %d cells", zFallback)
-	}
-
-	// /metrics carries the discounted-admission ledger per tenant.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	metricsBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(metricsBody)
-	for _, want := range []string{
-		`entangling_tenant_approx_cells_charged_total{tenant="acme"} 4`,
-		`entangling_tenant_fallback_cells_charged_total{tenant="acme"} 4`,
-		fmt.Sprintf(`entangling_tenant_approx_cells_charged_total{tenant="zeta"} %d`, cells),
-		`entangling_tenant_fallback_cells_charged_total{tenant="zeta"} 0`,
+	for _, row := range []struct {
+		name   string
+		setup  func()
+		key    string
+		call   string // "METHOD path"
+		body   []byte
+		status int
+		reason string
+	}{
+		{"malformed job body", nil, goldKey, "POST /v1/jobs", []byte(`{"configurations":`), 400, ReasonBadRequest},
+		{"oversized job body", nil, goldKey, "POST /v1/jobs", []byte(`{"configurations":["` + strings.Repeat("a", 8<<10) + `"]}`), 413, ReasonTooLarge},
+		{"unresolvable job", nil, goldKey, "POST /v1/jobs", body(JobRequest{Configurations: []string{"nope"}, Workloads: []string{"int-00"}, Measure: 1}), 400, ReasonBadRequest},
+		{"fault plan without grant", nil, bronzeKey, "POST /v1/jobs", body(slow), 403, ReasonForbidden},
+		{"unknown job", nil, goldKey, "GET /v1/jobs/0000000000000000", nil, 404, ReasonNotFound},
+		{"unknown job cancel", nil, goldKey, "DELETE /v1/jobs/0000000000000000", nil, 404, ReasonNotFound},
+		{"foreign job", func() {
+			acmeJob = submitAs(t, ts, goldKey, smallJob(900)).ID
+			waitStatusAs(t, ts, goldKey, acmeJob, func(d StatusDoc) bool { return terminalState(d.State) })
+		}, bronzeKey, "GET /v1/jobs/{acme}/result", nil, 403, ReasonForbidden},
+		{"cell rate in debt", func() { // one token of burst, two cells charged
+			submitAs(t, ts, rateKey, JobRequest{Configurations: []string{"no", "nextline"}, Workloads: []string{"int-00"}, Warmup: testWarmup, Measure: testMeasure})
+		}, rateKey, "POST /v1/jobs", body(smallJob(901)), 429, ReasonQuotaCellRate},
+		{"unknown trace format", nil, goldKey, "POST /v1/traces?format=elf", []byte("x"), 400, ReasonBadRequest},
+		{"malformed trace", nil, goldKey, "POST /v1/traces", []byte("definitely not a trace"), 400, ReasonBadRequest},
+		{"oversized trace", nil, goldKey, "POST /v1/traces", encodeWalkerTrace(t, 50_000), 413, ReasonTooLarge},
+		{"trace bytes quota", func() {
+			if status, b := doAs(t, ts, bronzeKey, "POST", "/v1/traces", trace); status != http.StatusCreated {
+				t.Fatalf("zeta's first upload: status %d (%s)", status, b)
+			}
+		}, bronzeKey, "POST /v1/traces", trace, 429, ReasonQuotaTraceBytes},
+		{"unknown trace", nil, goldKey, "GET /v1/traces/0000", nil, 404, ReasonNotFound},
+		{"jobs in flight quota", func() { // solo's slow job takes the only worker
+			id := submitAs(t, ts, soloKey, slow).ID
+			waitStatusAs(t, ts, soloKey, id, func(d StatusDoc) bool { return d.State != StateQueued })
+		}, soloKey, "POST /v1/jobs", body(smallJob(902)), 429, ReasonQuotaJobs},
+		{"queue full", func() { submitAs(t, ts, goldKey, smallJob(903)) }, goldKey, "POST /v1/jobs", body(smallJob(904)), 429, ReasonQueueFull},
+		{"submit while draining", func() {
+			go s.Drain()
+			for !s.Draining() {
+				time.Sleep(time.Millisecond)
+			}
+		}, goldKey, "POST /v1/jobs", body(smallJob(905)), 503, ReasonDraining},
+		{"trace upload while draining", nil, goldKey, "POST /v1/traces", trace, 503, ReasonDraining},
 	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q\n%s", want, text)
+		if row.setup != nil {
+			row.setup()
+		}
+		st := owner[row.key]
+		counts := func() map[string]uint64 {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			return maps.Clone(st.rejected)
+		}
+		before := counts()
+		method, path, _ := strings.Cut(strings.Replace(row.call, "{acme}", acmeJob, 1), " ")
+		status, b := doAs(t, ts, row.key, method, path, row.body)
+		if r := reasonOf(t, b); status != row.status || r != row.reason {
+			t.Fatalf("%s: status %d reason %q, want %d %q (%s)", row.name, status, r, row.status, row.reason, b)
+		}
+		moved := map[string]uint64{}
+		for r, v := range counts() {
+			if v != before[r] {
+				moved[r] = v - before[r]
+			}
+		}
+		if want := map[string]uint64{row.reason: 1}; !reflect.DeepEqual(moved, want) {
+			t.Fatalf("%s: rejection counters moved %v, want %v", row.name, moved, want)
 		}
 	}
 }

@@ -54,12 +54,12 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.tstore == nil {
-		writeError(w, http.StatusServiceUnavailable,
+		reject(w, st, http.StatusServiceUnavailable, ReasonUnavailable,
 			"trace storage is not configured on this server (set TraceDir)")
 		return
 	}
 	if s.Draining() {
-		writeErrorReason(w, http.StatusServiceUnavailable, ReasonDraining, "server is draining")
+		reject(w, st, http.StatusServiceUnavailable, ReasonDraining, "server is draining")
 		return
 	}
 	if st != nil {
@@ -79,7 +79,7 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	case "", "entrace1", "champsim":
 	default:
 		s.stats.inc(&s.stats.tracesRejected)
-		writeError(w, http.StatusBadRequest,
+		reject(w, st, http.StatusBadRequest, ReasonBadRequest,
 			"unknown trace format %q (want entrace1 or champsim)", format)
 		return
 	}
@@ -97,13 +97,13 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		var tooLarge *http.MaxBytesError
 		switch {
 		case errors.As(err, &limErr):
-			writeError(w, http.StatusRequestEntityTooLarge,
+			reject(w, st, http.StatusRequestEntityTooLarge, ReasonTooLarge,
 				"trace exceeds the server's %s limit of %d", limErr.What, limErr.Limit)
 		case errors.As(err, &tooLarge):
-			writeError(w, http.StatusRequestEntityTooLarge,
+			reject(w, st, http.StatusRequestEntityTooLarge, ReasonTooLarge,
 				"trace body exceeds %d bytes", tooLarge.Limit)
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			reject(w, st, http.StatusBadRequest, ReasonBadRequest, "%v", err)
 		}
 		return
 	}
@@ -128,17 +128,18 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 
 // handleTraceList lists stored traces.
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authenticate(w, r); !ok {
+	st, ok := s.authenticate(w, r)
+	if !ok {
 		return
 	}
 	if s.tstore == nil {
-		writeError(w, http.StatusServiceUnavailable,
+		reject(w, st, http.StatusServiceUnavailable, ReasonUnavailable,
 			"trace storage is not configured on this server (set TraceDir)")
 		return
 	}
 	infos, err := s.tstore.List()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeErrorReason(w, http.StatusInternalServerError, ReasonInternal, "%v", err)
 		return
 	}
 	docs := make([]traceDoc, 0, len(infos))
@@ -152,18 +153,19 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 
 // handleTraceStat returns one stored trace's metadata.
 func (s *Server) handleTraceStat(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authenticate(w, r); !ok {
+	st, ok := s.authenticate(w, r)
+	if !ok {
 		return
 	}
 	if s.tstore == nil {
-		writeError(w, http.StatusServiceUnavailable,
+		reject(w, st, http.StatusServiceUnavailable, ReasonUnavailable,
 			"trace storage is not configured on this server (set TraceDir)")
 		return
 	}
 	id := r.PathValue("id")
 	info, err := s.tstore.Stat(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "unknown trace %q", id)
+		reject(w, st, http.StatusNotFound, ReasonNotFound, "unknown trace %q", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, docFromInfo(info, false))

@@ -51,23 +51,18 @@ func encodeWalkerTrace(t *testing.T, n uint64) []byte {
 // uploadTrace POSTs a payload to /v1/traces and returns status + doc.
 func uploadTrace(t *testing.T, ts *httptest.Server, payload []byte, format string) (int, traceDoc) {
 	t.Helper()
-	url := ts.URL + "/v1/traces"
+	path := "/v1/traces"
 	if format != "" {
-		url += "?format=" + format
+		path += "?format=" + format
 	}
-	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatalf("POST /v1/traces: %v", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
+	status, body := doAs(t, ts, "", "POST", path, payload)
 	var doc traceDoc
-	if resp.StatusCode == http.StatusCreated || resp.StatusCode == http.StatusOK {
+	if status == http.StatusCreated || status == http.StatusOK {
 		if err := json.Unmarshal(body, &doc); err != nil {
 			t.Fatalf("decoding trace doc: %v (%s)", err, body)
 		}
 	}
-	return resp.StatusCode, doc
+	return status, doc
 }
 
 // TestTraceUploadThenSweep is the tentpole E2E: upload a trace, sweep
@@ -173,14 +168,9 @@ func TestTraceUploadRejections(t *testing.T) {
 	}
 	// Over the instruction budget: 413 naming the limit.
 	big := encodeWalkerTrace(t, 10_001)
-	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("over-budget upload: status %d, want 413 (%s)", resp.StatusCode, body)
+	status, body := doAs(t, ts, "", "POST", "/v1/traces", big)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-budget upload: status %d, want 413 (%s)", status, body)
 	}
 	if !bytes.Contains(body, []byte("instruction limit of 10000")) {
 		t.Errorf("413 body does not name the offending limit: %s", body)
@@ -248,13 +238,8 @@ func TestTraceListAndStat(t *testing.T) {
 		t.Fatalf("stat: %+v", got)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/traces/" + string(bytes.Repeat([]byte("f"), 64)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown trace stat: status %d, want 404", resp.StatusCode)
+	if status, _ := doAs(t, ts, "", "GET", "/v1/traces/"+string(bytes.Repeat([]byte("f"), 64)), nil); status != http.StatusNotFound {
+		t.Errorf("unknown trace stat: status %d, want 404", status)
 	}
 }
 
@@ -299,12 +284,7 @@ func TestTraceMetricsCounters(t *testing.T) {
 	uploadTrace(t, ts, payload, "")                // dedupe
 	uploadTrace(t, ts, []byte("garbage-here"), "") // reject
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, body := doAs(t, ts, "", "GET", "/metrics", nil)
 	for _, want := range []string{
 		"entangling_traces_uploaded_total 1",
 		"entangling_traces_deduped_total 1",
