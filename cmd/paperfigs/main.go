@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "6", "which figure/table: 1,2,6,7,8,9,10,11,12,13,14,15,16,table4,physical,ext,headline,quality,all")
+		fig        = flag.String("fig", "6", "which figures/tables, comma-separated: "+strings.Join(figNames, ","))
 		perCat     = flag.Int("per-category", 6, "workloads per category in the CVP-like suite")
 		warmup     = flag.Uint64("warmup", 2_000_000, "warm-up instructions per run")
 		measure    = flag.Uint64("measure", 1_000_000, "measured instructions per run")
@@ -46,6 +47,11 @@ func main() {
 	if *resume && *checkpoint == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
+	want, err := parseFigs(*fig)
+	if err != nil {
+		fatal(err)
+	}
+	all := want["all"]
 
 	// An interrupt cancels the sweep cooperatively: in-flight cells
 	// stop at the next poll, completed cells stay checkpointed, and a
@@ -69,12 +75,6 @@ func main() {
 		opt.Checkpoint = store
 	}
 	specs := workload.CVPSuite(*perCat)
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
 
 	emit := func(t *harness.Table, key string) {
 		fmt.Println(t.String())
@@ -252,6 +252,25 @@ func main() {
 		}
 		emit(harness.Fig16(suite), "16")
 	}
+}
+
+// figNames lists every name -fig accepts.
+var figNames = []string{"1", "2", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+	"table4", "physical", "ext", "headline", "quality", "all"}
+
+// parseFigs splits a comma-separated -fig value into the set of
+// requested names and rejects any name outside figNames, so a typo
+// fails instead of silently printing nothing.
+func parseFigs(s string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figNames, f) {
+			return nil, fmt.Errorf("unknown -fig name %q; valid names: %s", f, strings.Join(figNames, ","))
+		}
+		want[f] = true
+	}
+	return want, nil
 }
 
 // logProgress renders sweep lifecycle events for -progress. Fprintln

@@ -370,8 +370,8 @@ const cancelCheckInterval = 1 << 14
 // hot loop: the uncancellable path (nil done) runs the whole window as
 // one chunk, and the cancellable path pays one channel poll per
 // cancelCheckInterval instructions — the per-instruction fast loop is
-// identical in both cases, so the BENCH fingerprint and wall-clock
-// are unaffected.
+// identical in both cases, so the pinned metrics fingerprint and
+// wall-clock are unaffected.
 func (m *Machine) consume(src trace.Source, maxInstrs uint64, done <-chan struct{}) bool {
 	// buf lives here, not in consumeChunk: src.Next(&buf) makes it
 	// escape, and allocating it per chunk would charge cancellable

@@ -3,8 +3,6 @@ package fleet_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -299,8 +297,8 @@ func waitResult(t *testing.T, ts *httptest.Server, id string) server.ResultDoc {
 }
 
 // directSweepSHA runs the request's cells through harness.RunSuiteCtx
-// in this process and fingerprints the metrics export exactly as
-// cmd/bench does — the ground truth every transport is diffed against.
+// in this process and returns harness.MetricsFingerprint of the export
+// — the ground truth every transport is diffed against.
 func directSweepSHA(t *testing.T, req server.JobRequest) string {
 	t.Helper()
 	byName := make(map[string]harness.Configuration)
@@ -332,12 +330,8 @@ func directSweepSHA(t *testing.T, req server.JobRequest) string {
 	if err != nil {
 		t.Fatalf("direct RunSuiteCtx: %v", err)
 	}
-	var sb strings.Builder
-	if err := harness.WriteMetricsJSON(&sb, suite.Metrics()); err != nil {
-		t.Fatalf("WriteMetricsJSON: %v", err)
-	}
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:])
+	_, sha := harness.MetricsFingerprint(suite.Metrics())
+	return sha
 }
 
 // requireEquivalent asserts a terminal job carries the reference
@@ -350,8 +344,8 @@ func requireEquivalent(t *testing.T, doc server.ResultDoc, wantSHA string) {
 	if doc.Cells.Failed != 0 || doc.Cells.Done != doc.Cells.Total {
 		t.Fatalf("cell counts %+v, want all %d done, none failed", doc.Cells, doc.Cells.Total)
 	}
-	// MetricsSHA256 covers the exact bytes harness.WriteMetricsJSON
-	// emits (the result doc re-indents its embedded copy, so the sha —
+	// MetricsSHA256 covers the exact bytes harness.MetricsFingerprint
+	// exports (the result doc re-indents its embedded copy, so the sha —
 	// not the embedded bytes — is the cross-transport fingerprint).
 	if doc.MetricsSHA256 != wantSHA {
 		t.Fatalf("metrics sha %s != reference %s — fleet transport changed result bytes",

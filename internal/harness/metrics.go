@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -196,6 +199,18 @@ func WriteMetricsJSON(w io.Writer, m SuiteMetrics) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
+}
+
+// MetricsFingerprint returns the export exactly as WriteMetricsJSON
+// writes it, with the hex SHA-256 of those bytes: the metrics_sha256
+// that must match across a local sweep, the job server and the fleet.
+func MetricsFingerprint(m SuiteMetrics) (export []byte, sha string) {
+	var b bytes.Buffer
+	if err := WriteMetricsJSON(&b, m); err != nil {
+		panic(err) // in-memory marshal of a plain struct cannot fail
+	}
+	sum := sha256.Sum256(b.Bytes())
+	return b.Bytes(), hex.EncodeToString(sum[:])
 }
 
 // MetricsCSV renders the export as one CSV row per run (a flat subset

@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"sort"
-	"strings"
 	"sync"
 
 	"entangling/internal/harness"
@@ -75,9 +72,9 @@ type StatusDoc struct {
 
 // ResultDoc is the GET /v1/jobs/{id}/result body: the counts, the
 // typed failures, and the full metrics export with its fingerprint.
-// MetricsSHA256 hashes exactly the bytes harness.WriteMetricsJSON
-// produces for this sweep, so it is directly comparable with the
-// metrics_sha256 of a BENCH_*.json point measured on the same cells.
+// MetricsSHA256 is harness.MetricsFingerprint of this sweep, so it is
+// directly comparable with a local harness run of the same cells (for
+// the pinned sweep, the value TestPinnedBenchFingerprint pins).
 type ResultDoc struct {
 	ID            string          `json:"id"`
 	State         string          `json:"state"`
@@ -271,14 +268,13 @@ func (j *job) finalize() bool {
 	}
 	j.state = state
 
-	metrics := j.metricsBytesLocked()
-	sum := sha256.Sum256(metrics)
+	metrics, sha := j.metricsLocked()
 	doc := ResultDoc{
 		ID:            j.spec.id,
 		State:         state,
 		Cells:         j.counts,
 		FailedCells:   j.failed,
-		MetricsSHA256: hex.EncodeToString(sum[:]),
+		MetricsSHA256: sha,
 		Metrics:       json.RawMessage(metrics),
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
@@ -305,11 +301,11 @@ func (j *job) allFailuresCanceled() bool {
 	return len(j.failed) > 0
 }
 
-// metricsBytesLocked renders the completed cells exactly as
-// harness.WriteMetricsJSON serializes a locally-run sweep of the same
-// cells: same SuiteResults assembly, same deterministic ordering, so
-// the bytes (and their SHA-256) are comparable across transports.
-func (j *job) metricsBytesLocked() []byte {
+// metricsLocked renders the completed cells exactly as a locally-run
+// sweep of the same cells exports: same SuiteResults assembly, same
+// deterministic ordering, so the bytes (and their SHA-256) are
+// comparable across transports.
+func (j *job) metricsLocked() (export []byte, sha string) {
 	s := &harness.SuiteResults{Runs: j.results}
 	for _, c := range j.spec.cfgs {
 		s.ConfigOrder = append(s.ConfigOrder, c.Name)
@@ -317,11 +313,7 @@ func (j *job) metricsBytesLocked() []byte {
 	for _, w := range j.spec.specs {
 		s.WorkloadOrder = append(s.WorkloadOrder, w.Name)
 	}
-	var sb strings.Builder
-	if err := harness.WriteMetricsJSON(&sb, s.Metrics()); err != nil {
-		panic(err) // in-memory marshal of a plain struct cannot fail
-	}
-	return []byte(sb.String())
+	return harness.MetricsFingerprint(s.Metrics())
 }
 
 // status snapshots the job for GET /v1/jobs/{id}.

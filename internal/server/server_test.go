@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -186,9 +184,8 @@ func readSSE(t *testing.T, ts *httptest.Server, id, lastEventID string) []Event 
 }
 
 // directSweepSHA runs the same cells through harness.RunSuiteCtx
-// locally and fingerprints the metrics export exactly as cmd/bench
-// does, so the test proves API results are byte-comparable with a
-// direct run.
+// locally and returns harness.MetricsFingerprint of the export, so the
+// test proves API results are byte-comparable with a direct run.
 func directSweepSHA(t *testing.T, cfgNames, wlNames []string) string {
 	t.Helper()
 	byName := make(map[string]harness.Configuration)
@@ -220,12 +217,8 @@ func directSweepSHA(t *testing.T, cfgNames, wlNames []string) string {
 	if err != nil {
 		t.Fatalf("direct RunSuiteCtx: %v", err)
 	}
-	var sb strings.Builder
-	if err := harness.WriteMetricsJSON(&sb, suite.Metrics()); err != nil {
-		t.Fatalf("WriteMetricsJSON: %v", err)
-	}
-	sum := sha256.Sum256([]byte(sb.String()))
-	return hex.EncodeToString(sum[:])
+	_, sha := harness.MetricsFingerprint(suite.Metrics())
+	return sha
 }
 
 func TestServerEndToEnd(t *testing.T) {

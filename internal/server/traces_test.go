@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -122,12 +120,7 @@ func TestTraceUploadThenSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := harness.WriteMetricsJSON(&buf, suite.Metrics()); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	if want := hex.EncodeToString(sum[:]); res.MetricsSHA256 != want {
+	if _, want := harness.MetricsFingerprint(suite.Metrics()); res.MetricsSHA256 != want {
 		t.Fatalf("uploaded-trace sweep sha %s != direct sha %s", res.MetricsSHA256, want)
 	}
 }
