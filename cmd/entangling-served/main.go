@@ -6,24 +6,10 @@
 // gracefully on SIGTERM/SIGINT (stop admitting, finish or checkpoint
 // in-flight cells, exit 0). See README.md, "Serving mode".
 //
-// Three modes share the binary (-mode):
-//
-//	standalone   the single-node server (default) — cells simulate
-//	             in-process.
-//	coordinator  the same public job API, but cells are dispatched to
-//	             a fleet of workers (-peers) with consistent-hash
-//	             placement, work-stealing and checkpoint replication.
-//	worker       a fleet worker: serves the fleet wire API and
-//	             simulates the cells a coordinator assigns it.
-//
 // Examples:
 //
 //	entangling-served -addr :8080 -checkpoint-dir /var/lib/entangling
 //	entangling-served -addr 127.0.0.1:0 -queue 4 -workers 1
-//	entangling-served -mode worker -addr 127.0.0.1:9001 -worker-id w1
-//	entangling-served -mode coordinator -addr :8080 \
-//	    -peers http://127.0.0.1:9001,http://127.0.0.1:9002 \
-//	    -checkpoint-dir /var/lib/entangling
 package main
 
 import (
@@ -31,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -41,18 +25,12 @@ import (
 	"syscall"
 	"time"
 
-	"entangling/internal/fleet"
-	"entangling/internal/harness"
 	"entangling/internal/server"
 )
 
 func main() {
 	var cfg server.Config
 	var (
-		mode        = flag.String("mode", "standalone", "standalone, coordinator or worker")
-		peers       = flag.String("peers", "", "comma-separated worker base URLs (coordinator mode)")
-		workerID    = flag.String("worker-id", "", "this worker's name in results and health docs (worker mode)")
-		stealAfter  = flag.Duration("steal-after", 15*time.Second, "how long the primary worker may hold a cell before it is raced to the next owner (coordinator mode)")
 		tenantsFile = flag.String("tenants-file", "", "tenant config JSON; switches the server to authenticated multi-tenant mode with quotas and priority tiers")
 		tierWeights = flag.String("tier-weights", "", "override tier weights, e.g. gold=100,silver=10,bronze=1")
 		leakCheck   = flag.Bool("leak-check", false, "after a clean drain, fail (exit 1, stacks dumped) unless goroutines return to the startup baseline")
@@ -96,18 +74,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	var err error
-	switch *mode {
-	case "standalone":
-		err = runServer(ctx, cfg)
-	case "coordinator":
-		err = runCoordinator(ctx, cfg, *peers, *stealAfter)
-	case "worker":
-		err = runWorker(ctx, cfg, *workerID)
-	default:
-		err = fmt.Errorf("unknown -mode %q (want standalone, coordinator or worker)", *mode)
-	}
-	if err != nil {
+	if err := runServer(ctx, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -171,105 +138,4 @@ func runServer(ctx context.Context, cfg server.Config) error {
 		return err
 	}
 	return srv.Run(ctx)
-}
-
-// runCoordinator serves the public job API with the fleet dispatcher
-// plugged in: the coordinator owns the durable store (workers are
-// disposable), places cells on -peers, and replicates every finished
-// cell's checkpoint record before publishing it.
-func runCoordinator(ctx context.Context, cfg server.Config, peers string, stealAfter time.Duration) error {
-	var urls []string
-	for _, p := range strings.Split(peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			urls = append(urls, p)
-		}
-	}
-	var store *harness.CheckpointStore
-	if cfg.CheckpointDir != "" {
-		var err error
-		if store, err = harness.OpenCheckpointStore(cfg.CheckpointDir); err != nil {
-			return err
-		}
-		cfg.CheckpointDir = "" // the dispatcher owns the store now
-	}
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Peers:      urls,
-		Store:      store,
-		StealAfter: stealAfter,
-		Logf:       log.Printf,
-	})
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-
-	readyCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	err = coord.WaitReady(readyCtx)
-	cancel()
-	if err != nil {
-		return err
-	}
-	log.Printf("coordinator: %d workers ready: %s", len(coord.Peers()), strings.Join(coord.Peers(), ", "))
-
-	cfg.Dispatcher = coord
-	srv, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	return srv.Run(ctx)
-}
-
-// runWorker serves the fleet wire API until the context cancels, then
-// shuts down gracefully: in-flight assignments get DrainGrace to
-// finish (their results are what the coordinator is waiting on).
-func runWorker(ctx context.Context, cfg server.Config, id string) error {
-	if id == "" {
-		id = "worker"
-	}
-	var store *harness.CheckpointStore
-	if cfg.CheckpointDir != "" {
-		var err error
-		if store, err = harness.OpenCheckpointStore(cfg.CheckpointDir); err != nil {
-			return err
-		}
-	}
-	w := fleet.NewWorker(fleet.WorkerConfig{
-		ID:             id,
-		Store:          store,
-		Retries:        cfg.Retries,
-		RetryBaseDelay: cfg.RetryBaseDelay,
-		CellTimeout:    cfg.CellTimeout,
-		AllowFaults:    cfg.AllowFaults,
-		Logf:           log.Printf,
-	})
-
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("worker: %w", err)
-	}
-	log.Printf("fleet worker %s: listening on %s", id, ln.Addr())
-
-	hs := &http.Server{Handler: w.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("worker: %w", err)
-	case <-ctx.Done():
-	}
-
-	grace := cfg.DrainGrace
-	if grace <= 0 {
-		grace = 10 * time.Second
-	}
-	log.Printf("fleet worker %s: draining (grace %v)", id, grace)
-	shutCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		hs.Close()
-	}
-	<-serveErr // Serve has returned http.ErrServerClosed
-	log.Printf("fleet worker %s: drained", id)
-	return nil
 }

@@ -1,6 +1,6 @@
 // Package client is the Go SDK for the job server's /v1 API: submit,
 // status, result, cancel, trace upload and the SSE progress stream. It
-// exists so every program that talks to a node — cmd/loadgen, tests,
+// exists so every program that talks to a node — the benchmark, tests,
 // external tooling — shares one implementation of the boring-but-
 // load-bearing parts: API-key auth, retry with exponential backoff
 // honoring Retry-After, typed errors carrying the server's

@@ -186,8 +186,9 @@ var ErrCheckpointConflict = errors.New("conflicting checkpoint record for finger
 // .tmp litter on error paths.
 //
 // Save is idempotent under concurrency: saving a record identical to
-// the one already stored is a no-op success (two fleet workers
-// finishing the same cell both "win"), while saving different bytes
+// the one already stored is a no-op success (the job server keeps a
+// fault-plan flight and a clean flight of the same fingerprint apart,
+// so both can finish the cell and save it), while saving different bytes
 // over a valid existing record fails with ErrCheckpointConflict. A
 // corrupt or undecodable existing record is simply replaced — it was
 // never going to resume anyway.

@@ -290,10 +290,11 @@ func TestFuzzCheckpointDecodeSeedsPass(t *testing.T) {
 	}
 }
 
-// TestCheckpointStoreSaveIdempotent: two fleet workers finishing the
-// same cell both Save the identical record; both must succeed without
-// an error and without doubling files — re-persisting what is already
-// stored is a no-op, not a conflict.
+// TestCheckpointStoreSaveIdempotent: two runs finishing the same cell
+// (a fault-plan flight and a clean flight of one fingerprint, which
+// the job server keeps apart) both Save the identical record; both
+// must succeed without an error and without doubling files —
+// re-persisting what is already stored is a no-op, not a conflict.
 func TestCheckpointStoreSaveIdempotent(t *testing.T) {
 	store, err := OpenCheckpointStore(t.TempDir())
 	if err != nil {

@@ -203,7 +203,7 @@ func WriteMetricsJSON(w io.Writer, m SuiteMetrics) error {
 
 // MetricsFingerprint returns the export exactly as WriteMetricsJSON
 // writes it, with the hex SHA-256 of those bytes: the metrics_sha256
-// that must match across a local sweep, the job server and the fleet.
+// that must match between a local sweep and the job server.
 func MetricsFingerprint(m SuiteMetrics) (export []byte, sha string) {
 	var b bytes.Buffer
 	if err := WriteMetricsJSON(&b, m); err != nil {

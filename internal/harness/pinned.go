@@ -9,8 +9,8 @@ import (
 // The pinned mini-sweep: 4 CVP-1 workloads x 7 configurations = 28
 // cells at fixed windows. Its metrics fingerprint is the contract every
 // refactor keeps (TestPinnedBenchFingerprint); the benchmark under
-// benchmark/ reruns it, and the job server and fleet are diffed against
-// it. Changing any of the three values below moves that fingerprint.
+// benchmark/ reruns it, and the job server is diffed against it.
+// Changing any of the three values below moves that fingerprint.
 
 // PinnedBenchSpecs returns the fixed workload set of the mini-sweep.
 func PinnedBenchSpecs() []workload.Spec { return workload.CVPSuite(1) }

@@ -1,11 +1,11 @@
 // Package leakcheck asserts that a test leaves no goroutines behind.
-// The server and fleet packages are long-lived machinery full of
-// background goroutines (job workers, detached flights, SSE
-// followers, steal races); every test that starts any of it calls
-// leakcheck.Check at the top, and the cleanup verifies the goroutine
-// count returned to its baseline after the test's drains ran — a
-// stuck flight or an abandoned dispatch fails the test with a full
-// stack dump instead of silently accumulating across the package run.
+// The job server is long-lived machinery full of background
+// goroutines (job workers, detached flights, SSE followers); every
+// test that starts any of it calls leakcheck.Check at the top, and the
+// cleanup verifies the goroutine count returned to its baseline after
+// the test's drains ran — a stuck flight or an abandoned resolution
+// fails the test with a full stack dump instead of silently
+// accumulating across the package run.
 package leakcheck
 
 import (
@@ -24,7 +24,7 @@ const grace = 5 * time.Second
 // Check snapshots the current goroutine count and registers a cleanup
 // that fails the test if the count has not returned to that baseline
 // (plus tolerance for runtime-owned goroutines) by the end of the
-// test. Call it before starting servers, workers or coordinators.
+// test. Call it before starting servers or clients.
 func Check(t testing.TB) {
 	t.Helper()
 	// Transport keep-alive goroutines from earlier tests are parked,

@@ -4,87 +4,55 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"entangling/internal/faultinject"
 	"entangling/internal/harness"
 	"entangling/internal/workload"
 )
 
-// This file defines the transport-agnostic cell dispatch contract the
-// job server runs on. A Dispatcher resolves one content-addressed cell
-// — (configuration, workload, windows) — to its result; the server
-// neither knows nor cares whether the simulation happens in-process
-// (LocalDispatcher, the PR 4 worker pool) or on a fleet of worker
-// replicas behind a coordinator (internal/fleet). Both implementations
-// share the Resolver: the content-addressed resolution hierarchy
-// (in-process result cache → durable checkpoint store → singleflight)
-// wrapped around a pluggable CellRunner leaf, so identical cells
-// resolve exactly once per node no matter the transport.
+// This file defines how the job server resolves one content-addressed
+// cell — (configuration, workload, windows) — to its result. The
+// resolver walks three tiers: the in-process result cache, the durable
+// checkpoint store, and a singleflighted run of the simulator through
+// harness.RunSuiteCtx (executor.go), so identical cells resolve exactly
+// once per node no matter how many jobs want them.
 
-// CellSpec fully describes one simulation cell to resolve. Fingerprint
+// memCap bounds the resolver's in-process result cache.
+const memCap = 4096
+
+// cellSpec fully describes one simulation cell to resolve. Fingerprint
 // is the cell's content address (harness.CellFingerprint over Config,
 // Workload, Warmup and Measure); Plan optionally injects deterministic
 // faults into the run.
-type CellSpec struct {
+type cellSpec struct {
 	Config      harness.Configuration
 	Workload    workload.Spec
 	Warmup      uint64
 	Measure     uint64
 	Fingerprint string
 	Plan        *faultinject.Plan
-	// Tenant attributes the cell to the submitting tenant for fleet
-	// accounting and worker logs. It is observability metadata only:
-	// it is not part of the cell's content address, so identical cells
-	// from different tenants still dedupe to one simulation.
-	Tenant string
 }
 
-// CellResult is a resolved cell: a result or a typed cell error, plus
+// cellResult is a resolved cell: a result or a typed cell error, plus
 // where the result came from (the Source* constants in events.go).
-type CellResult struct {
+type cellResult struct {
 	Result harness.RunResult
 	Err    *harness.CellError
 	Source string
 }
 
-// Dispatcher resolves cells for the job server. Implementations must
-// be safe for concurrent use; progress (may be nil) receives the
-// harness lifecycle events of a live resolution this caller is
-// subscribed to — retries, for the SSE event stream.
-type Dispatcher interface {
-	Dispatch(ctx context.Context, cell CellSpec, progress func(harness.CellEvent)) CellResult
-}
-
-// CellRunner is the leaf of the resolution hierarchy: it executes one
-// cell that missed every cache tier. It returns the result and its
-// provenance label on success, or a typed cell error. The context is
-// detached from any single subscriber (see Resolver); progress streams
-// the run's lifecycle events to every subscriber.
-type CellRunner func(ctx context.Context, cell CellSpec, progress func(harness.CellEvent)) (harness.RunResult, string, *harness.CellError)
-
-// ResolverConfig assembles a Resolver.
-type ResolverConfig struct {
-	// Run executes cells that miss every cache tier. Required.
-	Run CellRunner
-	// Store, when non-nil, is the durable result tier consulted before
-	// running a cell (warm restarts answer from here).
-	Store *harness.CheckpointStore
-	// MemCap bounds the in-process result cache (default 4096).
-	MemCap int
-}
-
-// Resolver implements the content-addressed resolution hierarchy every
-// dispatcher shares. Resolving a cell walks the in-process result
-// cache, the durable checkpoint store, and finally a singleflighted
-// "flight" that invokes the CellRunner exactly once no matter how many
-// concurrent subscribers want the cell. Flights run on a detached
-// context refcounted by their subscribers, so one job canceling never
-// kills a run another job is still waiting on.
-type Resolver struct {
-	run    CellRunner
-	store  *harness.CheckpointStore
-	memCap int
+// resolver implements the content-addressed resolution hierarchy.
+// Resolving a cell walks the in-process result cache, the durable
+// checkpoint store, and finally a singleflighted "flight" that runs
+// the simulator exactly once no matter how many concurrent subscribers
+// want the cell. Flights run on a detached context refcounted by their
+// subscribers, so one job canceling never kills a run another job is
+// still waiting on. The resolver is safe for concurrent use.
+type resolver struct {
+	// base is the harness.Options every run starts from: the shared
+	// trace cache, the checkpoint store (also the durable tier read
+	// before running) and the per-cell fault tolerance policy.
+	base harness.Options
 
 	mu      sync.Mutex
 	mem     map[string]harness.RunResult
@@ -92,78 +60,36 @@ type Resolver struct {
 	flights map[string]*flight
 }
 
-// NewResolver builds a Resolver over the given runner and tiers.
-func NewResolver(cfg ResolverConfig) *Resolver {
-	if cfg.Run == nil {
-		panic("server: ResolverConfig.Run is required")
-	}
-	if cfg.MemCap <= 0 {
-		cfg.MemCap = 4096
-	}
-	return &Resolver{
-		run:     cfg.Run,
-		store:   cfg.Store,
-		memCap:  cfg.MemCap,
+// newResolver builds a resolver over base; the windows, progress and
+// fault hook are filled in per cell.
+func newResolver(base harness.Options) *resolver {
+	base.Parallelism = 1
+	return &resolver{
+		base:    base,
 		mem:     make(map[string]harness.RunResult),
 		flights: make(map[string]*flight),
 	}
 }
 
-// LocalConfig assembles a LocalDispatcher.
-type LocalConfig struct {
-	// Traces is the shared workload trace cache (nil → a private one).
-	Traces *workload.TraceCache
-	// Store, when non-nil, persists every simulated cell and serves
-	// warm restarts.
-	Store *harness.CheckpointStore
-	// Retries, RetryBaseDelay and CellTimeout are the per-cell fault
-	// tolerance policy (see harness.Options).
-	Retries        int
-	RetryBaseDelay time.Duration
-	CellTimeout    time.Duration
-	// MemCap bounds the in-process result cache (default 4096).
-	MemCap int
-}
-
-// LocalDispatcher runs cells in-process through harness.RunSuiteCtx —
-// the single-node worker pool the job server was born with, now one
-// implementation of Dispatcher among several.
-type LocalDispatcher struct {
-	*Resolver
-}
-
-// NewLocalDispatcher builds the in-process dispatcher.
-func NewLocalDispatcher(cfg LocalConfig) *LocalDispatcher {
-	traces := cfg.Traces
-	if traces == nil {
-		traces = workload.NewTraceCache()
+// simulate runs one cell that missed every cache tier as a one-cell
+// sweep, checkpointing it inside the harness when a store is set. The
+// context is detached from any single subscriber; progress streams the
+// run's lifecycle events to every subscriber.
+func (x *resolver) simulate(ctx context.Context, cell cellSpec, progress func(harness.CellEvent)) (harness.RunResult, *harness.CellError) {
+	opt := x.base
+	opt.Warmup, opt.Measure, opt.Progress = cell.Warmup, cell.Measure, progress
+	if cell.Plan != nil {
+		opt.CellHook = faultinject.New(*cell.Plan).CellHook
 	}
-	run := func(ctx context.Context, cell CellSpec, progress func(harness.CellEvent)) (harness.RunResult, string, *harness.CellError) {
-		opt := harness.Options{
-			Warmup:         cell.Warmup,
-			Measure:        cell.Measure,
-			Parallelism:    1,
-			Traces:         traces,
-			Retries:        cfg.Retries,
-			RetryBaseDelay: cfg.RetryBaseDelay,
-			CellTimeout:    cfg.CellTimeout,
-			Checkpoint:     cfg.Store,
-			Progress:       progress,
+	s, err := harness.RunSuiteCtx(ctx, []workload.Spec{cell.Workload}, []harness.Configuration{cell.Config}, opt)
+	if err != nil {
+		cerr := firstCellError(err, s)
+		if cerr == nil {
+			cerr = &harness.CellError{Config: cell.Config.Name, Workload: cell.Workload.Name, Err: err}
 		}
-		if cell.Plan != nil {
-			opt.CellHook = faultinject.New(*cell.Plan).CellHook
-		}
-		s, err := harness.RunSuiteCtx(ctx, []workload.Spec{cell.Workload}, []harness.Configuration{cell.Config}, opt)
-		if err != nil {
-			cerr := firstCellError(err, s)
-			if cerr == nil {
-				cerr = &harness.CellError{Config: cell.Config.Name, Workload: cell.Workload.Name, Err: err}
-			}
-			return harness.RunResult{}, "", cerr
-		}
-		return s.Runs[cell.Config.Name][cell.Workload.Name], SourceSimulated, nil
+		return harness.RunResult{}, cerr
 	}
-	return &LocalDispatcher{NewResolver(ResolverConfig{Run: run, Store: cfg.Store, MemCap: cfg.MemCap})}
+	return s.Runs[cell.Config.Name][cell.Workload.Name], nil
 }
 
 // firstCellError extracts the typed cell error of a one-cell sweep.

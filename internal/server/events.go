@@ -30,8 +30,6 @@ const (
 	SourceCacheMemory = "cache-memory" // in-process result cache hit
 	SourceCacheStore  = "cache-store"  // restored from the checkpoint store
 	SourceShared      = "shared"       // joined another job's in-flight resolution
-	SourceFleet       = "fleet"        // a fleet worker ran it for this coordinator
-	SourceFleetStolen = "fleet-stolen" // a non-primary worker won it (steal or failover)
 )
 
 // Event is one progress record of a job, serialized as the SSE data

@@ -9,20 +9,19 @@ import (
 	"entangling/internal/harness"
 )
 
-// This file is the Resolver's flight machinery: the singleflight tier
+// This file is the resolver's flight machinery: the singleflight tier
 // of the resolution hierarchy defined in dispatch.go. A cell that
 // misses the in-process cache and the checkpoint store joins (or
-// starts) a flight — one in-progress invocation of the CellRunner,
-// shared by every subscriber that arrived before it finished. Flights
-// run on a detached context refcounted by their subscribers, so one
-// job canceling never kills a run another job is still waiting on.
+// starts) a flight — one in-progress simulation of the cell, shared by
+// every subscriber that arrived before it finished. Flights run on a
+// detached context refcounted by their subscribers, so one job
+// canceling never kills a run another job is still waiting on.
 
 // flight is one in-progress resolution of a cell.
 type flight struct {
-	done   chan struct{}
-	res    harness.RunResult
-	source string
-	err    *harness.CellError
+	done chan struct{}
+	res  harness.RunResult
+	err  *harness.CellError
 
 	// subscribers is the refcount of jobs waiting; when it reaches
 	// zero before the run finishes, cancel aborts the detached run
@@ -30,7 +29,7 @@ type flight struct {
 	subscribers int
 	cancel      context.CancelFunc
 
-	// listeners fan runner progress events (retries) out to the
+	// listeners fan run progress events (retries) out to the
 	// subscribed jobs' event logs.
 	lmu       sync.Mutex
 	listeners map[int]func(harness.CellEvent)
@@ -64,12 +63,12 @@ func (f *flight) broadcast(ev harness.CellEvent) {
 	}
 }
 
-// Dispatch obtains the cell's result for one subscriber. The progress
+// resolve obtains the cell's result for one subscriber. The progress
 // callback receives the lifecycle events of a live run this subscriber
 // is attached to (retries, for the event stream); it may be nil.
-func (x *Resolver) Dispatch(ctx context.Context, cell CellSpec, progress func(harness.CellEvent)) CellResult {
-	canceledOutcome := func() CellResult {
-		return CellResult{Err: &harness.CellError{
+func (x *resolver) resolve(ctx context.Context, cell cellSpec, progress func(harness.CellEvent)) cellResult {
+	canceledOutcome := func() cellResult {
+		return cellResult{Err: &harness.CellError{
 			Config: cell.Config.Name, Workload: cell.Workload.Name,
 			Err: fmt.Errorf("%w: %v", harness.ErrCellCanceled, context.Cause(ctx)),
 		}}
@@ -81,15 +80,15 @@ func (x *Resolver) Dispatch(ctx context.Context, cell CellSpec, progress func(ha
 		}
 		// 1. In-process result cache.
 		if res, ok := x.memGet(cell.Fingerprint); ok {
-			return CellResult{Result: res, Source: SourceCacheMemory}
+			return cellResult{Result: res, Source: SourceCacheMemory}
 		}
 		// 2. Durable checkpoint store: a warm restart serves repeat
 		// jobs from here with zero re-simulation.
-		if x.store != nil {
-			if rec, ok, err := x.store.Load(cell.Fingerprint); err == nil && ok &&
+		if store := x.base.Checkpoint; store != nil {
+			if rec, ok, err := store.Load(cell.Fingerprint); err == nil && ok &&
 				rec.Config == cell.Config.Name && rec.Workload == cell.Workload.Name {
 				x.memPut(cell.Fingerprint, rec.Result)
-				return CellResult{Result: rec.Result, Source: SourceCacheStore}
+				return cellResult{Result: rec.Result, Source: SourceCacheStore}
 			}
 		}
 		// 3. Singleflight: join the in-progress run, or start it.
@@ -123,13 +122,13 @@ func (x *Resolver) Dispatch(ctx context.Context, cell CellSpec, progress func(ha
 			continue
 		}
 		if f.err != nil {
-			return CellResult{Err: f.err, Source: f.source}
+			return cellResult{Err: f.err}
 		}
-		source := f.source
+		source := SourceSimulated
 		if shared {
 			source = SourceShared
 		}
-		return CellResult{Result: f.res, Source: source}
+		return cellResult{Result: f.res, Source: source}
 	}
 }
 
@@ -145,7 +144,7 @@ func flightKey(fp string, plan *faultinject.Plan) string {
 
 // joinFlight subscribes to the cell's flight, creating it if absent;
 // created reports whether this caller must run it.
-func (x *Resolver) joinFlight(key string) (f *flight, created bool) {
+func (x *resolver) joinFlight(key string) (f *flight, created bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if f, ok := x.flights[key]; ok {
@@ -163,7 +162,7 @@ func (x *Resolver) joinFlight(key string) (f *flight, created bool) {
 
 // leaveFlight drops one subscription; the last leaver of an
 // unfinished flight cancels the detached run.
-func (x *Resolver) leaveFlight(key string, f *flight) {
+func (x *resolver) leaveFlight(key string, f *flight) {
 	x.mu.Lock()
 	f.subscribers--
 	abandon := f.subscribers <= 0
@@ -186,13 +185,11 @@ func (x *Resolver) leaveFlight(key string, f *flight) {
 	}
 }
 
-// runFlight executes the cell through the CellRunner on a detached
-// context (canceled only when every subscriber leaves). Successful
-// results are published to the in-process cache; the runner is
-// responsible for durable persistence (the local runner checkpoints
-// inside the harness, the fleet runner replicates to the coordinator
-// store).
-func (x *Resolver) runFlight(f *flight, key string, cell CellSpec) {
+// runFlight simulates the cell on a detached context (canceled only
+// when every subscriber leaves). Successful results are published to
+// the in-process cache; the harness has already checkpointed them to
+// the durable store.
+func (x *resolver) runFlight(f *flight, key string, cell cellSpec) {
 	ctx, cancel := context.WithCancel(context.Background())
 	x.mu.Lock()
 	f.cancel = cancel
@@ -204,11 +201,11 @@ func (x *Resolver) runFlight(f *flight, key string, cell CellSpec) {
 		cancel()
 	}
 
-	res, source, cerr := x.run(ctx, cell, f.broadcast)
+	res, cerr := x.simulate(ctx, cell, f.broadcast)
 	if cerr != nil {
 		f.err = cerr
 	} else {
-		f.res, f.source = res, source
+		f.res = res
 		x.memPut(cell.Fingerprint, res)
 	}
 	// Retire the flight before publishing completion: later resolvers
@@ -223,7 +220,7 @@ func (x *Resolver) runFlight(f *flight, key string, cell CellSpec) {
 	close(f.done)
 }
 
-func (x *Resolver) memGet(fp string) (harness.RunResult, bool) {
+func (x *resolver) memGet(fp string) (harness.RunResult, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	r, ok := x.mem[fp]
@@ -233,7 +230,7 @@ func (x *Resolver) memGet(fp string) (harness.RunResult, bool) {
 // memPut caches a successful result, evicting oldest-inserted entries
 // past the cap (results are immutable and re-derivable, so FIFO is
 // good enough — the durable tier below never evicts).
-func (x *Resolver) memPut(fp string, r harness.RunResult) {
+func (x *resolver) memPut(fp string, r harness.RunResult) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if _, ok := x.mem[fp]; ok {
@@ -241,7 +238,7 @@ func (x *Resolver) memPut(fp string, r harness.RunResult) {
 	}
 	x.mem[fp] = r
 	x.memFIFO = append(x.memFIFO, fp)
-	for len(x.memFIFO) > x.memCap {
+	for len(x.memFIFO) > memCap {
 		evict := x.memFIFO[0]
 		x.memFIFO = x.memFIFO[1:]
 		delete(x.mem, evict)

@@ -344,8 +344,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("entangling_cells_cache_memory_total", "Cells served from the in-process result cache.", ld(&c.cellsCacheMemory))
 	counter("entangling_cells_cache_store_total", "Cells served from the durable checkpoint store.", ld(&c.cellsCacheStore))
 	counter("entangling_cells_shared_total", "Cells that joined another job's in-flight simulation.", ld(&c.cellsShared))
-	counter("entangling_cells_fleet_total", "Cells resolved by a fleet worker (coordinator mode).", ld(&c.cellsFleet))
-	counter("entangling_cells_stolen_total", "Fleet cells won by a non-primary worker (steal or failover).", ld(&c.cellsStolen))
 	counter("entangling_cells_failed_total", "Cells that produced a typed failure.", ld(&c.cellsFailed))
 
 	counter("entangling_traces_uploaded_total", "Traces ingested via POST /v1/traces.", ld(&c.tracesUploaded))

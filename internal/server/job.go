@@ -40,12 +40,7 @@ type CellCounts struct {
 	CacheMemory int `json:"cache_memory"`
 	CacheStore  int `json:"cache_store"`
 	Shared      int `json:"shared"`
-	// Fleet and Stolen count cells resolved by fleet workers
-	// (coordinator mode only); Stolen is the subset won by a
-	// non-primary worker after a steal deadline or failover.
-	Fleet  int `json:"fleet,omitempty"`
-	Stolen int `json:"stolen,omitempty"`
-	Failed int `json:"failed"`
+	Failed      int `json:"failed"`
 }
 
 // FailedCell is the typed record of one cell that produced no result.
@@ -208,11 +203,6 @@ func (j *job) recordResult(r harness.RunResult, source string, elapsedMS int64) 
 		j.counts.CacheStore++
 	case SourceShared:
 		j.counts.Shared++
-	case SourceFleet:
-		j.counts.Fleet++
-	case SourceFleetStolen:
-		j.counts.Fleet++
-		j.counts.Stolen++
 	}
 	done, total := j.counts.Done, j.counts.Total
 	j.mu.Unlock()

@@ -50,9 +50,6 @@ type jobSpec struct {
 	// fingerprints[cfg.Name][spec.Name], precomputed once.
 	fingerprints map[string]map[string]string
 	plan         *faultinject.Plan
-	// tenant names the submitting tenant ("" in open mode); carried
-	// into CellSpec for fleet attribution, never into cell identity.
-	tenant string
 }
 
 func (j *jobSpec) cellCount() int { return len(j.cfgs) * len(j.specs) }

@@ -54,8 +54,7 @@ type Config struct {
 	Budget workload.Budget
 
 	// CheckpointDir, when set, persists every simulated cell and
-	// serves warm restarts; empty disables durability. Ignored when
-	// Dispatcher is set — an external dispatcher owns its own tiers.
+	// serves warm restarts; empty disables durability.
 	CheckpointDir string
 
 	// TraceDir, when set, stores uploaded traces (content-addressed,
@@ -65,12 +64,6 @@ type Config struct {
 	TraceDir string
 	// MaxTraceBytes caps one trace upload body (default 128 MiB).
 	MaxTraceBytes int64
-
-	// Dispatcher, when set, resolves cells instead of the built-in
-	// in-process pool — this is how coordinator mode plugs the fleet
-	// in (internal/fleet). Nil means a LocalDispatcher over this
-	// server's trace cache and checkpoint store.
-	Dispatcher Dispatcher
 
 	// Retries, RetryBaseDelay and CellTimeout are the per-cell fault
 	// tolerance policy (see harness.Options).
@@ -157,8 +150,6 @@ type counters struct {
 	cellsCacheMemory uint64
 	cellsCacheStore  uint64
 	cellsShared      uint64
-	cellsFleet       uint64
-	cellsStolen      uint64
 	cellsFailed      uint64
 
 	tracesUploaded uint64
@@ -178,9 +169,8 @@ type Server struct {
 	cfg      Config
 	reg      *registries
 	traces   *workload.TraceCache
-	store    *harness.CheckpointStore
 	tstore   *trace.Store // uploaded traces; nil when TraceDir unset
-	dispatch Dispatcher
+	resolver *resolver
 	stats    counters
 
 	// tenants is the auth/quota table; nil means the server runs
@@ -236,20 +226,16 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.tstore = tstore
 	}
-	if cfg.Dispatcher != nil {
-		s.dispatch = cfg.Dispatcher
-		return s, nil
-	}
+	var store *harness.CheckpointStore
 	if cfg.CheckpointDir != "" {
-		store, err := harness.OpenCheckpointStore(cfg.CheckpointDir)
-		if err != nil {
+		var err error
+		if store, err = harness.OpenCheckpointStore(cfg.CheckpointDir); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.store = store
 	}
-	s.dispatch = NewLocalDispatcher(LocalConfig{
+	s.resolver = newResolver(harness.Options{
 		Traces:         s.traces,
-		Store:          s.store,
+		Checkpoint:     store,
 		Retries:        cfg.Retries,
 		RetryBaseDelay: cfg.RetryBaseDelay,
 		CellTimeout:    cfg.CellTimeout,
@@ -345,7 +331,7 @@ func (s *Server) runJob(j *job) {
 		doc.Cells.Shared, doc.Cells.Failed)
 }
 
-// runCell resolves one cell through the dispatcher and records the
+// runCell resolves one cell through the resolver and records the
 // outcome on the job.
 func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec, lease *traceLease) {
 	j.log.append(Event{Type: EventCellStarted, Config: cfg.Name, Workload: spec.Name})
@@ -360,14 +346,13 @@ func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec, 
 			})
 		}
 	}
-	out := s.dispatch.Dispatch(j.ctx, CellSpec{
+	out := s.resolver.resolve(j.ctx, cellSpec{
 		Config:      cfg,
 		Workload:    spec,
 		Warmup:      j.spec.warmup,
 		Measure:     j.spec.measure,
 		Fingerprint: fp,
 		Plan:        j.spec.plan,
-		Tenant:      j.spec.tenant,
 	}, progress)
 	elapsed := time.Since(start).Milliseconds()
 	if out.Source == SourceSimulated || out.Source == SourceShared {
@@ -396,10 +381,6 @@ func (s *Server) countSource(source string) {
 		s.stats.inc(&s.stats.cellsCacheStore)
 	case SourceShared:
 		s.stats.inc(&s.stats.cellsShared)
-	case SourceFleet:
-		s.stats.inc(&s.stats.cellsFleet)
-	case SourceFleetStolen:
-		s.stats.inc(&s.stats.cellsStolen)
 	}
 }
 
@@ -459,7 +440,6 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 			return nil, false, qerr
 		}
 		tier = owner.tier
-		spec.tenant = owner.t.Name
 	}
 	j := newJob(spec)
 	if owner != nil {

@@ -27,8 +27,8 @@ import (
 //	429 quota_*           the named tenant quota is exhausted
 //
 // and every rejection names the tenant limit it enforced, so a
-// client (and the loadgen error taxonomy) can tell a full queue from
-// an exhausted quota without parsing prose.
+// client can tell a full queue from an exhausted quota without
+// parsing prose.
 
 // TenantsConfigSchemaVersion identifies the tenants-file layout.
 const TenantsConfigSchemaVersion = 1
@@ -191,8 +191,7 @@ type quotaError struct {
 func (e *quotaError) Error() string { return e.msg }
 
 // Machine-readable rejection reasons carried in every non-2xx body's
-// "reason" field. Clients (and the loadgen taxonomy) switch on these
-// instead of parsing prose.
+// "reason" field. Clients switch on these instead of parsing prose.
 const (
 	ReasonUnauthorized    = "unauthorized"
 	ReasonForbidden       = "forbidden"

@@ -173,16 +173,10 @@ func (s *Server) handleTraceStat(w http.ResponseWriter, r *http.Request) {
 
 // resolveTraceWorkload is the traceResolver wired into job resolution:
 // it maps "trace:<id>" to an executable Spec over the stored payload.
-// Trace-backed cells are gated to in-process dispatch — an external
-// (fleet) dispatcher serializes Specs over the wire, and the trace
-// content only exists here.
 func (s *Server) resolveTraceWorkload(name string, traceLen uint64) (workload.Spec, error) {
 	id := strings.TrimPrefix(name, traceWorkloadPrefix)
 	if s.tstore == nil {
 		return workload.Spec{}, fmt.Errorf("workload %q: trace storage is not configured on this server", name)
-	}
-	if s.cfg.Dispatcher != nil {
-		return workload.Spec{}, fmt.Errorf("workload %q: trace workloads require in-process execution (this server dispatches to a fleet)", name)
 	}
 	info, err := s.tstore.Stat(id)
 	if err != nil {

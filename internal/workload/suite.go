@@ -12,9 +12,9 @@ type Spec struct {
 
 	// Open, when non-nil, streams the stored ENTRACE1 payload of a
 	// trace-backed workload (Params.TraceSHA256 non-empty). It is
-	// excluded from JSON deliberately: fleet assignments marshal Specs
-	// over the wire, and trace content only exists on the node that
-	// stores it — trace-backed cells are gated to local dispatch.
+	// excluded from JSON because encoding/json cannot marshal a func;
+	// the trace's identity is Params.TraceSHA256, which the cell
+	// fingerprint already covers.
 	Open TraceOpener `json:"-"`
 }
 
