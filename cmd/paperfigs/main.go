@@ -37,11 +37,9 @@ func main() {
 		jsonDir    = flag.String("json", "", "also write each table as JSON into this directory")
 		metricsOut = flag.String("metrics-out", "", "write the main sweep's per-run metrics to this file (.csv for CSV, JSON otherwise)")
 
-		checkpoint  = flag.String("checkpoint", "", "persist every completed sweep cell into this directory (crash-safe)")
-		resume      = flag.Bool("resume", false, "reuse valid records from -checkpoint instead of re-running their cells")
-		retries     = flag.Int("retries", 2, "re-run a failed sweep cell up to this many times")
-		cellTimeout = flag.Duration("cell-timeout", 0, "abandon (and retry) any sweep cell running longer than this (0 = no deadline)")
-		progress    = flag.Bool("progress", false, "log each sweep cell's lifecycle (start/retry/finish/fail) to stderr")
+		checkpoint = flag.String("checkpoint", "", "persist every completed sweep cell into this directory (crash-safe)")
+		resume     = flag.Bool("resume", false, "reuse valid records from -checkpoint instead of re-running their cells")
+		progress   = flag.Bool("progress", false, "log each sweep cell's lifecycle (restore/start/finish/fail) to stderr")
 	)
 	flag.Parse()
 	if *resume && *checkpoint == "" {
@@ -61,7 +59,6 @@ func main() {
 
 	opt := harness.Options{
 		Warmup: *warmup, Measure: *measure, PerCategory: *perCat, Parallelism: 0,
-		Retries: *retries, RetryBaseDelay: 100 * time.Millisecond, CellTimeout: *cellTimeout,
 		Resume: *resume,
 	}
 	if *progress {
@@ -282,12 +279,10 @@ func logProgress(ev harness.CellEvent) {
 	switch ev.Type {
 	case harness.CellStarted:
 		line = fmt.Sprintf("cell %s: started", cell)
-	case harness.CellRetried:
-		line = fmt.Sprintf("cell %s: retrying (attempt %d)", cell, ev.Attempt)
 	case harness.CellFinished:
 		line = fmt.Sprintf("cell %s: finished in %v", cell, ev.Duration.Round(time.Millisecond))
 	case harness.CellFailed:
-		line = fmt.Sprintf("cell %s: FAILED after %d attempts: %v", cell, ev.Attempt, ev.Err)
+		line = fmt.Sprintf("cell %s: FAILED: %v", cell, ev.Err)
 	case harness.CellRestored:
 		line = fmt.Sprintf("cell %s: restored from checkpoint", cell)
 	default:

@@ -1,12 +1,12 @@
 // Package faultinject is the repository's deterministic fault layer:
 // seed-driven injection of cell panics, cell errors, slow cells, trace
 // acquire failures and checkpoint-record corruption. The harness tests
-// use it to prove every recovery path of the sweep executor (panic
-// recovery, retry, deadline enforcement, checkpoint quarantine)
-// without any real nondeterminism — whether a given site faults is a
-// pure function of (seed, site), independent of goroutine scheduling,
-// parallelism and wall-clock time, so a "chaotic" test run is exactly
-// reproducible.
+// use it to prove every failure path of the sweep executor (panic
+// recovery, typed cell errors, checkpoint quarantine) without any
+// real nondeterminism — whether a given site faults is a pure function
+// of (seed, site), independent of goroutine scheduling, parallelism
+// and wall-clock time, so a "chaotic" test run is exactly
+// reproducible. A fault-prone site faults every time it runs.
 //
 // The package deliberately knows nothing about the harness: it exposes
 // plain hook functions (CellHook, AcquireHook) matching the hook
@@ -23,7 +23,7 @@ import (
 )
 
 // Plan configures which operations fault. Probabilities are evaluated
-// deterministically per site: a site either always rolls a fault or
+// deterministically per site: a site either faults on every run or
 // never does, for a given seed. The JSON tags are the wire form the
 // job server accepts (durations travel as nanoseconds).
 type Plan struct {
@@ -35,19 +35,15 @@ type Plan struct {
 	// CellErrorProb is the probability a sweep cell returns an error.
 	CellErrorProb float64 `json:"cell_error_prob,omitempty"`
 	// CellSlowProb is the probability a sweep cell stalls for SlowDelay
-	// before running (exercises deadline enforcement).
+	// before running, which holds the cell in flight (cancellation and
+	// drain tests).
 	CellSlowProb float64 `json:"cell_slow_prob,omitempty"`
-	// SlowDelay is how long a slow cell stalls.
+	// SlowDelay is how long a slow cell stalls; the stall does not
+	// observe cancellation.
 	SlowDelay time.Duration `json:"slow_delay_ns,omitempty"`
 
 	// AcquireFailProb is the probability a TraceCache acquire fails.
 	AcquireFailProb float64 `json:"acquire_fail_prob,omitempty"`
-
-	// FaultsPerSite bounds how many times one site faults: 0 means 1
-	// (a transient fault — the first attempt fails, a retry succeeds),
-	// a negative value means unbounded (a permanent fault that defeats
-	// every retry).
-	FaultsPerSite int `json:"faults_per_site,omitempty"`
 }
 
 // Enabled reports whether the plan injects anything at all: a zero
@@ -84,10 +80,10 @@ func (p Plan) Validate() error {
 
 // Counts reports the faults actually injected.
 type Counts struct {
-	CellPanics      int
-	CellErrors      int
-	SlowCells       int
-	AcquireFailures int
+	CellPanics       int
+	CellErrors       int
+	SlowCells        int
+	AcquireFailures  int
 	RecordsCorrupted int
 }
 
@@ -101,42 +97,22 @@ type Injector struct {
 	plan Plan
 
 	mu     sync.Mutex
-	fired  map[string]int
 	counts Counts
 }
 
 // New returns an injector for the plan.
 func New(plan Plan) *Injector {
-	return &Injector{plan: plan, fired: make(map[string]int)}
+	return &Injector{plan: plan}
 }
 
-// roll decides whether the (kind, site) pair faults now. The decision
-// whether a site is fault-prone is stateless and deterministic; the
-// per-site budget (FaultsPerSite) is the only state, so "fail once,
-// then succeed" retry scenarios are reproducible too.
+// roll decides whether the (kind, site) pair faults. The decision is
+// stateless and deterministic: a fault-prone site faults every time.
 func (in *Injector) roll(kind, site string, prob float64) bool {
-	if prob <= 0 {
-		return false
-	}
-	if stats.UnitFloat(stats.Hash64(in.plan.Seed, kind, site)) >= prob {
-		return false
-	}
-	limit := in.plan.FaultsPerSite
-	if limit == 0 {
-		limit = 1
-	}
-	key := kind + "\x00" + site
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if limit > 0 && in.fired[key] >= limit {
-		return false
-	}
-	in.fired[key]++
-	return true
+	return prob > 0 && stats.UnitFloat(stats.Hash64(in.plan.Seed, kind, site)) < prob
 }
 
 // CellHook matches harness.Options.CellHook: it runs at the start of
-// a sweep cell attempt and may panic, stall, or return an error.
+// a sweep cell and may panic, stall, or return an error.
 func (in *Injector) CellHook(config, workload string) error {
 	site := config + "/" + workload
 	if in.roll("panic", site, in.plan.CellPanicProb) {

@@ -36,7 +36,7 @@ func collectCellFaults(in *Injector) map[string]string {
 // every site; a different seed picks a different (non-empty,
 // non-identical) fault set.
 func TestInjectionIsDeterministic(t *testing.T) {
-	plan := Plan{Seed: 11, CellPanicProb: 0.3, CellErrorProb: 0.3, FaultsPerSite: -1}
+	plan := Plan{Seed: 11, CellPanicProb: 0.3, CellErrorProb: 0.3}
 	a := collectCellFaults(New(plan))
 	b := collectCellFaults(New(plan))
 	for site, kind := range a {
@@ -66,32 +66,6 @@ func TestInjectionIsDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("changing the seed changed nothing")
-	}
-}
-
-// TestFaultsPerSiteBudget: the default budget makes every fault
-// transient (first roll fires, the retry passes); a negative budget
-// makes faults permanent; a positive budget allows exactly that many.
-func TestFaultsPerSiteBudget(t *testing.T) {
-	countErrs := func(in *Injector, n int) int {
-		errs := 0
-		for i := 0; i < n; i++ {
-			if in.CellHook("cfg", "wl") != nil {
-				errs++
-			}
-		}
-		return errs
-	}
-	// Probability 1 guarantees the site is fault-prone; the budget is
-	// then the only variable.
-	if got := countErrs(New(Plan{Seed: 1, CellErrorProb: 1}), 5); got != 1 {
-		t.Errorf("default budget injected %d faults, want 1", got)
-	}
-	if got := countErrs(New(Plan{Seed: 1, CellErrorProb: 1, FaultsPerSite: 3}), 5); got != 3 {
-		t.Errorf("budget 3 injected %d faults, want 3", got)
-	}
-	if got := countErrs(New(Plan{Seed: 1, CellErrorProb: 1, FaultsPerSite: -1}), 5); got != 5 {
-		t.Errorf("permanent fault injected %d of 5", got)
 	}
 }
 
@@ -132,12 +106,11 @@ func TestCorruptRecordAlwaysChanges(t *testing.T) {
 	}
 }
 
-// TestConcurrentInjection: hooks race from many goroutines and the
-// budget still holds exactly — the injector is the one stateful piece
-// of the fault layer, so it must be safe under the sweep's worker
-// pool.
+// TestConcurrentInjection: hooks race from many goroutines, a
+// fault-prone site faults on every call, and the counts stay exact —
+// the injector must be safe under the sweep's worker pool.
 func TestConcurrentInjection(t *testing.T) {
-	in := New(Plan{Seed: 9, CellErrorProb: 1, FaultsPerSite: 7})
+	in := New(Plan{Seed: 9, CellErrorProb: 1})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -157,11 +130,11 @@ func TestConcurrentInjection(t *testing.T) {
 			fired++
 		}
 	}
-	if fired != 7 {
-		t.Errorf("budget 7 fired %d times under concurrency", fired)
+	if fired != 64 {
+		t.Errorf("fault-prone site fired %d of 64 times under concurrency", fired)
 	}
-	if in.Stats().CellErrors != 7 {
-		t.Errorf("CellErrors = %d, want 7", in.Stats().CellErrors)
+	if in.Stats().CellErrors != 64 {
+		t.Errorf("CellErrors = %d, want 64", in.Stats().CellErrors)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"entangling/internal/cache"
 	"entangling/internal/core"
@@ -145,28 +144,13 @@ type Options struct {
 	// in a shared cache once so repeat sweeps skip generation.
 	Traces *workload.TraceCache
 
-	// Retries is how many times a failed cell attempt is re-run before
-	// the cell is reported failed (0 = fail on first error). Canceled
-	// cells are never retried.
-	Retries int
-	// RetryBaseDelay is the backoff before the first retry; it doubles
-	// per further attempt with deterministic jitter. Zero retries
-	// immediately.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff growth (0 = 16x RetryBaseDelay).
-	RetryMaxDelay time.Duration
-	// CellTimeout bounds each cell attempt's wall-clock time; an
-	// attempt past its deadline is abandoned (and retried, if retries
-	// remain). Zero means no deadline.
-	CellTimeout time.Duration
-
-	// CellHook, when set, runs at the start of every cell attempt
-	// (fault injection in tests — see internal/faultinject). An error
-	// fails the attempt; a panic is recovered like any cell panic.
+	// CellHook, when set, runs at the start of every cell (fault
+	// injection in tests — see internal/faultinject). An error fails
+	// the cell; a panic is recovered like any cell panic.
 	CellHook func(config, workload string) error
 
 	// Progress, when set, observes every cell lifecycle transition of
-	// the sweep (started / retried / finished / failed / restored).
+	// the sweep (started / finished / failed / restored).
 	// Called concurrently from worker goroutines; see ProgressFunc.
 	Progress ProgressFunc
 
@@ -182,12 +166,10 @@ type Options struct {
 // DefaultOptions returns the paperfigs defaults.
 func DefaultOptions() Options {
 	return Options{
-		Warmup:         2_000_000,
-		Measure:        1_000_000,
-		PerCategory:    6,
-		Parallelism:    runtime.GOMAXPROCS(0),
-		Retries:        2,
-		RetryBaseDelay: 100 * time.Millisecond,
+		Warmup:      2_000_000,
+		Measure:     1_000_000,
+		PerCategory: 6,
+		Parallelism: runtime.GOMAXPROCS(0),
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"entangling/internal/cache"
 	"entangling/internal/oracle"
@@ -258,51 +257,5 @@ func TestMidSweepCancellation(t *testing.T) {
 	if completed+len(s.Failed) != len(specs)*len(cfgs) {
 		t.Errorf("cells unaccounted for: %d completed + %d failed != %d",
 			completed, len(s.Failed), len(specs)*len(cfgs))
-	}
-}
-
-// TestCellTimeoutRetries: a cell attempt past its deadline is
-// abandoned and retried; when the slowness was transient the retry
-// saves the cell.
-func TestCellTimeoutRetries(t *testing.T) {
-	specs := workload.CVPSuite(1)[:1]
-	cfgs := []Configuration{Baseline}
-	opt := metamorphicOptions()
-	// A tiny window keeps a clean attempt far below the deadline even
-	// under -race, where simulation runs an order of magnitude slower;
-	// the injected stall exceeds the deadline threefold, so which
-	// attempt trips it never depends on machine speed.
-	opt.Warmup, opt.Measure = 2_000, 2_000
-	opt.CellTimeout = 30 * time.Second
-	opt.Retries = 1
-	var calls int
-	opt.CellHook = func(config, wl string) error {
-		calls++
-		if calls == 1 {
-			time.Sleep(1500 * time.Millisecond) // transient stall
-		}
-		return nil
-	}
-
-	// A generous deadline lets every attempt through: the deadline path
-	// must be invisible to a healthy sweep.
-	if _, err := RunSuite(specs, cfgs, opt); err != nil {
-		t.Fatalf("healthy sweep tripped its deadline: %v", err)
-	}
-
-	// A deadline shorter than the injected stall kills attempt 1; the
-	// un-stalled retry completes within the same deadline.
-	calls = 0
-	opt.CellTimeout = 500 * time.Millisecond
-	opt.RetryBaseDelay = 0
-	s, err := RunSuite(specs, cfgs, opt)
-	if err != nil {
-		t.Fatalf("deadline retry did not save the cell: %v", err)
-	}
-	if calls != 2 {
-		t.Errorf("cell ran %d attempts, want 2", calls)
-	}
-	if _, ok := s.Runs[cfgs[0].Name][specs[0].Name]; !ok {
-		t.Error("saved cell missing from results")
 	}
 }

@@ -3,10 +3,10 @@ package harness
 import "time"
 
 // This file defines the sweep progress hook: a per-cell lifecycle
-// event stream emitted by RunSuiteCtx. Both interactive CLIs
-// (cmd/paperfigs -progress) and the job server's SSE endpoint
-// (internal/server) consume it, so long sweeps are observable while
-// they run instead of only after they finish.
+// event stream emitted by RunSuiteCtx. cmd/paperfigs -progress and
+// the benchmark's per-cell timings consume it, so long sweeps are
+// observable while they run instead of only after they finish. Every
+// cell ends in exactly one restored, finished or failed event.
 
 // CellEventType labels a cell lifecycle transition.
 type CellEventType string
@@ -16,16 +16,13 @@ const (
 	// CellRestored: the cell was served from the checkpoint store and
 	// never ran (Options.Resume).
 	CellRestored CellEventType = "restored"
-	// CellStarted: the cell's first attempt began.
+	// CellStarted: the cell began running.
 	CellStarted CellEventType = "started"
-	// CellRetried: a further attempt began after a failure (Attempt is
-	// the new 1-based attempt number).
-	CellRetried CellEventType = "retried"
 	// CellFinished: the cell completed and its result was recorded
 	// (and checkpointed, when a store is configured).
 	CellFinished CellEventType = "finished"
-	// CellFailed: the cell degraded to a *CellError after exhausting
-	// its attempts (or being canceled).
+	// CellFailed: the cell degraded to a *CellError (it failed, or
+	// was canceled).
 	CellFailed CellEventType = "failed"
 )
 
@@ -34,8 +31,6 @@ type CellEvent struct {
 	Type     CellEventType
 	Config   string
 	Workload string
-	// Attempt is the 1-based attempt number; 0 for restored cells.
-	Attempt int
 	// Duration is the cell's wall-clock time so far; set on finished
 	// and failed events.
 	Duration time.Duration

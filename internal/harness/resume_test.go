@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"entangling/internal/faultinject"
+	"entangling/internal/stats"
 	"entangling/internal/workload"
 )
 
@@ -58,14 +61,13 @@ func TestResumeDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Interrupted run: permanent injected faults kill a
+				// Interrupted run: injected faults kill a
 				// deterministic, seed-dependent subset of cells; the
 				// survivors land in the checkpoint store.
 				inj := faultinject.New(faultinject.Plan{
 					Seed:          seed,
 					CellPanicProb: 0.25,
 					CellErrorProb: 0.25,
-					FaultsPerSite: -1, // permanent: retries cannot save the cell
 				})
 				opt := base
 				opt.Parallelism = par
@@ -213,45 +215,58 @@ func TestResumeIgnoresForeignWindows(t *testing.T) {
 	}
 }
 
-// TestCellRetryRecoversTransientFault: a transient injected fault
-// (one shot per site) must be absorbed by the retry loop and leave a
-// clean sweep, identical to an unfaulted one.
-func TestCellRetryRecoversTransientFault(t *testing.T) {
-	specs, cfgs, opt := resumeSuite()
-	clean, err := RunSuite(specs, cfgs, opt)
-	if err != nil {
-		t.Fatal(err)
+// TestFailedCellRunsOnce: under the default options a failing cell
+// runs exactly once and degrades to its *CellError at once — no
+// re-run, no backoff sleep.
+func TestFailedCellRunsOnce(t *testing.T) {
+	specs := workload.CVPSuite(1)[:2]
+	cfgs := []Configuration{Baseline, {Name: "nextline", Prefetcher: "nextline"}}
+	opt := DefaultOptions()
+	opt.Warmup, opt.Measure = 2_000, 2_000
+	var mu sync.Mutex
+	calls := make(map[string]int)
+	var failedFor []time.Duration
+	opt.CellHook = func(config, wl string) error {
+		mu.Lock()
+		calls[config+"/"+wl]++
+		mu.Unlock()
+		return errors.New("hook always fails")
 	}
-	want := suiteMetricsBytes(t, clean)
-
-	inj := faultinject.New(faultinject.Plan{
-		Seed:          3,
-		CellPanicProb: 0.3,
-		CellErrorProb: 0.3,
-		FaultsPerSite: 1, // transient: the retry runs fault-free
-	})
-	faulty := opt
-	faulty.Retries = 2
-	faulty.RetryBaseDelay = 0 // immediate retry keeps the test fast
-	faulty.CellHook = inj.CellHook
-	s, err := RunSuite(specs, cfgs, faulty)
-	if err != nil {
-		t.Fatalf("transient faults leaked through retries: %v", err)
+	opt.Progress = func(ev CellEvent) {
+		if ev.Type == CellFailed {
+			mu.Lock()
+			failedFor = append(failedFor, ev.Duration)
+			mu.Unlock()
+		}
 	}
-	if inj.Stats().Total() == 0 {
-		t.Fatal("injector never fired")
+	s, err := RunSuite(specs, cfgs, opt)
+	if err == nil {
+		t.Fatal("expected every cell to fail")
 	}
-	if got := suiteMetricsBytes(t, s); !bytes.Equal(got, want) {
-		t.Error("retried sweep differs from unfaulted run")
+	if len(s.Failed) != len(specs)*len(cfgs) {
+		t.Fatalf("%d failed cells, want %d", len(s.Failed), len(specs)*len(cfgs))
+	}
+	for _, c := range cfgs {
+		for _, sp := range specs {
+			if n := calls[c.Name+"/"+sp.Name]; n != 1 {
+				t.Errorf("cell %s/%s ran %d times, want 1", c.Name, sp.Name, n)
+			}
+		}
+	}
+	// The hook fails in microseconds; a cell that took 100 ms slept.
+	for _, d := range failedFor {
+		if d >= 100*time.Millisecond {
+			t.Errorf("failed cell took %v: the sweep slept before giving up", d)
+		}
 	}
 }
 
-// TestCellErrorsArePermanentWithoutRetries: with Retries 0 the same
-// faults degrade to named cell errors carrying ErrCellPanic where the
-// injector panicked, and the aggregate error format stays stable.
-func TestCellErrorsArePermanentWithoutRetries(t *testing.T) {
+// TestCellFaultsDegradeToNamedErrors: injected faults degrade to
+// named cell errors carrying ErrCellPanic where the injector panicked,
+// and the aggregate error format stays stable.
+func TestCellFaultsDegradeToNamedErrors(t *testing.T) {
 	specs, cfgs, opt := resumeSuite()
-	inj := faultinject.New(faultinject.Plan{Seed: 3, CellPanicProb: 0.3, CellErrorProb: 0.3, FaultsPerSite: -1})
+	inj := faultinject.New(faultinject.Plan{Seed: 3, CellPanicProb: 0.3, CellErrorProb: 0.3})
 	opt.CellHook = inj.CellHook
 	s, err := RunSuite(specs, cfgs, opt)
 	if err == nil {
@@ -282,35 +297,72 @@ func TestCellErrorsArePermanentWithoutRetries(t *testing.T) {
 	}
 }
 
-// TestAcquireFaultIsRetryable: an injected TraceCache acquire failure
-// behaves like any transient cell fault — retried to success, and the
-// cache's refcounting still converges to an empty cache.
-func TestAcquireFaultIsRetryable(t *testing.T) {
+// TestAcquireFaultFailsTraceCells: an injected TraceCache acquire
+// failure fails exactly the cells of the fault-rolled traces, each
+// cell error wraps the injected error, and the cache's refcounting
+// still converges to an empty cache.
+func TestAcquireFaultFailsTraceCells(t *testing.T) {
 	specs, cfgs, opt := resumeSuite()
-	clean, err := RunSuite(specs, cfgs, opt)
-	if err != nil {
-		t.Fatal(err)
+	plan := faultinject.Plan{Seed: 5, AcquireFailProb: 0.5}
+	rolled := make(map[string]bool)
+	for _, sp := range specs {
+		rolled[sp.Name] = stats.UnitFloat(stats.Hash64(plan.Seed, "acquire", sp.Name)) < plan.AcquireFailProb
 	}
-	want := suiteMetricsBytes(t, clean)
 
-	inj := faultinject.New(faultinject.Plan{Seed: 5, AcquireFailProb: 0.5, FaultsPerSite: 1})
+	inj := faultinject.New(plan)
+	var mu sync.Mutex
+	injected := make(map[error]string) // injected error -> trace name
 	cache := workload.NewTraceCache()
-	cache.SetAcquireHook(inj.AcquireHook)
-	faulty := opt
-	faulty.Traces = cache
-	faulty.Retries = 1
-	s, err := RunSuite(specs, cfgs, faulty)
-	if err != nil {
-		t.Fatalf("acquire faults leaked through retries: %v", err)
+	cache.SetAcquireHook(func(name string, n uint64) error {
+		err := inj.AcquireHook(name, n)
+		if err != nil {
+			mu.Lock()
+			injected[err] = name
+			mu.Unlock()
+		}
+		return err
+	})
+	opt.Traces = cache
+	s, err := RunSuite(specs, cfgs, opt)
+	if err == nil {
+		t.Fatal("expected acquire failures")
 	}
-	if inj.Stats().AcquireFailures == 0 {
-		t.Fatal("injector never fired")
+
+	wantFailed := 0
+	for _, sp := range specs {
+		if rolled[sp.Name] {
+			wantFailed += len(cfgs)
+		}
 	}
-	if got := suiteMetricsBytes(t, s); !bytes.Equal(got, want) {
-		t.Error("sweep with acquire faults differs from clean run")
+	if wantFailed == 0 || wantFailed == len(specs)*len(cfgs) {
+		t.Fatalf("seed %d rolls a degenerate fault set (%d failing cells)", plan.Seed, wantFailed)
 	}
-	// A hook-failed Acquire consumes no use, so the extra Acquire+Release
-	// of each retried cell must still drain the cache.
+	if len(s.Failed) != wantFailed {
+		t.Fatalf("%d cells failed, want %d", len(s.Failed), wantFailed)
+	}
+	if got := inj.Stats().AcquireFailures; got != wantFailed {
+		t.Errorf("%d acquire failures injected, want one per failing cell (%d)", got, wantFailed)
+	}
+	for _, ce := range s.Failed {
+		wraps := false
+		for ierr, name := range injected {
+			if name == ce.Workload && errors.Is(ce, ierr) {
+				wraps = true
+			}
+		}
+		if !wraps {
+			t.Errorf("cell error does not wrap its injected acquire failure: %v", ce)
+		}
+	}
+	for _, c := range cfgs {
+		for _, sp := range specs {
+			if _, ok := s.Runs[c.Name][sp.Name]; ok == rolled[sp.Name] {
+				t.Errorf("cell %s/%s: has result %v, trace fault-rolled %v", c.Name, sp.Name, ok, rolled[sp.Name])
+			}
+		}
+	}
+	// A hook-failed Acquire takes no reference, so the cache must still
+	// drain.
 	if _, _, resident := cache.CacheStats(); resident != 0 {
 		t.Errorf("%d traces leaked in the cache", resident)
 	}

@@ -46,17 +46,12 @@ var ErrCellPanic = errors.New("cell panicked")
 type CellError struct {
 	Config   string
 	Workload string
-	// Attempts is how many times the cell ran (1 without retries).
-	Attempts int
-	// Err is the final attempt's failure; unwrappable, so
-	// errors.Is(err, ErrCellPanic) etc. see through the cell context.
+	// Err is the cell's failure; unwrappable, so errors.Is(err,
+	// ErrCellPanic) etc. see through the cell context.
 	Err error
 }
 
 func (e *CellError) Error() string {
-	if e.Attempts > 1 {
-		return fmt.Sprintf("cell %s/%s (after %d attempts): %v", e.Config, e.Workload, e.Attempts, e.Err)
-	}
 	return fmt.Sprintf("cell %s/%s: %v", e.Config, e.Workload, e.Err)
 }
 
@@ -73,7 +68,7 @@ func RunSuite(specs []workload.Spec, cfgs []Configuration, opt Options) (*SuiteR
 }
 
 // RunSuiteCtx executes every configuration over every workload with
-// cooperative cancellation and per-cell fault tolerance.
+// cooperative cancellation and per-cell fault isolation.
 //
 // Each workload's instruction stream is materialized once in a shared
 // trace cache and reused read-only by every configuration: the sweep
@@ -83,13 +78,11 @@ func RunSuite(specs []workload.Spec, cfgs []Configuration, opt Options) (*SuiteR
 // its last configuration finishes — resident traces stay proportional
 // to the worker count, not the suite size.
 //
-// A cell that panics, errors, or exceeds Options.CellTimeout is
-// retried up to Options.Retries times (exponential backoff with
-// deterministic jitter) and then degrades to a named *CellError in the
-// returned partial SuiteResults — one bad cell no longer throws away
-// every completed cell. Canceling ctx abandons the remaining cells
-// with ErrCellCanceled, which is distinguishable from genuine
-// failures. With Options.Checkpoint every completed cell is persisted
+// Every cell runs exactly once. A cell that panics or errors degrades
+// to a named *CellError in the returned partial SuiteResults — one bad
+// cell does not throw away every completed cell. Canceling ctx
+// abandons the remaining cells with ErrCellCanceled, which is
+// distinguishable from genuine failures. With Options.Checkpoint every completed cell is persisted
 // crash-safely, and Options.Resume reuses valid records so an
 // interrupted sweep re-runs only its missing cells.
 //
@@ -262,90 +255,61 @@ func (r *suiteRunner) cellDone(spec workload.Spec) {
 	}
 }
 
-// runCell runs one cell to completion: attempts with panic recovery
-// and deadline enforcement, bounded retries with jittered exponential
-// backoff between them, and checkpointing of the final result. The
-// returned *CellError (nil on success) carries the cell name, the
-// attempt count and the final cause.
+// runCell runs one cell exactly once: the simulation (with panic
+// recovery), then checkpointing of its result. The returned
+// *CellError (nil on success) carries the cell name and the cause. A
+// failed cell is not re-run: the simulation is deterministic, so it
+// would fail again the same way.
 func (r *suiteRunner) runCell(ctx context.Context, cfg Configuration, spec workload.Spec) (RunResult, *CellError) {
-	maxAttempts := r.opt.Retries + 1
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
 	start := time.Now()
-	fail := func(attempts int, err error) (RunResult, *CellError) {
-		cerr := &CellError{Config: cfg.Name, Workload: spec.Name, Attempts: attempts, Err: err}
+	fail := func(err error) (RunResult, *CellError) {
+		cerr := &CellError{Config: cfg.Name, Workload: spec.Name, Err: err}
 		r.opt.Progress.emit(CellEvent{
 			Type: CellFailed, Config: cfg.Name, Workload: spec.Name,
-			Attempt: attempts, Duration: time.Since(start), Err: cerr,
+			Duration: time.Since(start), Err: cerr,
 		})
 		return RunResult{}, cerr
 	}
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fail(attempt-1, fmt.Errorf("%w: %v", ErrCellCanceled, err))
+	if err := ctx.Err(); err != nil {
+		return fail(fmt.Errorf("%w: %v", ErrCellCanceled, err))
+	}
+	r.opt.Progress.emit(CellEvent{Type: CellStarted, Config: cfg.Name, Workload: spec.Name})
+	res, err := r.execCell(ctx, cfg, spec)
+	if err != nil {
+		return fail(err)
+	}
+	if r.opt.Checkpoint != nil {
+		rec := CellRecord{
+			SchemaVersion: CheckpointSchemaVersion,
+			Fingerprint:   CellFingerprint(cfg, spec, r.opt.Warmup, r.opt.Measure),
+			Config:        cfg.Name,
+			Workload:      spec.Name,
+			Result:        res,
 		}
-		if attempt == 1 {
-			r.opt.Progress.emit(CellEvent{
-				Type: CellStarted, Config: cfg.Name, Workload: spec.Name, Attempt: attempt,
-			})
-		} else {
-			r.opt.Progress.emit(CellEvent{
-				Type: CellRetried, Config: cfg.Name, Workload: spec.Name, Attempt: attempt,
-			})
-		}
-		res, err := r.attemptCell(ctx, cfg, spec)
-		if err == nil {
-			if r.opt.Checkpoint != nil {
-				rec := CellRecord{
-					SchemaVersion: CheckpointSchemaVersion,
-					Fingerprint:   CellFingerprint(cfg, spec, r.opt.Warmup, r.opt.Measure),
-					Config:        cfg.Name,
-					Workload:      spec.Name,
-					Result:        res,
-				}
-				if serr := r.opt.Checkpoint.Save(rec); serr != nil {
-					// A result that cannot be persisted would silently
-					// re-run after a crash; fail loudly instead.
-					return fail(attempt, fmt.Errorf("checkpointing result: %w", serr))
-				}
-			}
-			r.opt.Progress.emit(CellEvent{
-				Type: CellFinished, Config: cfg.Name, Workload: spec.Name,
-				Attempt: attempt, Duration: time.Since(start),
-			})
-			return res, nil
-		}
-		if errors.Is(err, ErrCellCanceled) {
-			return fail(attempt, err)
-		}
-		if attempt >= maxAttempts {
-			return fail(attempt, err)
-		}
-		if !sleepCtx(ctx, retryDelay(r.opt, cfg.Name, spec.Name, attempt)) {
-			return fail(attempt, fmt.Errorf("%w: %v", ErrCellCanceled, ctx.Err()))
+		if serr := r.opt.Checkpoint.Save(rec); serr != nil {
+			// A result that cannot be persisted would silently re-run
+			// after a crash; fail loudly instead.
+			return fail(fmt.Errorf("checkpointing result: %w", serr))
 		}
 	}
+	r.opt.Progress.emit(CellEvent{
+		Type: CellFinished, Config: cfg.Name, Workload: spec.Name,
+		Duration: time.Since(start),
+	})
+	return res, nil
 }
 
-// attemptCell runs one attempt of a cell. Panics anywhere in the cell
-// — the fault hook, trace materialization, the simulation itself — are
-// recovered into ErrCellPanic; a parent-context cancellation comes
-// back as ErrCellCanceled; everything else (including a blown
-// CellTimeout deadline) is an ordinary, retryable failure.
-func (r *suiteRunner) attemptCell(ctx context.Context, cfg Configuration, spec workload.Spec) (res RunResult, err error) {
+// execCell simulates one cell. Panics anywhere in the cell — the fault
+// hook, trace materialization, the simulation itself — are recovered
+// into ErrCellPanic; a context error comes back as ErrCellCanceled;
+// anything else is the cell's own failure.
+func (r *suiteRunner) execCell(ctx context.Context, cfg Configuration, spec workload.Spec) (res RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: %v", ErrCellPanic, p)
 		}
 	}()
 
-	cellCtx := ctx
-	if r.opt.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		cellCtx, cancel = context.WithTimeout(ctx, r.opt.CellTimeout)
-		defer cancel()
-	}
 	if r.opt.CellHook != nil {
 		if herr := r.opt.CellHook(cfg.Name, spec.Name); herr != nil {
 			return RunResult{}, herr
@@ -362,59 +326,14 @@ func (r *suiteRunner) attemptCell(ctx context.Context, cfg Configuration, spec w
 	r.holdTrace(spec)
 	defer r.cache.Release(spec, r.traceLen)
 
-	res, rerr := RunTraceCtx(cellCtx, cfg, spec, tr, r.opt.Warmup, r.opt.Measure)
+	res, rerr := RunTraceCtx(ctx, cfg, spec, tr, r.opt.Warmup, r.opt.Measure)
 	if rerr != nil {
 		if ctx.Err() != nil {
 			return RunResult{}, fmt.Errorf("%w: %v", ErrCellCanceled, ctx.Err())
 		}
-		// cellCtx expired on its own: a deadline failure, retryable.
 		return RunResult{}, rerr
 	}
 	return res, nil
-}
-
-// retryDelay returns the bounded, jittered exponential backoff before
-// retrying a cell whose attempt-th try failed. The jitter is a
-// deterministic function of the cell and attempt (see internal/stats),
-// so sweep timing has no hidden randomness.
-func retryDelay(opt Options, config, wl string, attempt int) time.Duration {
-	base := opt.RetryBaseDelay
-	if base <= 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := base << uint(shift)
-	maxDelay := opt.RetryMaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 16 * base
-	}
-	if d > maxDelay {
-		d = maxDelay
-	}
-	// Jitter in [0, d/2]: decorrelates retry bursts across cells
-	// without exceeding 1.5x the nominal backoff.
-	span := uint64(d)/2 + 1
-	j := time.Duration(stats.Hash64(uint64(attempt), config, wl) % span)
-	return d + j
-}
-
-// sleepCtx sleeps for d unless ctx fires first; it reports whether the
-// full sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // baselineFor returns the baseline run for a workload (the "no"

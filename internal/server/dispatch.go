@@ -50,8 +50,8 @@ type cellResult struct {
 // still waiting on. The resolver is safe for concurrent use.
 type resolver struct {
 	// base is the harness.Options every run starts from: the shared
-	// trace cache, the checkpoint store (also the durable tier read
-	// before running) and the per-cell fault tolerance policy.
+	// trace cache and the checkpoint store (also the durable tier read
+	// before running).
 	base harness.Options
 
 	mu      sync.Mutex
@@ -60,8 +60,8 @@ type resolver struct {
 	flights map[string]*flight
 }
 
-// newResolver builds a resolver over base; the windows, progress and
-// fault hook are filled in per cell.
+// newResolver builds a resolver over base; the windows and fault hook
+// are filled in per cell.
 func newResolver(base harness.Options) *resolver {
 	base.Parallelism = 1
 	return &resolver{
@@ -73,11 +73,10 @@ func newResolver(base harness.Options) *resolver {
 
 // simulate runs one cell that missed every cache tier as a one-cell
 // sweep, checkpointing it inside the harness when a store is set. The
-// context is detached from any single subscriber; progress streams the
-// run's lifecycle events to every subscriber.
-func (x *resolver) simulate(ctx context.Context, cell cellSpec, progress func(harness.CellEvent)) (harness.RunResult, *harness.CellError) {
+// context is detached from any single subscriber.
+func (x *resolver) simulate(ctx context.Context, cell cellSpec) (harness.RunResult, *harness.CellError) {
 	opt := x.base
-	opt.Warmup, opt.Measure, opt.Progress = cell.Warmup, cell.Measure, progress
+	opt.Warmup, opt.Measure = cell.Warmup, cell.Measure
 	if cell.Plan != nil {
 		opt.CellHook = faultinject.New(*cell.Plan).CellHook
 	}

@@ -18,7 +18,6 @@ const (
 	EventJobQueued    = "job.queued"
 	EventJobStarted   = "job.started"
 	EventCellStarted  = "cell.started"
-	EventCellRetried  = "cell.retried"
 	EventCellFinished = "cell.finished"
 	EventCellFailed   = "cell.failed"
 	EventJobDone      = "job.done"
@@ -42,8 +41,6 @@ type Event struct {
 	// Cell identity, set on cell.* events.
 	Config   string `json:"config,omitempty"`
 	Workload string `json:"workload,omitempty"`
-	// Attempt is the 1-based attempt number on cell.retried.
-	Attempt int `json:"attempt,omitempty"`
 	// Source says where a cell.finished result came from.
 	Source string `json:"source,omitempty"`
 	// ElapsedMS is the cell's wall-clock on cell.finished/cell.failed.

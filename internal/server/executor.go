@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"entangling/internal/faultinject"
 	"entangling/internal/harness"
@@ -28,45 +27,10 @@ type flight struct {
 	// (nobody wants the answer anymore).
 	subscribers int
 	cancel      context.CancelFunc
-
-	// listeners fan run progress events (retries) out to the
-	// subscribed jobs' event logs.
-	lmu       sync.Mutex
-	listeners map[int]func(harness.CellEvent)
-	nextLis   int
 }
 
-func (f *flight) addListener(fn func(harness.CellEvent)) int {
-	f.lmu.Lock()
-	defer f.lmu.Unlock()
-	id := f.nextLis
-	f.nextLis++
-	f.listeners[id] = fn
-	return id
-}
-
-func (f *flight) dropListener(id int) {
-	f.lmu.Lock()
-	delete(f.listeners, id)
-	f.lmu.Unlock()
-}
-
-func (f *flight) broadcast(ev harness.CellEvent) {
-	f.lmu.Lock()
-	fns := make([]func(harness.CellEvent), 0, len(f.listeners))
-	for _, fn := range f.listeners {
-		fns = append(fns, fn)
-	}
-	f.lmu.Unlock()
-	for _, fn := range fns {
-		fn(ev)
-	}
-}
-
-// resolve obtains the cell's result for one subscriber. The progress
-// callback receives the lifecycle events of a live run this subscriber
-// is attached to (retries, for the event stream); it may be nil.
-func (x *resolver) resolve(ctx context.Context, cell cellSpec, progress func(harness.CellEvent)) cellResult {
+// resolve obtains the cell's result for one subscriber.
+func (x *resolver) resolve(ctx context.Context, cell cellSpec) cellResult {
 	canceledOutcome := func() cellResult {
 		return cellResult{Err: &harness.CellError{
 			Config: cell.Config.Name, Workload: cell.Workload.Name,
@@ -98,26 +62,16 @@ func (x *resolver) resolve(ctx context.Context, cell cellSpec, progress func(har
 		if created {
 			go x.runFlight(f, key, cell)
 		}
-		var lis int
-		if progress != nil {
-			lis = f.addListener(progress)
-		}
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			if progress != nil {
-				f.dropListener(lis)
-			}
 			x.leaveFlight(key, f)
 			return canceledOutcome()
-		}
-		if progress != nil {
-			f.dropListener(lis)
 		}
 		x.leaveFlight(key, f)
 		if f.err != nil && f.err.Canceled() && ctx.Err() == nil {
 			// The flight died with its initiator's cancellation, not
-			// ours: retry — the next loop starts (or joins) a fresh
+			// ours: loop — the next pass starts (or joins) a fresh
 			// flight, or hits the cache if a racer finished it.
 			continue
 		}
@@ -151,11 +105,7 @@ func (x *resolver) joinFlight(key string) (f *flight, created bool) {
 		f.subscribers++
 		return f, false
 	}
-	f = &flight{
-		done:      make(chan struct{}),
-		listeners: make(map[int]func(harness.CellEvent)),
-	}
-	f.subscribers = 1
+	f = &flight{done: make(chan struct{}), subscribers: 1}
 	x.flights[key] = f
 	return f, true
 }
@@ -201,7 +151,7 @@ func (x *resolver) runFlight(f *flight, key string, cell cellSpec) {
 		cancel()
 	}
 
-	res, cerr := x.simulate(ctx, cell, f.broadcast)
+	res, cerr := x.simulate(ctx, cell)
 	if cerr != nil {
 		f.err = cerr
 	} else {

@@ -31,6 +31,15 @@ func terminalState(s string) bool {
 	return false
 }
 
+// rerunnable reports whether the job ended without a complete result
+// (failed, degraded or canceled), so an identical submission runs it
+// again instead of deduping onto it.
+func (j *job) rerunnable() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return terminalState(j.state) && j.state != StateCompleted
+}
+
 // CellCounts summarizes how a job's cells resolved.
 type CellCounts struct {
 	Total int `json:"total"`
@@ -47,7 +56,6 @@ type CellCounts struct {
 type FailedCell struct {
 	Config   string `json:"config"`
 	Workload string `json:"workload"`
-	Attempts int    `json:"attempts"`
 	Error    string `json:"error"`
 	Canceled bool   `json:"canceled"`
 }
@@ -217,7 +225,6 @@ func (j *job) recordFailure(cerr *harness.CellError, elapsedMS int64) {
 	fc := FailedCell{
 		Config:   cerr.Config,
 		Workload: cerr.Workload,
-		Attempts: cerr.Attempts,
 		Error:    cerr.Error(),
 		Canceled: cerr.Canceled(),
 	}
@@ -229,7 +236,7 @@ func (j *job) recordFailure(cerr *harness.CellError, elapsedMS int64) {
 	j.mu.Unlock()
 	j.log.append(Event{
 		Type: EventCellFailed, Config: fc.Config, Workload: fc.Workload,
-		Attempt: fc.Attempts, Error: fc.Error, ElapsedMS: elapsedMS,
+		Error: fc.Error, ElapsedMS: elapsedMS,
 		Done: done, Total: total,
 	})
 }

@@ -116,11 +116,11 @@ func mixOps(trace []byte) map[string]mixOp {
 			_, _, err = waitState(ctx, ln, req, server.StateCompleted)
 			return err
 		},
-		// A permanent injected error fails the granted tenant's job;
+		// An injected error fails the granted tenant's job;
 		// the other tenant's fault plan is refused outright.
 		"faults": func(ctx context.Context, ln *mixLane, round int) error {
 			req := server.JobRequest{Configurations: []string{"no"}, Workloads: []string{"fp-00"}, Warmup: unique(ln, round, 2), Measure: mixMeasure,
-				FaultPlan: &faultinject.Plan{Seed: 7, CellErrorProb: 1, FaultsPerSite: -1}}
+				FaultPlan: &faultinject.Plan{Seed: 7, CellErrorProb: 1}}
 			if !ln.granted {
 				_, err := ln.cl.Submit(ctx, req)
 				var apiErr *client.APIError

@@ -65,12 +65,6 @@ type Config struct {
 	// MaxTraceBytes caps one trace upload body (default 128 MiB).
 	MaxTraceBytes int64
 
-	// Retries, RetryBaseDelay and CellTimeout are the per-cell fault
-	// tolerance policy (see harness.Options).
-	Retries        int
-	RetryBaseDelay time.Duration
-	CellTimeout    time.Duration
-
 	// AllowFaults permits fault_plan in submissions (testing only).
 	AllowFaults bool
 
@@ -233,13 +227,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
-	s.resolver = newResolver(harness.Options{
-		Traces:         s.traces,
-		Checkpoint:     store,
-		Retries:        cfg.Retries,
-		RetryBaseDelay: cfg.RetryBaseDelay,
-		CellTimeout:    cfg.CellTimeout,
-	})
+	s.resolver = newResolver(harness.Options{Traces: s.traces, Checkpoint: store})
 	return s, nil
 }
 
@@ -336,24 +324,14 @@ func (s *Server) runJob(j *job) {
 func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec, lease *traceLease) {
 	j.log.append(Event{Type: EventCellStarted, Config: cfg.Name, Workload: spec.Name})
 	start := time.Now()
-	fp := j.spec.fingerprints[cfg.Name][spec.Name]
-
-	progress := func(ev harness.CellEvent) {
-		if ev.Type == harness.CellRetried {
-			j.log.append(Event{
-				Type: EventCellRetried, Config: ev.Config, Workload: ev.Workload,
-				Attempt: ev.Attempt,
-			})
-		}
-	}
 	out := s.resolver.resolve(j.ctx, cellSpec{
 		Config:      cfg,
 		Workload:    spec,
 		Warmup:      j.spec.warmup,
 		Measure:     j.spec.measure,
-		Fingerprint: fp,
+		Fingerprint: j.spec.fingerprints[cfg.Name][spec.Name],
 		Plan:        j.spec.plan,
-	}, progress)
+	})
 	elapsed := time.Since(start).Milliseconds()
 	if out.Source == SourceSimulated || out.Source == SourceShared {
 		// A live in-process simulation just materialized (or reused)
@@ -405,7 +383,9 @@ func (s *Server) countTerminal(j *job) {
 
 // submit admits a resolved job, deduplicating by content address.
 // The returned bool reports whether the job already existed; a nil
-// job with errFull means the queue rejected the submission.
+// job with errFull means the queue rejected the submission. A
+// remembered job that ended failed, degraded or canceled is replaced
+// by a fresh admission: resubmitting is how a client re-runs it.
 var errQueueFull = fmt.Errorf("server: job queue full")
 var errDraining = fmt.Errorf("server: draining, not admitting jobs")
 
@@ -417,9 +397,10 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 	}
 
 	s.mu.Lock()
-	if existing, ok := s.jobs[spec.id]; ok {
+	prev := s.jobs[spec.id]
+	if prev != nil && !prev.rerunnable() {
 		if owner != nil {
-			existing.addOwner(owner.t.Name)
+			prev.addOwner(owner.t.Name)
 			owner.countDeduped()
 		}
 		// The hit makes the job the newest remembered one, so pruning
@@ -428,7 +409,7 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 		s.jobOrder = append(s.jobOrder, spec.id)
 		s.mu.Unlock()
 		s.stats.inc(&s.stats.jobsDeduped)
-		return existing, true, nil
+		return prev, true, nil
 	}
 	tier := 0
 	if owner != nil {
@@ -446,6 +427,13 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 		j.payer = owner
 		j.addOwner(owner.t.Name)
 	}
+	if prev != nil {
+		// Tenants that could read the dead job keep access to its ID.
+		for _, name := range prev.ownerNames() {
+			j.addOwner(name)
+		}
+		s.dropJobOrderLocked(spec.id)
+	}
 	s.jobs[spec.id] = j
 	s.jobOrder = append(s.jobOrder, spec.id)
 	s.mu.Unlock()
@@ -453,10 +441,15 @@ func (s *Server) submit(spec *jobSpec, owner *tenantState) (*job, bool, error) {
 	if !s.queue.push(j, tier) {
 		// Queue full: withdraw the registration entirely (so a retry
 		// after Retry-After is a fresh submission, not a dedupe hit on
-		// a job that will never run) and refund the quota charge.
+		// a job that will never run), put back the dead job it was
+		// replacing, and refund the quota charge.
 		s.mu.Lock()
 		delete(s.jobs, spec.id)
 		s.dropJobOrderLocked(spec.id)
+		if prev != nil {
+			s.jobs[spec.id] = prev
+			s.jobOrder = append(s.jobOrder, spec.id)
+		}
 		s.mu.Unlock()
 		if owner != nil {
 			owner.refundAdmission(spec.cellCount())

@@ -460,7 +460,7 @@ func TestServerQueueFull429(t *testing.T) {
 	d := submitOK(t, ts, JobRequest{Configurations: []string{"no"}, Workloads: []string{"int-00"}, Warmup: testWarmup, Measure: testMeasure})
 	waitResult(t, ts, d.ID)
 
-	slow := &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond, FaultsPerSite: -1}
+	slow := &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}
 	mkReq := func(measure uint64) JobRequest {
 		return JobRequest{
 			Configurations: []string{"no"},
@@ -513,7 +513,7 @@ func TestServerCancelMidJob(t *testing.T) {
 	cfg.AllowFaults = true
 	s, ts := startTestServer(t, cfg)
 
-	slow := &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond, FaultsPerSite: -1}
+	slow := &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}
 	sr := submitOK(t, ts, JobRequest{
 		Configurations: []string{"no"},
 		Workloads:      []string{"crypto-00", "int-00"},
@@ -541,12 +541,14 @@ func TestServerCancelMidJob(t *testing.T) {
 	}
 }
 
+// TestServerFaultPlanDegradedResult: injected errors degrade a job to
+// typed per-cell failures, and resubmitting the degraded job runs it
+// again instead of deduping onto it — the surviving cells come back
+// from the result cache, the injected ones fail again.
 func TestServerFaultPlanDegradedResult(t *testing.T) {
 	cfg := testConfig()
 	cfg.AllowFaults = true
-	// FaultsPerSite: -1 makes the injected errors permanent, so the
-	// default retry policy cannot mask them.
-	_, ts := startTestServer(t, cfg)
+	s, ts := startTestServer(t, cfg)
 
 	// Pick a seed whose deterministic error rolls fail some — but not
 	// all — of the sweep's cells, using the same (seed, kind, site)
@@ -574,13 +576,14 @@ func TestServerFaultPlanDegradedResult(t *testing.T) {
 		t.Fatalf("no seed yields a mixed outcome")
 	}
 
-	sr := submitOK(t, ts, JobRequest{
+	req := JobRequest{
 		Configurations: cfgNames,
 		Workloads:      wlNames,
 		Warmup:         testWarmup,
 		Measure:        testMeasure,
-		FaultPlan:      &faultinject.Plan{Seed: seed, CellErrorProb: prob, FaultsPerSite: -1},
-	})
+		FaultPlan:      &faultinject.Plan{Seed: seed, CellErrorProb: prob},
+	}
+	sr := submitOK(t, ts, req)
 	doc, _ := waitResult(t, ts, sr.ID)
 	if doc.State != StateDegraded {
 		t.Fatalf("expected degraded, got %q: %+v", doc.State, doc)
@@ -589,7 +592,7 @@ func TestServerFaultPlanDegradedResult(t *testing.T) {
 		t.Fatalf("failed cells = %d (%d typed), want %d", doc.Cells.Failed, len(doc.FailedCells), wantFailed)
 	}
 	for _, f := range doc.FailedCells {
-		if f.Canceled || f.Attempts < 1 || !strings.Contains(f.Error, "injected error") {
+		if f.Canceled || !strings.Contains(f.Error, "injected error") {
 			t.Fatalf("typed failure malformed: %+v", f)
 		}
 	}
@@ -600,6 +603,40 @@ func TestServerFaultPlanDegradedResult(t *testing.T) {
 	}
 	if doc.MetricsSHA256 == "" {
 		t.Fatalf("degraded result missing metrics fingerprint")
+	}
+
+	status, body := postJob(t, ts, req)
+	if status != http.StatusAccepted {
+		t.Fatalf("resubmitting a degraded job: status %d, want 202 (%s)", status, body)
+	}
+	var again submitResponse
+	if err := json.Unmarshal(body, &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.Deduped || again.ID != sr.ID {
+		t.Fatalf("resubmission must re-run the same job ID, got %+v", again)
+	}
+	doc2, _ := waitResult(t, ts, again.ID)
+	survivors := len(cfgNames)*len(wlNames) - wantFailed
+	if doc2.State != StateDegraded || doc2.Cells.Failed != wantFailed ||
+		doc2.Cells.CacheMemory != survivors || doc2.Cells.Simulated != 0 {
+		t.Fatalf("re-run: state %q cells %+v, want %d failed and %d from cache_memory",
+			doc2.State, doc2.Cells, wantFailed, survivors)
+	}
+	failedBefore := make(map[string]string)
+	for _, f := range doc.FailedCells {
+		failedBefore[f.Config+"/"+f.Workload] = f.Error
+	}
+	for _, f := range doc2.FailedCells {
+		if want, ok := failedBefore[f.Config+"/"+f.Workload]; !ok || f.Error != want {
+			t.Fatalf("re-run failure %+v, want one of the first run's %+v", f, doc.FailedCells)
+		}
+	}
+	if got := atomic.LoadUint64(&s.stats.jobsSubmitted); got != 2 {
+		t.Errorf("jobsSubmitted = %d, want 2", got)
+	}
+	if got := atomic.LoadUint64(&s.stats.jobsDeduped); got != 0 {
+		t.Errorf("jobsDeduped = %d, want 0", got)
 	}
 }
 
@@ -684,23 +721,31 @@ func TestServerRequestValidation(t *testing.T) {
 		name string
 		body []byte
 		want int
+		// names, when set, must appear in the error body.
+		names string
 	}{
-		{"unknown configuration", mustJSON(JobRequest{Configurations: []string{"bogus"}, Workloads: good.Workloads, Measure: testMeasure}), 400},
-		{"empty workloads", mustJSON(JobRequest{Configurations: good.Configurations, Measure: testMeasure}), 400},
-		{"zero measure", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads}), 400},
-		{"duplicate workload", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: []string{"crypto-00", "crypto-00"}, Measure: testMeasure}), 400},
-		{"too many cells", mustJSON(JobRequest{Configurations: []string{"no", "nextline", "ideal"}, Workloads: []string{"crypto-00", "int-00"}, Measure: testMeasure}), 400},
-		{"unknown field", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"surprise":1}`), 400},
-		{"trailing data", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000}{}`), 400},
+		{"unknown configuration", mustJSON(JobRequest{Configurations: []string{"bogus"}, Workloads: good.Workloads, Measure: testMeasure}), 400, ""},
+		{"empty workloads", mustJSON(JobRequest{Configurations: good.Configurations, Measure: testMeasure}), 400, ""},
+		{"zero measure", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads}), 400, ""},
+		{"duplicate workload", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: []string{"crypto-00", "crypto-00"}, Measure: testMeasure}), 400, ""},
+		{"too many cells", mustJSON(JobRequest{Configurations: []string{"no", "nextline", "ideal"}, Workloads: []string{"crypto-00", "int-00"}, Measure: testMeasure}), 400, ""},
+		{"unknown field", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"surprise":1}`), 400, ""},
+		{"trailing data", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000}{}`), 400, ""},
 		{"fault plan disabled", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads, Measure: testMeasure,
-			FaultPlan: &faultinject.Plan{Seed: 1, CellErrorProb: 1}}), 400},
-		{"not json", []byte("entangle me"), 400},
+			FaultPlan: &faultinject.Plan{Seed: 1, CellErrorProb: 1}}), 400, ""},
+		{"acquire faults", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads, Measure: testMeasure,
+			FaultPlan: &faultinject.Plan{Seed: 1, AcquireFailProb: 0.5}}), 400, "acquire_fail_prob"},
+		{"not json", []byte("entangle me"), 400, ""},
 		{"oversized body", mustJSON(JobRequest{Configurations: good.Configurations,
-			Workloads: []string{strings.Repeat("w", 600)}, Measure: testMeasure}), 413},
+			Workloads: []string{strings.Repeat("w", 600)}, Measure: testMeasure}), 413, ""},
 	}
 	for _, tc := range cases {
-		if status, body := post(tc.body); status != tc.want {
+		status, body := post(tc.body)
+		if status != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, status, tc.want, body)
+		}
+		if tc.names != "" && (!strings.Contains(string(body), tc.names) || !strings.Contains(string(body), ReasonBadRequest)) {
+			t.Errorf("%s: error body %s does not name %q with reason %s", tc.name, body, tc.names, ReasonBadRequest)
 		}
 	}
 

@@ -492,7 +492,7 @@ func TestFaultPlanRequiresGrant(t *testing.T) {
 	_, ts := startTestServer(t, cfg)
 
 	req := smallJob(400)
-	req.FaultPlan = &faultinject.Plan{Seed: 7, CellErrorProb: 1, FaultsPerSite: 0}
+	req.FaultPlan = &faultinject.Plan{Seed: 7, CellErrorProb: 1}
 	b, _ := json.Marshal(req)
 
 	status, body := doAs(t, ts, bronzeKey, "POST", "/v1/jobs", b)
@@ -560,7 +560,7 @@ func TestTenantRejectionCounters(t *testing.T) {
 	}
 
 	slow := JobRequest{Configurations: []string{"no"}, Workloads: []string{"srv-00"}, Warmup: testWarmup, Measure: testMeasure,
-		FaultPlan: &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond, FaultsPerSite: -1}}
+		FaultPlan: &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}}
 	body := func(req JobRequest) []byte { b, _ := json.Marshal(req); return b }
 	trace := encodeWalkerTrace(t, 300)
 	var acmeJob string

@@ -5,9 +5,9 @@ import "hash/fnv"
 // SplitMix64 is the standard 64-bit finalizer mix: a bijective
 // avalanche function whose output is uniformly distributed for any
 // input sequence. It is the repository's primitive for deterministic,
-// seed-driven decisions (retry jitter, fault-injection rolls) — unlike
-// math/rand it has no global state, so two computations of the same
-// input always agree regardless of goroutine scheduling.
+// seed-driven decisions (fault-injection rolls and record corruption)
+// — unlike math/rand it has no global state, so two computations of
+// the same input always agree regardless of goroutine scheduling.
 func SplitMix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
