@@ -20,8 +20,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -32,7 +30,6 @@ func main() {
 	var cfg server.Config
 	var (
 		tenantsFile = flag.String("tenants-file", "", "tenant config JSON; switches the server to authenticated multi-tenant mode with quotas and priority tiers")
-		tierWeights = flag.String("tier-weights", "", "override tier weights, e.g. gold=100,silver=10,bronze=1")
 		leakCheck   = flag.Bool("leak-check", false, "after a clean drain, fail (exit 1, stacks dumped) unless goroutines return to the startup baseline")
 	)
 	flag.StringVar(&cfg.Addr, "addr", ":8080", "listen address (use :0 for an ephemeral port)")
@@ -57,14 +54,6 @@ func main() {
 		}
 		cfg.Tenants = &tc
 	}
-	if *tierWeights != "" {
-		tw, err := parseTierWeights(*tierWeights)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		cfg.TierWeights = tw
-	}
 
 	baseline := runtime.NumGoroutine()
 
@@ -82,30 +71,6 @@ func main() {
 		}
 		log.Printf("leak-check: clean (goroutines back at startup baseline)")
 	}
-}
-
-// parseTierWeights parses "gold=100,silver=10" into a weight map.
-func parseTierWeights(s string) (map[string]int, error) {
-	tw := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("-tier-weights: %q is not name=weight", part)
-		}
-		w, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("-tier-weights: tier %q needs a positive integer weight", name)
-		}
-		tw[strings.TrimSpace(name)] = w
-	}
-	if len(tw) == 0 {
-		return nil, fmt.Errorf("-tier-weights: no tiers parsed")
-	}
-	return tw, nil
 }
 
 // auditGoroutines waits for the process to settle back to its startup

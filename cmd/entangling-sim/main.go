@@ -89,7 +89,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		*base = false // no baseline rerun for file traces (reader is single-pass)
 	} else {
 		var spec entangling.WorkloadSpec
 		spec, err = resolveWorkload(*wl, *seed)
@@ -99,58 +98,30 @@ func main() {
 		name = spec.Name
 		category = string(spec.Params.Category)
 
-		var store *harness.CheckpointStore
+		cfgs := []entangling.Configuration{cfg}
+		if *base && *pf != "no" {
+			cfgs = append(cfgs, entangling.Configuration{Name: "no", Physical: *phys})
+		}
+		opt := harness.Options{
+			Warmup: *warmup, Measure: *measure, Parallelism: 1, Resume: *resume,
+			Progress: func(ev harness.CellEvent) {
+				if ev.Type == harness.CellRestored {
+					fmt.Fprintf(os.Stderr, "resumed %s/%s from checkpoint\n", ev.Config, ev.Workload)
+				}
+			},
+		}
 		if *checkpoint != "" {
-			store, err = harness.OpenCheckpointStore(*checkpoint)
-			if err != nil {
+			if opt.Checkpoint, err = harness.OpenCheckpointStore(*checkpoint); err != nil {
 				fatal(err)
 			}
 		}
-		// runCell funnels every simulation through the checkpoint store
-		// when one is named: -resume reuses a valid matching record,
-		// and every fresh result is persisted crash-safely.
-		runCell := func(c entangling.Configuration) (entangling.Results, error) {
-			if store == nil {
-				return entangling.Run(c, spec, *warmup, *measure)
-			}
-			fp := harness.CellFingerprint(c, spec, *warmup, *measure)
-			if *resume {
-				if rec, ok, lerr := store.Load(fp); lerr != nil {
-					return entangling.Results{}, lerr
-				} else if ok && rec.Config == c.Name && rec.Workload == spec.Name {
-					fmt.Fprintf(os.Stderr, "resumed %s/%s from checkpoint\n", c.Name, spec.Name)
-					return rec.Result.R, nil
-				}
-			}
-			res, rerr := entangling.Run(c, spec, *warmup, *measure)
-			if rerr != nil {
-				return res, rerr
-			}
-			rec := harness.CellRecord{
-				SchemaVersion: harness.CheckpointSchemaVersion,
-				Fingerprint:   fp,
-				Config:        c.Name,
-				Workload:      spec.Name,
-				Result: harness.RunResult{
-					Config: c.Name, Workload: spec.Name,
-					Category: spec.Params.Category, R: res,
-				},
-			}
-			if serr := store.Save(rec); serr != nil {
-				return res, serr
-			}
-			return res, nil
-		}
-
-		r, err = runCell(cfg)
+		suite, err := harness.RunSuite([]entangling.WorkloadSpec{spec}, cfgs, opt)
 		if err != nil {
 			fatal(err)
 		}
-		if *base && *pf != "no" {
-			b, err := runCell(entangling.Configuration{Name: "no", Physical: *phys})
-			if err != nil {
-				fatal(err)
-			}
+		r = suite.Runs[cfg.Name][spec.Name].R
+		if len(cfgs) > 1 {
+			b := suite.Runs["no"][spec.Name].R
 			baseline = &b
 		}
 	}

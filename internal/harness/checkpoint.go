@@ -7,19 +7,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 
+	"entangling/internal/blob"
 	"entangling/internal/workload"
 )
 
 // This file implements the sweep checkpoint store. A long sweep is a
 // cross-product of cells, each expensive and each independently
 // deterministic; the store persists every completed cell as its own
-// crash-safe record (write-temp + rename, checksummed payload) keyed
-// by a fingerprint of everything that determines the cell's result.
+// crash-safe record (an internal/blob file with a checksummed payload)
+// keyed by a fingerprint of everything that determines the cell's result.
 // An interrupted figure regeneration resumed with the same store
 // re-runs only the missing cells and reproduces the uninterrupted
 // sweep byte-for-byte — the differential tests in resume_test.go hold
@@ -141,16 +139,13 @@ func DecodeCellRecord(data []byte) (CellRecord, error) {
 }
 
 // CheckpointStore persists cell records in a directory, one file per
-// fingerprint. Saves are atomic (write temp, rename), so a process
-// killed mid-save leaves at worst a stale .tmp file and never a
-// half-written record; corrupt records found at load are quarantined
-// (renamed aside) so their cells re-run instead of poisoning results.
-// Safe for concurrent use by a sweep's workers.
+// fingerprint, under the durability contract of internal/blob: a
+// record Save reported committed survives a crash or power loss, and
+// a corrupt record found at load is quarantined so its cell re-runs
+// instead of poisoning results. Safe for concurrent use, also by
+// several stores (or processes) sharing one directory.
 type CheckpointStore struct {
-	dir string
-
-	mu          sync.Mutex
-	quarantined int
+	blobs *blob.Store
 }
 
 // OpenCheckpointStore opens (creating if needed) a store at dir.
@@ -158,147 +153,79 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 	if dir == "" {
 		return nil, errors.New("harness: checkpoint directory must be named")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	b, err := blob.Open(dir)
+	if err != nil {
 		return nil, fmt.Errorf("harness: opening checkpoint store: %w", err)
 	}
-	return &CheckpointStore{dir: dir}, nil
+	return &CheckpointStore{blobs: b}, nil
 }
 
 // Dir returns the store's directory.
-func (s *CheckpointStore) Dir() string { return s.dir }
+func (s *CheckpointStore) Dir() string { return s.blobs.Dir() }
 
-func (s *CheckpointStore) path(fingerprint string) string {
-	return filepath.Join(s.dir, fingerprint+".ckpt")
-}
-
-// ErrCheckpointConflict reports a Save whose fingerprint already holds
-// a valid record with different bytes. Cells are deterministic over
-// their fingerprint, so two disagreeing records for one fingerprint
-// mean corruption or nondeterminism somewhere — silently letting the
-// last writer win would poison every later resume with whichever
-// version happened to land second. Test with errors.Is.
-var ErrCheckpointConflict = errors.New("conflicting checkpoint record for fingerprint")
-
-// Save atomically and durably persists rec: the bytes are fsynced
-// before the rename and the directory is fsynced after it, so a record
-// Save reported committed survives power loss, not just process crash.
-// A failed Save removes its temp file — the store never accumulates
-// .tmp litter on error paths.
+// Save atomically and durably persists rec as <fingerprint>.ckpt.
 //
 // Save is idempotent under concurrency: saving a record identical to
 // the one already stored is a no-op success (the job server keeps a
 // fault-plan flight and a clean flight of the same fingerprint apart,
-// so both can finish the cell and save it), while saving different bytes
-// over a valid existing record fails with ErrCheckpointConflict. A
-// corrupt or undecodable existing record is simply replaced — it was
-// never going to resume anyway.
+// so both can finish the cell and save it), while saving different
+// bytes over a valid existing record fails with blob.ErrConflict:
+// cells are deterministic over their fingerprint, so disagreeing
+// records mean corruption or nondeterminism, and letting the last
+// writer win would poison every later resume. A corrupt existing
+// record is quarantined and replaced — it was never going to resume.
 func (s *CheckpointStore) Save(rec CellRecord) error {
 	b, err := EncodeCellRecord(rec)
 	if err != nil {
 		return err
 	}
-	final := s.path(rec.Fingerprint)
-	tmp := final + ".tmp"
-
-	// Serialize same-store saves so the compare-then-commit below is
-	// atomic with respect to this process; cross-process racers fall
-	// back on the rename's atomicity (identical bytes commute, and a
-	// conflicting racer is caught by whichever writer checks second).
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, rerr := os.ReadFile(final); rerr == nil {
-		if bytes.Equal(existing, b) {
-			return nil
-		}
-		if _, derr := DecodeCellRecord(existing); derr == nil {
-			return fmt.Errorf("harness: %w %s", ErrCheckpointConflict, rec.Fingerprint)
-		}
-		// Existing record is corrupt: replace it.
+	verify := func(old []byte) error {
+		_, err := decodeStored(rec.Fingerprint, old)
+		return err
 	}
-	if err := writeFileSync(tmp, b); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("harness: writing checkpoint: %w", err)
+	if err := s.blobs.Put(rec.Fingerprint+".ckpt", b, verify); err != nil {
+		return fmt.Errorf("harness: saving checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("harness: committing checkpoint: %w", err)
-	}
-	syncDir(s.dir)
 	return nil
 }
 
-// writeFileSync writes data to name and fsyncs it before closing, so
-// the bytes are on stable storage when it returns.
-func writeFileSync(name string, data []byte) error {
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
+// decodeStored decodes a record stored under fingerprint; a valid
+// record of another fingerprint (a hand-renamed file) is an error.
+func decodeStored(fingerprint string, b []byte) (CellRecord, error) {
+	rec, err := DecodeCellRecord(b)
+	if err == nil && rec.Fingerprint != fingerprint {
+		err = fmt.Errorf("harness: checkpoint record of %s stored as %s", rec.Fingerprint, fingerprint)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return rec, err
 }
 
-// syncDir fsyncs a directory so a just-committed rename in it is
-// durable. Best-effort: some platforms and filesystems reject fsync on
-// directories, and the rename's atomicity does not depend on it.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
+// Load returns the checkpointed result of the cell named config x
+// workload, stored under its fingerprint. A missing record, or one
+// saved for another cell, is (zero, false, nil). A corrupt record, or
+// one of another fingerprint, is quarantined — renamed to
+// <fingerprint>.ckpt.bad — and reported as missing, so the cell
+// re-runs; it is never silently merged.
+func (s *CheckpointStore) Load(fingerprint, config, workload string) (RunResult, bool, error) {
+	var rec CellRecord
+	_, ok, err := s.blobs.Get(fingerprint+".ckpt", func(b []byte) (err error) {
+		rec, err = decodeStored(fingerprint, b)
+		return err
+	})
 	if err != nil {
-		return
+		return RunResult{}, false, fmt.Errorf("harness: loading checkpoint: %w", err)
 	}
-	_ = d.Sync()
-	_ = d.Close()
-}
-
-// Load returns the record stored for fingerprint, if any. A missing
-// record is (zero, false, nil). A corrupt or mismatched record is
-// quarantined — renamed to <fingerprint>.ckpt.bad — and reported as
-// missing, so the cell re-runs; it is never silently merged.
-func (s *CheckpointStore) Load(fingerprint string) (CellRecord, bool, error) {
-	b, err := os.ReadFile(s.path(fingerprint))
-	if errors.Is(err, os.ErrNotExist) {
-		return CellRecord{}, false, nil
+	if !ok || rec.Config != config || rec.Workload != workload {
+		return RunResult{}, false, nil
 	}
-	if err != nil {
-		return CellRecord{}, false, fmt.Errorf("harness: reading checkpoint: %w", err)
-	}
-	rec, derr := DecodeCellRecord(b)
-	if derr != nil || rec.Fingerprint != fingerprint {
-		s.quarantine(fingerprint)
-		return CellRecord{}, false, nil
-	}
-	return rec, true, nil
-}
-
-func (s *CheckpointStore) quarantine(fingerprint string) {
-	s.mu.Lock()
-	s.quarantined++
-	s.mu.Unlock()
-	// Best-effort: a failed rename leaves the corrupt file in place,
-	// where the next Load will quarantine it again.
-	_ = os.Rename(s.path(fingerprint), s.path(fingerprint)+".bad")
+	return rec.Result, true, nil
 }
 
 // Quarantined reports how many corrupt records this store has set
 // aside since it was opened.
-func (s *CheckpointStore) Quarantined() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarantined
-}
+func (s *CheckpointStore) Quarantined() int { return s.blobs.Quarantined() }
 
 // Count returns the number of resident (valid-named) records.
 func (s *CheckpointStore) Count() (int, error) {
-	matches, err := filepath.Glob(filepath.Join(s.dir, "*.ckpt"))
-	if err != nil {
-		return 0, err
-	}
-	return len(matches), nil
+	names, err := s.blobs.List(".ckpt")
+	return len(names), err
 }

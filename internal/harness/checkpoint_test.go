@@ -2,12 +2,15 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"entangling/internal/blob"
 	"entangling/internal/faultinject"
 	"entangling/internal/workload"
 )
@@ -84,18 +87,21 @@ func TestCheckpointStoreSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := sampleRecord()
-	if _, ok, err := store.Load(rec.Fingerprint); ok || err != nil {
+	if _, ok, err := store.Load(rec.Fingerprint, rec.Config, rec.Workload); ok || err != nil {
 		t.Fatalf("empty store Load = ok %v, err %v", ok, err)
 	}
 	if err := store.Save(rec); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := store.Load(rec.Fingerprint)
+	got, ok, err := store.Load(rec.Fingerprint, rec.Config, rec.Workload)
 	if err != nil || !ok {
 		t.Fatalf("Load after Save: ok %v, err %v", ok, err)
 	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Errorf("loaded record differs:\ngot  %+v\nwant %+v", got, rec)
+	if !reflect.DeepEqual(got, rec.Result) {
+		t.Errorf("loaded record differs:\ngot  %+v\nwant %+v", got, rec.Result)
+	}
+	if _, ok, err := store.Load(rec.Fingerprint, "other-config", rec.Workload); ok || err != nil {
+		t.Errorf("record of another cell matched: ok %v, err %v", ok, err)
 	}
 	if n, err := store.Count(); err != nil || n != 1 {
 		t.Errorf("Count = %d, %v", n, err)
@@ -150,7 +156,7 @@ func TestCheckpointStoreSaveErrorLeavesNoTemp(t *testing.T) {
 	if err := store.Save(rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := store.Load(rec.Fingerprint); !ok || err != nil {
+	if _, ok, err := store.Load(rec.Fingerprint, rec.Config, rec.Workload); !ok || err != nil {
 		t.Fatalf("Load after recovered Save: ok %v, err %v", ok, err)
 	}
 	noTemps("successful save")
@@ -182,7 +188,7 @@ func TestCheckpointStoreQuarantinesCorruption(t *testing.T) {
 			if err := os.WriteFile(path, corrupt(valid), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, ok, err := store.Load(rec.Fingerprint)
+			_, ok, err := store.Load(rec.Fingerprint, rec.Config, rec.Workload)
 			if err != nil {
 				t.Fatalf("corrupt record surfaced an error instead of quarantine: %v", err)
 			}
@@ -199,7 +205,7 @@ func TestCheckpointStoreQuarantinesCorruption(t *testing.T) {
 			if err := store.Save(rec); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok, _ := store.Load(rec.Fingerprint); !ok {
+			if _, ok, _ := store.Load(rec.Fingerprint, rec.Config, rec.Workload); !ok {
 				t.Error("re-saved record not loadable")
 			}
 		})
@@ -222,7 +228,7 @@ func TestCheckpointStoreRejectsForeignFingerprint(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(store.Dir(), other+".ckpt"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := store.Load(other); ok {
+	if _, ok, _ := store.Load(other, rec.Config, rec.Workload); ok {
 		t.Fatal("record accepted under a foreign fingerprint")
 	}
 	if store.Quarantined() != 1 {
@@ -319,12 +325,12 @@ func TestCheckpointStoreSaveIdempotent(t *testing.T) {
 	if n, err := store.Count(); err != nil || n != 1 {
 		t.Errorf("Count after %d identical saves = %d, %v", savers, n, err)
 	}
-	got, ok, err := store.Load(rec.Fingerprint)
+	got, ok, err := store.Load(rec.Fingerprint, rec.Config, rec.Workload)
 	if err != nil || !ok {
 		t.Fatalf("Load: ok %v, err %v", ok, err)
 	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Errorf("record damaged by concurrent saves:\ngot  %+v\nwant %+v", got, rec)
+	if !reflect.DeepEqual(got, rec.Result) {
+		t.Errorf("record damaged by concurrent saves:\ngot  %+v\nwant %+v", got, rec.Result)
 	}
 	if tmps, _ := filepath.Glob(filepath.Join(store.Dir(), "*.tmp")); len(tmps) != 0 {
 		t.Errorf("stale temp files: %v", tmps)
@@ -333,7 +339,7 @@ func TestCheckpointStoreSaveIdempotent(t *testing.T) {
 
 // TestCheckpointStoreSaveConflict: a Save whose fingerprint already
 // holds a valid record with *different* bytes must fail with
-// ErrCheckpointConflict and leave the original record untouched —
+// blob.ErrConflict and leave the original record untouched —
 // disagreeing results for one deterministic cell are evidence of
 // corruption, never something to paper over by overwriting.
 func TestCheckpointStoreSaveConflict(t *testing.T) {
@@ -348,15 +354,15 @@ func TestCheckpointStoreSaveConflict(t *testing.T) {
 	altered := rec
 	altered.Result.R.Cycles++ // same fingerprint, different result bytes
 	err = store.Save(altered)
-	if !errors.Is(err, ErrCheckpointConflict) {
-		t.Fatalf("conflicting Save error = %v, want ErrCheckpointConflict", err)
+	if !errors.Is(err, blob.ErrConflict) {
+		t.Fatalf("conflicting Save error = %v, want blob.ErrConflict", err)
 	}
-	got, ok, lerr := store.Load(rec.Fingerprint)
+	got, ok, lerr := store.Load(rec.Fingerprint, rec.Config, rec.Workload)
 	if lerr != nil || !ok {
 		t.Fatalf("Load after conflict: ok %v, err %v", ok, lerr)
 	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Errorf("conflicting Save modified the stored record:\ngot  %+v\nwant %+v", got, rec)
+	if !reflect.DeepEqual(got, rec.Result) {
+		t.Errorf("conflicting Save modified the stored record:\ngot  %+v\nwant %+v", got, rec.Result)
 	}
 }
 
@@ -376,11 +382,87 @@ func TestCheckpointStoreSaveReplacesCorrupt(t *testing.T) {
 	if err := store.Save(rec); err != nil {
 		t.Fatalf("Save over corrupt record: %v", err)
 	}
-	got, ok, lerr := store.Load(rec.Fingerprint)
+	got, ok, lerr := store.Load(rec.Fingerprint, rec.Config, rec.Workload)
 	if lerr != nil || !ok {
 		t.Fatalf("Load after replacing corruption: ok %v, err %v", ok, lerr)
 	}
-	if !reflect.DeepEqual(got, rec) {
-		t.Errorf("replaced record differs:\ngot  %+v\nwant %+v", got, rec)
+	if !reflect.DeepEqual(got, rec.Result) {
+		t.Errorf("replaced record differs:\ngot  %+v\nwant %+v", got, rec.Result)
+	}
+}
+
+// TestCheckpointStoreSharedDirConcurrentSave: two stores on one
+// directory (two processes resuming into one checkpoint directory)
+// save the same records concurrently; every Save must succeed.
+func TestCheckpointStoreSharedDirConcurrentSave(t *testing.T) {
+	dir := t.TempDir()
+	var stores [2]*CheckpointStore
+	for i := range stores {
+		s, err := OpenCheckpointStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	failures := 0
+	for round := 0; round < 200; round++ {
+		rec := sampleRecord()
+		rec.Fingerprint = fmt.Sprintf("%032x", round)
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i, s := range stores {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = s.Save(rec)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				failures++
+				t.Logf("round %d: %v", round, err)
+			}
+		}
+	}
+	if failures != 0 {
+		t.Fatalf("%d of 400 concurrent identical saves failed", failures)
+	}
+	if n, err := stores[0].Count(); err != nil || n != 200 {
+		t.Errorf("Count = %d, %v; want 200", n, err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("stale temp files: %v", tmps)
+	}
+}
+
+// TestCheckpointStoreReadsExistingRecords: a record written by an
+// earlier build of the store (testdata/checkpoint-v3 holds its exact
+// bytes and name) loads unchanged, and saving the same record over it
+// is a no-op: the on-disk format is stable across store rewrites.
+func TestCheckpointStoreReadsExistingRecords(t *testing.T) {
+	rec := sampleRecord()
+	name := rec.Fingerprint + ".ckpt"
+	b, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v3", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := store.Load(rec.Fingerprint, rec.Config, rec.Workload)
+	if err != nil || !ok {
+		t.Fatalf("Load of an existing record: ok %v, err %v", ok, err)
+	}
+	if !reflect.DeepEqual(got, rec.Result) {
+		t.Errorf("existing record decoded differently:\ngot  %+v\nwant %+v", got, rec.Result)
+	}
+	if err := store.Save(rec); err != nil {
+		t.Errorf("re-saving the existing record: %v", err)
 	}
 }

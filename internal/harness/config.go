@@ -275,11 +275,9 @@ func machineFor(cfg Configuration, salt uint64,
 	}
 	if cfg.Prefetcher != "" && cfg.Prefetcher != "no" {
 		name := cfg.Prefetcher
-		var perr error
 		mc.Prefetcher = func(is prefetch.Issuer) prefetch.Prefetcher {
 			pf, err := prefetch.New(name, is)
 			if err != nil {
-				perr = err
 				return prefetch.NewNone(is)
 			}
 			return pf
@@ -288,7 +286,6 @@ func machineFor(cfg Configuration, salt uint64,
 		if _, err := prefetch.New(name, nopIssuer{}); err != nil {
 			return nil, err
 		}
-		_ = perr
 	}
 	mc.ExtraL1IListener = extraListener
 	mc.BranchHook = branchHook

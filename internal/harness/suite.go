@@ -105,12 +105,12 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 		for _, s := range specs {
 			for _, c := range cfgs {
 				fp := CellFingerprint(c, s, opt.Warmup, opt.Measure)
-				rec, ok, err := opt.Checkpoint.Load(fp)
+				res, ok, err := opt.Checkpoint.Load(fp, c.Name, s.Name)
 				if err != nil {
-					return out, fmt.Errorf("harness: loading checkpoint: %w", err)
+					return out, err
 				}
-				if ok && rec.Config == c.Name && rec.Workload == s.Name {
-					out.Runs[c.Name][s.Name] = rec.Result
+				if ok {
+					out.Runs[c.Name][s.Name] = res
 					restored[c.Name+"/"+s.Name] = true
 					out.Restored++
 					opt.Progress.emit(CellEvent{

@@ -49,10 +49,9 @@ func (x *resolver) resolve(ctx context.Context, cell cellSpec) cellResult {
 		// 2. Durable checkpoint store: a warm restart serves repeat
 		// jobs from here with zero re-simulation.
 		if store := x.base.Checkpoint; store != nil {
-			if rec, ok, err := store.Load(cell.Fingerprint); err == nil && ok &&
-				rec.Config == cell.Config.Name && rec.Workload == cell.Workload.Name {
-				x.memPut(cell.Fingerprint, rec.Result)
-				return cellResult{Result: rec.Result, Source: SourceCacheStore}
+			if res, ok, err := store.Load(cell.Fingerprint, cell.Config.Name, cell.Workload.Name); err == nil && ok {
+				x.memPut(cell.Fingerprint, res)
+				return cellResult{Result: res, Source: SourceCacheStore}
 			}
 		}
 		// 3. Singleflight: join the in-progress run, or start it.

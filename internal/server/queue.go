@@ -75,23 +75,6 @@ func (q *tierQueue) pop() (*job, bool) {
 	panic("server: tierQueue size/tier bookkeeping out of sync")
 }
 
-// remove withdraws a specific job (queue-full submission rollback).
-// It reports whether the job was still queued.
-func (q *tierQueue) remove(j *job) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for t := range q.tiers {
-		for i, cand := range q.tiers[t] {
-			if cand == j {
-				q.tiers[t] = append(q.tiers[t][:i], q.tiers[t][i+1:]...)
-				q.size--
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // close stops admission and wakes every blocked pop.
 func (q *tierQueue) close() {
 	q.mu.Lock()

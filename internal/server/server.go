@@ -78,9 +78,6 @@ type Config struct {
 	// priority tier. Nil runs the server open (single-tenant, no
 	// auth) — the pre-tenancy behavior.
 	Tenants *TenantsConfig
-	// TierWeights overrides tier weights from the tenants config
-	// (the -tier-weights flag); nil keeps the configured weights.
-	TierWeights map[string]int
 
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
@@ -205,12 +202,8 @@ func New(cfg Config) (*Server, error) {
 		if err := cfg.Tenants.Validate(); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		tt, err := newTenants(*cfg.Tenants, cfg.TierWeights, cfg.clock)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.tenants = tt
-		tiers = tt.tierCount()
+		s.tenants = newTenants(*cfg.Tenants, cfg.clock)
+		tiers = s.tenants.tierCount()
 	}
 	s.queue = newTierQueue(cfg.QueueCapacity, tiers)
 	if cfg.TraceDir != "" {

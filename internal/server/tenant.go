@@ -240,9 +240,7 @@ type tenants struct {
 }
 
 // newTenants builds the runtime table from a validated config.
-// tierWeights, when non-nil, overrides the config's tier weights
-// (the -tier-weights flag).
-func newTenants(cfg TenantsConfig, tierWeights map[string]int, now func() time.Time) (*tenants, error) {
+func newTenants(cfg TenantsConfig, now func() time.Time) *tenants {
 	if now == nil {
 		now = time.Now
 	}
@@ -251,21 +249,6 @@ func newTenants(cfg TenantsConfig, tierWeights map[string]int, now func() time.T
 		tiers = DefaultTiers()
 	}
 	tiers = append([]TierSpec(nil), tiers...)
-	for name, w := range tierWeights {
-		if w <= 0 {
-			return nil, fmt.Errorf("tenants: tier %q: weight %d must be positive", name, w)
-		}
-		found := false
-		for i := range tiers {
-			if tiers[i].Name == name {
-				tiers[i].Weight = w
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("tenants: -tier-weights names unknown tier %q", name)
-		}
-	}
 	// Higher weight drains first; equal weights keep declaration order.
 	sort.SliceStable(tiers, func(i, j int) bool { return tiers[i].Weight > tiers[j].Weight })
 
@@ -294,7 +277,7 @@ func newTenants(cfg TenantsConfig, tierWeights map[string]int, now func() time.T
 		ts.byKey[t.Key] = st
 		ts.byName[t.Name] = st
 	}
-	return ts, nil
+	return ts
 }
 
 // lookup authenticates an API key.

@@ -65,8 +65,8 @@ func FuzzTenantsConfigDecode(f *testing.F) {
 			seenKey[tn.Key] = true
 		}
 		// …usable to build a server…
-		if _, err := newTenants(cfg, nil, nil); err != nil {
-			t.Fatalf("validated config rejected by newTenants: %v", err)
+		if ts := newTenants(cfg, nil); len(ts.byName) != len(cfg.Tenants) {
+			t.Fatalf("newTenants built %d of %d tenants", len(ts.byName), len(cfg.Tenants))
 		}
 		// …and round-trippable: re-marshaling a validated config and
 		// re-parsing it must accept and agree.

@@ -12,7 +12,7 @@ import (
 // TestTraceUploadDisconnectLeavesNoResidue is the regression test for
 // the /v1/traces ingest path under client disconnects: a tenant whose
 // connection dies mid-upload must leave nothing behind — no staged
-// ingest-*.tmp file in the trace directory, no charged trace-bytes
+// *.tmp file in the trace directory, no charged trace-bytes
 // quota, and no effect on later uploads. The handler streams the body
 // straight into trace.Store.Put, whose deferred cleanup removes the
 // staging file on any error path; this pins that contract from the

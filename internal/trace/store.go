@@ -7,11 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
+
+	"entangling/internal/blob"
 )
 
 // This file is the durable home of uploaded traces: a content-addressed
@@ -41,26 +38,26 @@ type TraceInfo struct {
 	Format string `json:"format"`
 }
 
-// Store is a content-addressed directory of validated traces. Safe
-// for concurrent use.
+// Store is a content-addressed directory of validated traces: each
+// trace is an ENTRACE1 payload <id>.trace plus a JSON sidecar
+// <id>.json, both written under the durability contract of
+// internal/blob. Safe for concurrent use, also by several stores (or
+// processes) sharing one directory.
 type Store struct {
-	dir string
-	mu  sync.Mutex
+	blobs *blob.Store
 }
 
 // OpenStore opens (creating if needed) a trace store rooted at dir.
 func OpenStore(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	b, err := blob.Open(dir)
+	if err != nil {
 		return nil, fmt.Errorf("trace: opening store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{blobs: b}, nil
 }
 
 // Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) tracePath(id string) string { return filepath.Join(s.dir, id+".trace") }
-func (s *Store) metaPath(id string) string  { return filepath.Join(s.dir, id+".json") }
+func (s *Store) Dir() string { return s.blobs.Dir() }
 
 // validID gates every ID used in a path: exactly a lowercase SHA-256
 // hex string, so a hostile ID cannot traverse out of the store.
@@ -87,20 +84,18 @@ var ErrUnknownTrace = errors.New("trace: unknown trace id")
 // Re-uploading existing content is an idempotent dedupe hit, reported
 // via the second return.
 func (s *Store) Put(r io.Reader, format string, lim Limits) (TraceInfo, bool, error) {
-	tmp, err := os.CreateTemp(s.dir, "ingest-*.tmp")
+	tmp, err := s.blobs.Create()
 	if err != nil {
 		return TraceInfo{}, false, fmt.Errorf("trace: staging upload: %w", err)
 	}
-	defer func() {
-		tmp.Close()
-		os.Remove(tmp.Name())
-	}()
+	defer tmp.Discard()
 
 	// The payload is re-encoded through Writer in both paths, so the
 	// stored bytes are canonical (uncompressed, minimal deltas) and
 	// the content address is independent of the upload's compression.
 	h := sha256.New()
-	out := io.MultiWriter(tmp, h)
+	var size byteCount
+	out := io.MultiWriter(tmp, h, &size)
 
 	var count uint64
 	switch format {
@@ -118,39 +113,48 @@ func (s *Store) Put(r io.Reader, format string, lim Limits) (TraceInfo, bool, er
 		return TraceInfo{}, false, fmt.Errorf("trace: unknown upload format %q", format)
 	}
 
-	if err := tmp.Sync(); err != nil {
-		return TraceInfo{}, false, fmt.Errorf("trace: staging upload: %w", err)
-	}
-	size, err := tmp.Seek(0, io.SeekEnd)
-	if err != nil {
-		return TraceInfo{}, false, fmt.Errorf("trace: staging upload: %w", err)
-	}
 	info := TraceInfo{
 		ID:           hex.EncodeToString(h.Sum(nil)),
 		Instructions: count,
-		Bytes:        size,
+		Bytes:        int64(size),
 		Format:       format,
 	}
 	if info.Format == "" {
 		info.Format = "entrace1"
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, err := s.statLocked(info.ID); err == nil {
-		return existing, true, nil // dedupe: identical content already stored
-	}
-	if err := tmp.Close(); err != nil {
-		return TraceInfo{}, false, fmt.Errorf("trace: staging upload: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.tracePath(info.ID)); err != nil {
+	// The payload is committed before its sidecar and never removed, so
+	// every trace Stat finds can be opened.
+	existed, err := tmp.Commit(info.ID + ".trace")
+	if err != nil {
 		return TraceInfo{}, false, fmt.Errorf("trace: storing upload: %w", err)
 	}
-	if err := s.writeMetaLocked(info); err != nil {
-		os.Remove(s.tracePath(info.ID))
-		return TraceInfo{}, false, err
+	meta, err := json.MarshalIndent(info, "", "  ")
+	if err != nil {
+		return TraceInfo{}, false, fmt.Errorf("trace: encoding metadata: %w", err)
 	}
-	return info, false, nil
+	err = s.blobs.Put(info.ID+".json", append(meta, '\n'), func(b []byte) error {
+		return json.Unmarshal(b, new(TraceInfo))
+	})
+	if errors.Is(err, blob.ErrConflict) {
+		// The same content, uploaded in another format, stored its
+		// sidecar first: this upload is a dedupe hit on it.
+		stored, err := s.Stat(info.ID)
+		return stored, err == nil, err
+	}
+	if err != nil {
+		return TraceInfo{}, false, fmt.Errorf("trace: writing metadata: %w", err)
+	}
+	// A stored payload was paid for by its first upload, even when
+	// this one restores a lost or quarantined sidecar.
+	return info, existed, nil
+}
+
+// byteCount is an io.Writer that counts the bytes written to it.
+type byteCount int64
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
 }
 
 // reencode validates an ENTRACE1 upload record by record (under lim)
@@ -182,41 +186,22 @@ func reencode(dst io.Writer, src io.Reader, lim Limits) (uint64, error) {
 	return w.Count(), nil
 }
 
-// writeMetaLocked persists the sidecar metadata document atomically.
-func (s *Store) writeMetaLocked(info TraceInfo) error {
-	b, err := json.MarshalIndent(info, "", "  ")
-	if err != nil {
-		return fmt.Errorf("trace: encoding metadata: %w", err)
-	}
-	tmp := s.metaPath(info.ID) + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return fmt.Errorf("trace: writing metadata: %w", err)
-	}
-	if err := os.Rename(tmp, s.metaPath(info.ID)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: writing metadata: %w", err)
-	}
-	return nil
-}
-
-// Stat returns the metadata of a stored trace.
+// Stat returns the metadata of a stored trace. A corrupt sidecar is
+// quarantined to <id>.json.bad and the trace reported unknown; a
+// re-upload restores it.
 func (s *Store) Stat(id string) (TraceInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statLocked(id)
-}
-
-func (s *Store) statLocked(id string) (TraceInfo, error) {
 	if !validID(id) {
 		return TraceInfo{}, fmt.Errorf("trace: id %q: %w", id, ErrUnknownTrace)
 	}
-	b, err := os.ReadFile(s.metaPath(id))
-	if err != nil {
-		return TraceInfo{}, fmt.Errorf("trace: id %q: %w", id, ErrUnknownTrace)
-	}
 	var info TraceInfo
-	if err := json.Unmarshal(b, &info); err != nil {
-		return TraceInfo{}, fmt.Errorf("trace: id %q: corrupt metadata: %v", id, err)
+	_, ok, err := s.blobs.Get(id+".json", func(b []byte) error {
+		return json.Unmarshal(b, &info)
+	})
+	if err != nil {
+		return TraceInfo{}, fmt.Errorf("trace: id %q: %w", id, err)
+	}
+	if !ok {
+		return TraceInfo{}, fmt.Errorf("trace: id %q: %w", id, ErrUnknownTrace)
 	}
 	return info, nil
 }
@@ -226,7 +211,7 @@ func (s *Store) Open(id string) (io.ReadCloser, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("trace: id %q: %w", id, ErrUnknownTrace)
 	}
-	f, err := os.Open(s.tracePath(id))
+	f, err := s.blobs.Open(id + ".trace")
 	if err != nil {
 		return nil, fmt.Errorf("trace: id %q: %w", id, ErrUnknownTrace)
 	}
@@ -235,26 +220,17 @@ func (s *Store) Open(id string) (io.ReadCloser, error) {
 
 // List returns the metadata of every stored trace, ordered by ID.
 func (s *Store) List() ([]TraceInfo, error) {
-	entries, err := os.ReadDir(s.dir)
+	ids, err := s.blobs.List(".json")
 	if err != nil {
 		return nil, fmt.Errorf("trace: listing store: %w", err)
 	}
 	var out []TraceInfo
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".json") {
-			continue
+	for _, id := range ids {
+		// Stat skips names that are not trace IDs, and entries whose
+		// sidecar is missing or corrupt, rather than fail the listing.
+		if info, err := s.Stat(id); err == nil {
+			out = append(out, info)
 		}
-		id := strings.TrimSuffix(name, ".json")
-		if !validID(id) {
-			continue
-		}
-		info, err := s.Stat(id)
-		if err != nil {
-			continue // half-written entry; skip rather than fail the listing
-		}
-		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -258,5 +259,137 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	}
 	if _, deduped, err := s2.Put(bytes.NewReader(enc), "", Limits{}); err != nil || !deduped {
 		t.Errorf("re-upload after reopen: deduped=%v err=%v", deduped, err)
+	}
+}
+
+// TestStoreSharedDirConcurrentPut: two stores on one directory ingest
+// identical uploads concurrently. Every Put must succeed, and every
+// trace Stat finds must also open: no racer may delete a payload
+// another one committed.
+func TestStoreSharedDirConcurrentPut(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces")
+	var stores [2]*Store
+	for i := range stores {
+		s, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	failures := 0
+	for round := 0; round < 200; round++ {
+		enc := encodeStream(t, 10+round, false)
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i, s := range stores {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _, errs[i] = s.Put(bytes.NewReader(enc), "", Limits{})
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				failures++
+				t.Logf("round %d: %v", round, err)
+			}
+		}
+	}
+	if failures != 0 {
+		t.Errorf("%d of 400 concurrent identical uploads failed", failures)
+	}
+	infos, err := stores[0].List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 200 {
+		t.Errorf("List = %d traces, want 200", len(infos))
+	}
+	for _, info := range infos {
+		rc, err := stores[1].Open(info.ID)
+		if err != nil {
+			t.Errorf("trace %s: Stat finds it but Open fails: %v", info.ID, err)
+			continue
+		}
+		rc.Close()
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("stale temp files: %v", tmps)
+	}
+}
+
+// TestStoreQuarantinesCorruptSidecar: a truncated <id>.json makes the
+// trace unknown (a typed error, not a corrupt document), is set aside
+// as <id>.json.bad, and a re-upload restores the entry.
+func TestStoreQuarantinesCorruptSidecar(t *testing.T) {
+	s := openTestStore(t)
+	enc := encodeStream(t, 40, false)
+	info, _, err := s.Put(bytes.NewReader(enc), "", Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := filepath.Join(s.Dir(), info.ID+".json")
+	b, err := os.ReadFile(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(meta, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Stat(info.ID); !errors.Is(err, ErrUnknownTrace) {
+		t.Fatalf("Stat with a truncated sidecar: %v, want ErrUnknownTrace", err)
+	}
+	if _, err := os.Stat(meta + ".bad"); err != nil {
+		t.Errorf("truncated sidecar not quarantined: %v", err)
+	}
+	if got, _, err := s.Put(bytes.NewReader(enc), "", Limits{}); err != nil || got != info {
+		t.Fatalf("re-upload = %+v, %v; want %+v", got, err, info)
+	}
+	if got, err := s.Stat(info.ID); err != nil || got != info {
+		t.Errorf("Stat after re-upload = %+v, %v; want %+v", got, err, info)
+	}
+}
+
+// TestStoreReadsExistingEntries: a trace stored by an earlier build of
+// the store (testdata/store holds its exact files and names) lists,
+// stats and opens unchanged, and re-uploading it is a dedupe hit.
+func TestStoreReadsExistingEntries(t *testing.T) {
+	want := TraceInfo{
+		ID:           "0b530cb02ce9c4441397b78d4acb186d23093c3700fecb477b89ba23eb550e94",
+		Instructions: 25, Bytes: 204, Format: "entrace1",
+	}
+	dir := t.TempDir()
+	for _, ext := range []string{".trace", ".json"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "store", want.ID+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, want.ID+ext), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if infos, err := s.List(); err != nil || len(infos) != 1 || infos[0] != want {
+		t.Fatalf("List = %+v, %v; want [%+v]", infos, err, want)
+	}
+	if got, err := s.Stat(want.ID); err != nil || got != want {
+		t.Fatalf("Stat = %+v, %v; want %+v", got, err, want)
+	}
+	rc, err := s.Open(want.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := io.ReadAll(rc)
+	rc.Close()
+	if sum := sha256.Sum256(stored); err != nil || hex.EncodeToString(sum[:]) != want.ID {
+		t.Errorf("stored payload does not hash to its ID (err %v)", err)
+	}
+	got, deduped, err := s.Put(bytes.NewReader(encodeStream(t, 25, false)), "", Limits{})
+	if err != nil || !deduped || got != want {
+		t.Errorf("re-upload = %+v, deduped %v, %v; want a dedupe of %+v", got, deduped, err, want)
 	}
 }

@@ -46,9 +46,6 @@ type Block struct {
 	ITargets []int
 }
 
-// LastPC returns the address of the terminator instruction.
-func (b *Block) LastPC() uint64 { return b.Addr + uint64(b.NInstr-1)*InstrSize }
-
 // Func is a static function: a contiguous run of basic blocks.
 type Func struct {
 	// Blocks in layout order; Blocks[0].Addr is the entry point.
