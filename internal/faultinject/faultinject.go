@@ -1,6 +1,6 @@
 // Package faultinject is the repository's deterministic fault layer:
-// seed-driven injection of cell panics, cell errors, slow cells, trace
-// acquire failures and checkpoint-record corruption. The harness tests
+// seed-driven injection of cell panics, cell errors, slow cells and
+// checkpoint-record corruption. The harness tests
 // use it to prove every failure path of the sweep executor (panic
 // recovery, typed cell errors, checkpoint quarantine) without any
 // real nondeterminism — whether a given site faults is a pure function
@@ -9,9 +9,8 @@
 // reproducible. A fault-prone site faults every time it runs.
 //
 // The package deliberately knows nothing about the harness: it exposes
-// plain hook functions (CellHook, AcquireHook) matching the hook
-// signatures of harness.Options and workload.TraceCache, and the tests
-// wire them together.
+// a plain hook function (CellHook) matching the hook signature of
+// harness.Options, and the tests wire them together.
 package faultinject
 
 import (
@@ -41,16 +40,12 @@ type Plan struct {
 	// SlowDelay is how long a slow cell stalls; the stall does not
 	// observe cancellation.
 	SlowDelay time.Duration `json:"slow_delay_ns,omitempty"`
-
-	// AcquireFailProb is the probability a TraceCache acquire fails.
-	AcquireFailProb float64 `json:"acquire_fail_prob,omitempty"`
 }
 
 // Enabled reports whether the plan injects anything at all: a zero
 // (or probability-free) Plan is a no-op and needs no Injector.
 func (p Plan) Enabled() bool {
-	return p.CellPanicProb > 0 || p.CellErrorProb > 0 ||
-		p.CellSlowProb > 0 || p.AcquireFailProb > 0
+	return p.CellPanicProb > 0 || p.CellErrorProb > 0 || p.CellSlowProb > 0
 }
 
 // Validate reports the first structural problem with a plan — out of
@@ -58,13 +53,12 @@ func (p Plan) Enabled() bool {
 // from the network are validated before an Injector is built.
 func (p Plan) Validate() error {
 	probs := map[string]float64{
-		"cell_panic_prob":   p.CellPanicProb,
-		"cell_error_prob":   p.CellErrorProb,
-		"cell_slow_prob":    p.CellSlowProb,
-		"acquire_fail_prob": p.AcquireFailProb,
+		"cell_panic_prob": p.CellPanicProb,
+		"cell_error_prob": p.CellErrorProb,
+		"cell_slow_prob":  p.CellSlowProb,
 	}
 	// Deterministic report order.
-	for _, name := range []string{"cell_panic_prob", "cell_error_prob", "cell_slow_prob", "acquire_fail_prob"} {
+	for _, name := range []string{"cell_panic_prob", "cell_error_prob", "cell_slow_prob"} {
 		if v := probs[name]; v < 0 || v > 1 {
 			return fmt.Errorf("faultinject: %s %v outside [0,1]", name, v)
 		}
@@ -83,13 +77,12 @@ type Counts struct {
 	CellPanics       int
 	CellErrors       int
 	SlowCells        int
-	AcquireFailures  int
 	RecordsCorrupted int
 }
 
 // Total returns the number of injected faults of all kinds.
 func (c Counts) Total() int {
-	return c.CellPanics + c.CellErrors + c.SlowCells + c.AcquireFailures + c.RecordsCorrupted
+	return c.CellPanics + c.CellErrors + c.SlowCells + c.RecordsCorrupted
 }
 
 // Injector injects the faults of a Plan. Safe for concurrent use.
@@ -126,16 +119,6 @@ func (in *Injector) CellHook(config, workload string) error {
 	if in.roll("error", site, in.plan.CellErrorProb) {
 		in.add(func(c *Counts) { c.CellErrors++ })
 		return fmt.Errorf("faultinject: injected error in cell %s", site)
-	}
-	return nil
-}
-
-// AcquireHook matches workload.TraceCache's acquire hook: it runs
-// before a trace acquire and may fail it.
-func (in *Injector) AcquireHook(name string, n uint64) error {
-	if in.roll("acquire", name, in.plan.AcquireFailProb) {
-		in.add(func(c *Counts) { c.AcquireFailures++ })
-		return fmt.Errorf("faultinject: injected acquire failure for trace %s/%d", name, n)
 	}
 	return nil
 }

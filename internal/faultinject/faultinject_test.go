@@ -139,8 +139,8 @@ func TestConcurrentInjection(t *testing.T) {
 }
 
 func TestCountsTotal(t *testing.T) {
-	c := Counts{CellPanics: 1, CellErrors: 2, SlowCells: 3, AcquireFailures: 4, RecordsCorrupted: 5}
-	if c.Total() != 15 {
-		t.Errorf("Total = %d, want 15", c.Total())
+	c := Counts{CellPanics: 1, CellErrors: 2, SlowCells: 3, RecordsCorrupted: 4}
+	if c.Total() != 10 {
+		t.Errorf("Total = %d, want 10", c.Total())
 	}
 }

@@ -274,25 +274,13 @@ func machineFor(cfg Configuration, salt uint64,
 		mc.TranslatorSalt = salt
 	}
 	if cfg.Prefetcher != "" && cfg.Prefetcher != "no" {
-		name := cfg.Prefetcher
-		mc.Prefetcher = func(is prefetch.Issuer) prefetch.Prefetcher {
-			pf, err := prefetch.New(name, is)
-			if err != nil {
-				return prefetch.NewNone(is)
-			}
-			return pf
-		}
-		// Eagerly validate the name so the error surfaces before the run.
-		if _, err := prefetch.New(name, nopIssuer{}); err != nil {
+		f, err := prefetch.Lookup(cfg.Prefetcher)
+		if err != nil {
 			return nil, err
 		}
+		mc.Prefetcher = f
 	}
 	mc.ExtraL1IListener = extraListener
 	mc.BranchHook = branchHook
 	return cpu.New(mc), nil
 }
-
-// nopIssuer validates registry names without a real cache.
-type nopIssuer struct{}
-
-func (nopIssuer) Prefetch(uint64, uint64, uint64) bool { return true }

@@ -80,6 +80,10 @@ func ExtPQSweep(warmup, measure uint64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	pf, err := prefetch.Lookup("entangling-4k")
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Extension (§IV-D): prefetch-queue size sensitivity (srv, entangling-4k)",
 		Header: []string{"PQ entries", "IPC", "PQ overflow drops", "prefetches issued"},
@@ -88,20 +92,9 @@ func ExtPQSweep(warmup, measure uint64) (*Table, error) {
 	for _, pq := range []int{8, 16, 32, 64, 128} {
 		cfg := cpu.DefaultConfig()
 		cfg.L1I.PQSize = pq
-		var perr error
-		cfg.Prefetcher = func(is prefetch.Issuer) prefetch.Prefetcher {
-			pf, err := prefetch.New("entangling-4k", is)
-			if err != nil {
-				perr = err
-				return prefetch.NewNone(is)
-			}
-			return pf
-		}
+		cfg.Prefetcher = pf
 		m := cpu.New(cfg)
 		r := m.RunWindows(workload.NewWalker(prog), warmup, measure)
-		if perr != nil {
-			return nil, perr
-		}
 		t.AddRow(fmt.Sprintf("%d", pq), f3(r.IPC),
 			fmt.Sprintf("%d", r.L1I.PrefetchDroppedPQ), fmt.Sprintf("%d", r.L1I.PrefetchIssued))
 	}

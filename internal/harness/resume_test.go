@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"entangling/internal/faultinject"
-	"entangling/internal/stats"
 	"entangling/internal/workload"
 )
 
@@ -297,73 +297,84 @@ func TestCellFaultsDegradeToNamedErrors(t *testing.T) {
 	}
 }
 
-// TestAcquireFaultFailsTraceCells: an injected TraceCache acquire
-// failure fails exactly the cells of the fault-rolled traces, each
-// cell error wraps the injected error, and the cache's refcounting
-// still converges to an empty cache.
+// TestAcquireFaultFailsTraceCells: a trace whose opener fails fails
+// exactly the cells of that trace, each cell error wraps the opener's
+// error, and the cache's reservations still drain to an empty cache.
 func TestAcquireFaultFailsTraceCells(t *testing.T) {
 	specs, cfgs, opt := resumeSuite()
-	plan := faultinject.Plan{Seed: 5, AcquireFailProb: 0.5}
-	rolled := make(map[string]bool)
-	for _, sp := range specs {
-		rolled[sp.Name] = stats.UnitFloat(stats.Hash64(plan.Seed, "acquire", sp.Name)) < plan.AcquireFailProb
+	openErrs := make(map[string]error)
+	for _, name := range []string{"trace:offline-a", "trace:offline-b"} {
+		openErr := fmt.Errorf("storage offline for %s", name)
+		openErrs[name] = openErr
+		specs = append(specs, workload.TraceSpec(name, name, func() (io.ReadCloser, error) {
+			return nil, openErr
+		}))
 	}
 
-	inj := faultinject.New(plan)
-	var mu sync.Mutex
-	injected := make(map[error]string) // injected error -> trace name
 	cache := workload.NewTraceCache()
-	cache.SetAcquireHook(func(name string, n uint64) error {
-		err := inj.AcquireHook(name, n)
-		if err != nil {
-			mu.Lock()
-			injected[err] = name
-			mu.Unlock()
-		}
-		return err
-	})
 	opt.Traces = cache
 	s, err := RunSuite(specs, cfgs, opt)
 	if err == nil {
-		t.Fatal("expected acquire failures")
+		t.Fatal("expected trace open failures")
 	}
-
-	wantFailed := 0
-	for _, sp := range specs {
-		if rolled[sp.Name] {
-			wantFailed += len(cfgs)
-		}
-	}
-	if wantFailed == 0 || wantFailed == len(specs)*len(cfgs) {
-		t.Fatalf("seed %d rolls a degenerate fault set (%d failing cells)", plan.Seed, wantFailed)
-	}
-	if len(s.Failed) != wantFailed {
-		t.Fatalf("%d cells failed, want %d", len(s.Failed), wantFailed)
-	}
-	if got := inj.Stats().AcquireFailures; got != wantFailed {
-		t.Errorf("%d acquire failures injected, want one per failing cell (%d)", got, wantFailed)
+	if want := len(openErrs) * len(cfgs); len(s.Failed) != want {
+		t.Fatalf("%d cells failed, want %d", len(s.Failed), want)
 	}
 	for _, ce := range s.Failed {
-		wraps := false
-		for ierr, name := range injected {
-			if name == ce.Workload && errors.Is(ce, ierr) {
-				wraps = true
-			}
-		}
-		if !wraps {
-			t.Errorf("cell error does not wrap its injected acquire failure: %v", ce)
+		if openErr, ok := openErrs[ce.Workload]; !ok || !errors.Is(ce, openErr) {
+			t.Errorf("cell error does not wrap its trace's open error: %v", ce)
 		}
 	}
 	for _, c := range cfgs {
 		for _, sp := range specs {
-			if _, ok := s.Runs[c.Name][sp.Name]; ok == rolled[sp.Name] {
-				t.Errorf("cell %s/%s: has result %v, trace fault-rolled %v", c.Name, sp.Name, ok, rolled[sp.Name])
+			_, failing := openErrs[sp.Name]
+			if _, ok := s.Runs[c.Name][sp.Name]; ok == failing {
+				t.Errorf("cell %s/%s: has result %v, opener fails %v", c.Name, sp.Name, ok, failing)
 			}
 		}
 	}
-	// A hook-failed Acquire takes no reference, so the cache must still
-	// drain.
 	if _, _, resident := cache.CacheStats(); resident != 0 {
 		t.Errorf("%d traces leaked in the cache", resident)
+	}
+}
+
+// TestSweepBuildsEachTraceOnce: a sweep materializes each workload's
+// trace exactly once at every parallelism, also when resuming with some
+// cells restored, and leaves no trace resident when it returns.
+func TestSweepBuildsEachTraceOnce(t *testing.T) {
+	specs, cfgs, opt := resumeSuite()
+	check := func(name string, opt Options) *SuiteResults {
+		t.Helper()
+		cache := workload.NewTraceCache()
+		opt.Traces = cache
+		s, err := RunSuite(specs, cfgs, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if builds, _, resident := cache.CacheStats(); builds != uint64(len(specs)) || resident != 0 {
+			t.Errorf("%s: builds=%d resident=%d, want %d and 0", name, builds, resident, len(specs))
+		}
+		return s
+	}
+	for _, par := range []int{1, 2, 4} {
+		o := opt
+		o.Parallelism = par
+		check(fmt.Sprintf("parallelism %d", par), o)
+	}
+
+	// Checkpoint the baseline of every workload, then resume the full
+	// sweep: every workload still has cells to run, so every trace is
+	// built once more.
+	store, err := OpenCheckpointStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Checkpoint = store
+	if _, err := RunSuite(specs, cfgs[:1], opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.Resume = true
+	if s := check("resumed", opt); s.Restored != len(specs) {
+		t.Errorf("%d cells restored, want %d", s.Restored, len(specs))
 	}
 }

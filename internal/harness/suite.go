@@ -74,9 +74,10 @@ func RunSuite(specs []workload.Spec, cfgs []Configuration, opt Options) (*SuiteR
 // trace cache and reused read-only by every configuration: the sweep
 // pays N_specs generations instead of N_cfgs x N_specs. Jobs are
 // ordered workload-major so the cells sharing a trace run close
-// together and the cache's refcounting can evict each trace as soon as
-// its last configuration finishes — resident traces stay proportional
-// to the worker count, not the suite size.
+// together: the sweep reserves one trace use per cell to run and
+// releases it as the cell finishes, so each trace is evicted as soon
+// as its last configuration finishes and resident traces stay
+// proportional to the worker count, not the suite size.
 //
 // Every cell runs exactly once. A cell that panics or errors degrades
 // to a named *CellError in the returned partial SuiteResults — one bad
@@ -99,7 +100,7 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 	}
 
 	// Resume: restore checkpointed cells before scheduling any work, so
-	// the per-spec pending-cell counts below only cover cells that run.
+	// the trace reservations below only cover cells that run.
 	restored := make(map[string]bool)
 	if opt.Checkpoint != nil && opt.Resume {
 		for _, s := range specs {
@@ -125,28 +126,26 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 		cfg  Configuration
 		spec workload.Spec
 	}
-	// needs counts, per spec, how many cells will run (and therefore
-	// touch the trace cache) — restored cells never do.
-	needs := make(map[string]int, len(specs))
-	for _, s := range specs {
-		for _, c := range cfgs {
-			if !restored[c.Name+"/"+s.Name] {
-				needs[s.Name]++
-			}
-		}
-	}
-
 	jobs := make(chan job)
 	results := make(chan RunResult, 8)
 
-	cache := opt.Traces
-	if cache == nil {
-		cache = workload.NewTraceCache()
+	if opt.Traces == nil {
+		opt.Traces = workload.NewTraceCache()
 	}
-
-	run := &suiteRunner{
-		opt: opt, cache: cache, traceLen: opt.Warmup + opt.Measure,
-		pending: needs, leased: make(map[string]bool, len(specs)),
+	// One reserved trace use per cell that will run (restored cells
+	// never touch the trace), released as each cell finishes: every
+	// trace is built once and evicted after its last cell.
+	traceLen := opt.Warmup + opt.Measure
+	for _, s := range specs {
+		n := 0
+		for _, c := range cfgs {
+			if !restored[c.Name+"/"+s.Name] {
+				n++
+			}
+		}
+		if n > 0 {
+			opt.Traces.Reserve(s, traceLen, n)
+		}
 	}
 
 	// Every cell failure is collected (not just the first), each as a
@@ -167,8 +166,8 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				r, err := run.runCell(ctx, j.cfg, j.spec)
-				run.cellDone(j.spec)
+				r, err := RunCell(ctx, j.cfg, j.spec, opt)
+				opt.Traces.Release(j.spec, traceLen)
 				if err != nil {
 					errMu.Lock()
 					cellErrs = append(cellErrs, err)
@@ -212,59 +211,19 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 	return out, nil
 }
 
-// suiteRunner executes the cells of one sweep.
-type suiteRunner struct {
-	opt      Options
-	cache    *workload.TraceCache
-	traceLen uint64
-
-	// pending counts, per spec, the scheduled cells not yet terminal;
-	// leased marks the specs whose trace the sweep holds a keep-alive
-	// reference on (see holdTrace).
-	mu      sync.Mutex
-	pending map[string]int
-	leased  map[string]bool
-}
-
-// holdTrace keeps spec's trace resident until the sweep's last cell of
-// that spec completes: the first cell to materialize it takes one
-// extra sweep-held reference (dropped in cellDone), so the entry
-// survives the gaps between sequential cells even though each cell
-// holds its own reference only while running.
-func (r *suiteRunner) holdTrace(spec workload.Spec) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.leased[spec.Name] || r.pending[spec.Name] <= 1 {
-		return
-	}
-	if r.cache.Retain(spec, r.traceLen) {
-		r.leased[spec.Name] = true
-	}
-}
-
-// cellDone marks one scheduled cell of spec terminal (completed,
-// failed, or abandoned) and drops the sweep's trace lease with the
-// last one.
-func (r *suiteRunner) cellDone(spec workload.Spec) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pending[spec.Name]--
-	if r.pending[spec.Name] <= 0 && r.leased[spec.Name] {
-		r.leased[spec.Name] = false
-		r.cache.Release(spec, r.traceLen)
-	}
-}
-
-// runCell runs one cell exactly once: the simulation (with panic
-// recovery), then checkpointing of its result. The returned
-// *CellError (nil on success) carries the cell name and the cause. A
-// failed cell is not re-run: the simulation is deterministic, so it
-// would fail again the same way.
-func (r *suiteRunner) runCell(ctx context.Context, cfg Configuration, spec workload.Spec) (RunResult, *CellError) {
+// RunCell runs one cell exactly once: the simulation over the trace
+// from opt.Traces (with panic recovery), then checkpointing of its
+// result. The returned *CellError (nil on success) carries the cell
+// name and the cause. A failed cell is not re-run: the simulation is
+// deterministic, so it would fail again the same way. RunCell takes no
+// trace reference; a caller running several cells over one trace
+// Reserves them in opt.Traces first (see workload.TraceCache). With a
+// nil opt.Traces the trace is built for this cell alone.
+func RunCell(ctx context.Context, cfg Configuration, spec workload.Spec, opt Options) (RunResult, *CellError) {
 	start := time.Now()
 	fail := func(err error) (RunResult, *CellError) {
 		cerr := &CellError{Config: cfg.Name, Workload: spec.Name, Err: err}
-		r.opt.Progress.emit(CellEvent{
+		opt.Progress.emit(CellEvent{
 			Type: CellFailed, Config: cfg.Name, Workload: spec.Name,
 			Duration: time.Since(start), Err: cerr,
 		})
@@ -273,26 +232,26 @@ func (r *suiteRunner) runCell(ctx context.Context, cfg Configuration, spec workl
 	if err := ctx.Err(); err != nil {
 		return fail(fmt.Errorf("%w: %v", ErrCellCanceled, err))
 	}
-	r.opt.Progress.emit(CellEvent{Type: CellStarted, Config: cfg.Name, Workload: spec.Name})
-	res, err := r.execCell(ctx, cfg, spec)
+	opt.Progress.emit(CellEvent{Type: CellStarted, Config: cfg.Name, Workload: spec.Name})
+	res, err := execCell(ctx, cfg, spec, opt)
 	if err != nil {
 		return fail(err)
 	}
-	if r.opt.Checkpoint != nil {
+	if opt.Checkpoint != nil {
 		rec := CellRecord{
 			SchemaVersion: CheckpointSchemaVersion,
-			Fingerprint:   CellFingerprint(cfg, spec, r.opt.Warmup, r.opt.Measure),
+			Fingerprint:   CellFingerprint(cfg, spec, opt.Warmup, opt.Measure),
 			Config:        cfg.Name,
 			Workload:      spec.Name,
 			Result:        res,
 		}
-		if serr := r.opt.Checkpoint.Save(rec); serr != nil {
+		if serr := opt.Checkpoint.Save(rec); serr != nil {
 			// A result that cannot be persisted would silently re-run
 			// after a crash; fail loudly instead.
 			return fail(fmt.Errorf("checkpointing result: %w", serr))
 		}
 	}
-	r.opt.Progress.emit(CellEvent{
+	opt.Progress.emit(CellEvent{
 		Type: CellFinished, Config: cfg.Name, Workload: spec.Name,
 		Duration: time.Since(start),
 	})
@@ -303,30 +262,27 @@ func (r *suiteRunner) runCell(ctx context.Context, cfg Configuration, spec workl
 // hook, trace materialization, the simulation itself — are recovered
 // into ErrCellPanic; a context error comes back as ErrCellCanceled;
 // anything else is the cell's own failure.
-func (r *suiteRunner) execCell(ctx context.Context, cfg Configuration, spec workload.Spec) (res RunResult, err error) {
+func execCell(ctx context.Context, cfg Configuration, spec workload.Spec, opt Options) (res RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: %v", ErrCellPanic, p)
 		}
 	}()
 
-	if r.opt.CellHook != nil {
-		if herr := r.opt.CellHook(cfg.Name, spec.Name); herr != nil {
+	if opt.CellHook != nil {
+		if herr := opt.CellHook(cfg.Name, spec.Name); herr != nil {
 			return RunResult{}, herr
 		}
 	}
-	// A failed Acquire takes no reference and must not be Released.
-	// The sweep's keep-alive lease (holdTrace) is taken while this
-	// cell still holds its own reference, so the trace survives the
-	// gaps between this sweep's sequential cells of the same spec.
-	tr, aerr := r.cache.Acquire(spec, r.traceLen)
-	if aerr != nil {
-		return RunResult{}, aerr
+	cache := opt.Traces
+	if cache == nil {
+		cache = workload.NewTraceCache()
 	}
-	r.holdTrace(spec)
-	defer r.cache.Release(spec, r.traceLen)
-
-	res, rerr := RunTraceCtx(ctx, cfg, spec, tr, r.opt.Warmup, r.opt.Measure)
+	tr, terr := cache.Get(spec, opt.Warmup+opt.Measure)
+	if terr != nil {
+		return RunResult{}, terr
+	}
+	res, rerr := RunTraceCtx(ctx, cfg, spec, tr, opt.Warmup, opt.Measure)
 	if rerr != nil {
 		if ctx.Err() != nil {
 			return RunResult{}, fmt.Errorf("%w: %v", ErrCellCanceled, ctx.Err())

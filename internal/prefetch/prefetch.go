@@ -87,13 +87,22 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// New instantiates a registered prefetcher.
-func New(name string, issuer Issuer) (Prefetcher, error) {
+// Lookup returns the factory of a registered prefetcher.
+func Lookup(name string) (Factory, error) {
 	registryMu.RLock()
 	f, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("prefetch: unknown prefetcher %q (known: %v)", name, Names())
+	}
+	return f, nil
+}
+
+// New instantiates a registered prefetcher.
+func New(name string, issuer Issuer) (Prefetcher, error) {
+	f, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(issuer), nil
 }

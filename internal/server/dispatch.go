@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"entangling/internal/faultinject"
@@ -14,8 +13,10 @@ import (
 // cell — (configuration, workload, windows) — to its result. The
 // resolver walks three tiers: the in-process result cache, the durable
 // checkpoint store, and a singleflighted run of the simulator through
-// harness.RunSuiteCtx (executor.go), so identical cells resolve exactly
-// once per node no matter how many jobs want them.
+// harness.RunCell (executor.go), so identical cells resolve exactly
+// once per node no matter how many jobs want them. The job that asks
+// for a cell holds the trace reservation (see Server.runJob); the
+// resolver only reads the trace.
 
 // memCap bounds the resolver's in-process result cache.
 const memCap = 4096
@@ -63,7 +64,6 @@ type resolver struct {
 // newResolver builds a resolver over base; the windows and fault hook
 // are filled in per cell.
 func newResolver(base harness.Options) *resolver {
-	base.Parallelism = 1
 	return &resolver{
 		base:    base,
 		mem:     make(map[string]harness.RunResult),
@@ -71,34 +71,14 @@ func newResolver(base harness.Options) *resolver {
 	}
 }
 
-// simulate runs one cell that missed every cache tier as a one-cell
-// sweep, checkpointing it inside the harness when a store is set. The
-// context is detached from any single subscriber.
+// simulate runs one cell that missed every cache tier, checkpointing
+// it inside the harness when a store is set. The context is detached
+// from any single subscriber.
 func (x *resolver) simulate(ctx context.Context, cell cellSpec) (harness.RunResult, *harness.CellError) {
 	opt := x.base
 	opt.Warmup, opt.Measure = cell.Warmup, cell.Measure
 	if cell.Plan != nil {
 		opt.CellHook = faultinject.New(*cell.Plan).CellHook
 	}
-	s, err := harness.RunSuiteCtx(ctx, []workload.Spec{cell.Workload}, []harness.Configuration{cell.Config}, opt)
-	if err != nil {
-		cerr := firstCellError(err, s)
-		if cerr == nil {
-			cerr = &harness.CellError{Config: cell.Config.Name, Workload: cell.Workload.Name, Err: err}
-		}
-		return harness.RunResult{}, cerr
-	}
-	return s.Runs[cell.Config.Name][cell.Workload.Name], nil
-}
-
-// firstCellError extracts the typed cell error of a one-cell sweep.
-func firstCellError(err error, s *harness.SuiteResults) *harness.CellError {
-	if s != nil && len(s.Failed) > 0 {
-		return s.Failed[0]
-	}
-	var cerr *harness.CellError
-	if errors.As(err, &cerr) {
-		return cerr
-	}
-	return nil
+	return harness.RunCell(ctx, cell.Config, cell.Workload, opt)
 }

@@ -185,11 +185,6 @@ func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells in
 	}
 
 	if req.FaultPlan != nil {
-		// The trace cache is shared across jobs, so the server has no
-		// per-job place to install an acquire hook.
-		if req.FaultPlan.AcquireFailProb != 0 {
-			return nil, fmt.Errorf("job request: fault_plan.acquire_fail_prob is not supported by the server")
-		}
 		if !allowFaults {
 			return nil, fmt.Errorf("job request: fault injection is disabled on this server")
 		}

@@ -1,7 +1,7 @@
 // Package server turns the batch evaluation harness into a long-lived
 // simulation service: an HTTP/JSON API that accepts {configurations x
 // workloads x windows} sweep jobs, executes their cells through
-// harness.RunSuiteCtx on a bounded worker pool, streams per-cell
+// harness.RunCell on a bounded worker pool, streams per-cell
 // progress over SSE, and answers repeat work from a content-addressed
 // result cache (in-process + the durable checkpoint store) with
 // singleflight deduplication — identical cells submitted by any
@@ -265,10 +265,10 @@ func (s *Server) setRunning(d int) {
 }
 
 // runJob resolves every cell of the job — workload-major, so cells
-// sharing a trace run close together — with bounded parallelism. A
-// per-workload trace reference is held from the workload's first cell
-// until its last, so the job pays one materialization per workload no
-// matter how its cells interleave.
+// sharing a trace run close together — with bounded parallelism. The
+// job reserves one trace use per cell up front and releases one as
+// each cell finishes, so it pays one materialization per workload no
+// matter how its cells interleave or where their results come from.
 func (s *Server) runJob(j *job) {
 	if !j.start() {
 		// Canceled while queued; already finalized by the cancel path.
@@ -286,7 +286,10 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 
-	lease := newTraceLease(s.traces, j.spec.traceLen(), j.spec.specs, len(j.spec.cfgs))
+	traceLen := j.spec.traceLen()
+	for _, spec := range j.spec.specs {
+		s.traces.Reserve(spec, traceLen, len(j.spec.cfgs))
+	}
 
 	sem := make(chan struct{}, s.cfg.CellParallelism)
 	var wg sync.WaitGroup
@@ -295,12 +298,11 @@ func (s *Server) runJob(j *job) {
 		sem <- struct{}{}
 		go func(c cellJob) {
 			defer func() { <-sem; wg.Done() }()
-			s.runCell(j, c.cfg, c.spec, lease)
-			lease.cellDone(c.spec)
+			s.runCell(j, c.cfg, c.spec)
+			s.traces.Release(c.spec, traceLen)
 		}(c)
 	}
 	wg.Wait()
-	lease.releaseAll()
 
 	if j.finalize() {
 		s.countTerminal(j)
@@ -314,7 +316,7 @@ func (s *Server) runJob(j *job) {
 
 // runCell resolves one cell through the resolver and records the
 // outcome on the job.
-func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec, lease *traceLease) {
+func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec) {
 	j.log.append(Event{Type: EventCellStarted, Config: cfg.Name, Workload: spec.Name})
 	start := time.Now()
 	out := s.resolver.resolve(j.ctx, cellSpec{
@@ -326,12 +328,6 @@ func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec, 
 		Plan:        j.spec.plan,
 	})
 	elapsed := time.Since(start).Milliseconds()
-	if out.Source == SourceSimulated || out.Source == SourceShared {
-		// A live in-process simulation just materialized (or reused)
-		// this workload's trace; keep it resident for the job's
-		// remaining cells of the same workload.
-		lease.hold(spec)
-	}
 	if out.Err != nil {
 		s.stats.inc(&s.stats.cellsFailed)
 		j.recordFailure(out.Err, elapsed)
@@ -550,74 +546,4 @@ func (s *Server) Draining() bool {
 	default:
 		return false
 	}
-}
-
-// traceLease keeps each workload's trace resident from its first
-// simulated cell to the job's last cell of that workload, mirroring
-// the sweep-level lease inside harness.RunSuiteCtx (which only spans
-// a single cell here, since the server runs cells as one-cell
-// sweeps). The hold is opportunistic — Retain only succeeds while the
-// trace is resident — and purely an optimization: a missed hold costs
-// one extra singleflighted rebuild, never correctness.
-type traceLease struct {
-	cache    *workload.TraceCache
-	traceLen uint64
-
-	mu      sync.Mutex
-	pending map[string]int
-	leased  map[string]workload.Spec
-}
-
-func newTraceLease(cache *workload.TraceCache, traceLen uint64, specs []workload.Spec, cfgsPerSpec int) *traceLease {
-	l := &traceLease{
-		cache:    cache,
-		traceLen: traceLen,
-		pending:  make(map[string]int, len(specs)),
-		leased:   make(map[string]workload.Spec),
-	}
-	for _, s := range specs {
-		l.pending[s.Name] = cfgsPerSpec
-	}
-	return l
-}
-
-// hold takes the job's keep-alive reference on spec's trace if it is
-// resident and more cells of the workload remain.
-func (l *traceLease) hold(spec workload.Spec) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.leased[spec.Name]; ok {
-		return
-	}
-	if l.pending[spec.Name] <= 1 {
-		return // this is the workload's last cell; nothing to bridge
-	}
-	if l.cache.Retain(spec, l.traceLen) {
-		l.leased[spec.Name] = spec
-	}
-}
-
-// cellDone marks one cell of spec terminal and drops the lease with
-// the last one.
-func (l *traceLease) cellDone(spec workload.Spec) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.pending[spec.Name]--
-	if l.pending[spec.Name] <= 0 {
-		if _, ok := l.leased[spec.Name]; ok {
-			delete(l.leased, spec.Name)
-			l.cache.Release(spec, l.traceLen)
-		}
-	}
-}
-
-// releaseAll drops any leases still held (canceled jobs).
-func (l *traceLease) releaseAll() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for name, spec := range l.leased {
-		delete(l.leased, name)
-		l.cache.Release(spec, l.traceLen)
-	}
-	l.pending = make(map[string]int)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -541,6 +542,75 @@ func TestServerCancelMidJob(t *testing.T) {
 	}
 }
 
+// TestServerJobBuildsEachTraceOnce: a job materializes each of its
+// workloads' traces exactly once, however many cells run at a time,
+// and leaves none resident when it ends.
+func TestServerJobBuildsEachTraceOnce(t *testing.T) {
+	var cfgs []string
+	for _, c := range harness.PinnedBenchConfigurations() {
+		cfgs = append(cfgs, c.Name)
+	}
+	var wls []string
+	for _, sp := range harness.PinnedBenchSpecs() {
+		wls = append(wls, sp.Name)
+	}
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("cell-parallelism-%d", par), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.CellParallelism = par
+			s, ts := startTestServer(t, cfg)
+			sr := submitOK(t, ts, JobRequest{
+				Configurations: cfgs, Workloads: wls,
+				Warmup: testWarmup, Measure: testMeasure,
+			})
+			if doc, _ := waitResult(t, ts, sr.ID); doc.State != StateCompleted {
+				t.Fatalf("job ended %q", doc.State)
+			}
+			if builds, _, resident := s.traces.CacheStats(); builds != uint64(len(wls)) || resident != 0 {
+				t.Errorf("%d x %d job: builds=%d resident=%d, want %d and 0",
+					len(cfgs), len(wls), builds, resident, len(wls))
+			}
+		})
+	}
+}
+
+// TestServerCanceledJobReleasesTraces: canceling a job mid-run drops
+// every trace use it reserved.
+func TestServerCanceledJobReleasesTraces(t *testing.T) {
+	cfg := testConfig()
+	cfg.CellParallelism = 1
+	cfg.AllowFaults = true
+	s, ts := startTestServer(t, cfg)
+
+	sr := submitOK(t, ts, JobRequest{
+		Configurations: []string{"no", "nextline"},
+		Workloads:      []string{"crypto-00", "int-00"},
+		Warmup:         testWarmup,
+		Measure:        testMeasure,
+		FaultPlan:      &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 300 * time.Millisecond},
+	})
+	waitStatus(t, ts, sr.ID, func(d StatusDoc) bool { return d.State == StateRunning })
+	if status, _ := doAs(t, ts, "", "DELETE", "/v1/jobs/"+sr.ID, nil); status != http.StatusOK {
+		t.Fatalf("DELETE status %d", status)
+	}
+	if doc, _ := waitResult(t, ts, sr.ID); doc.State != StateCanceled {
+		t.Fatalf("canceled job ended %q", doc.State)
+	}
+	// The abandoned flight finishes its stall on its own; once it has,
+	// nothing may be resident.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, _, resident := s.traces.CacheStats()
+		if resident == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d traces still resident after the canceled job", resident)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestServerFaultPlanDegradedResult: injected errors degrade a job to
 // typed per-cell failures, and resubmitting the degraded job runs it
 // again instead of deduping onto it — the surviving cells come back
@@ -733,8 +803,7 @@ func TestServerRequestValidation(t *testing.T) {
 		{"trailing data", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000}{}`), 400, ""},
 		{"fault plan disabled", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads, Measure: testMeasure,
 			FaultPlan: &faultinject.Plan{Seed: 1, CellErrorProb: 1}}), 400, ""},
-		{"acquire faults", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads, Measure: testMeasure,
-			FaultPlan: &faultinject.Plan{Seed: 1, AcquireFailProb: 0.5}}), 400, "acquire_fail_prob"},
+		{"acquire faults", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"fault_plan":{"seed":1,"acquire_fail_prob":0.5}}`), 400, "acquire_fail_prob"},
 		{"not json", []byte("entangle me"), 400, ""},
 		{"oversized body", mustJSON(JobRequest{Configurations: good.Configurations,
 			Workloads: []string{strings.Repeat("w", 600)}, Measure: testMeasure}), 413, ""},

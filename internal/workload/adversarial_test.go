@@ -268,10 +268,11 @@ func TestTraceSpecMaterializes(t *testing.T) {
 		}
 	}
 	tc := NewTraceCache()
-	if _, err := tc.Acquire(spec, 3_000); err != nil {
+	tc.Reserve(spec, 3_000, 1)
+	defer tc.Release(spec, 3_000)
+	if _, err := tc.Get(spec, 3_000); err != nil {
 		t.Fatal(err)
 	}
-	defer tc.Release(spec, 3_000)
 	if builds, _, _ := func() (uint64, uint64, int) { return tc.CacheStats() }(); builds != 1 {
 		t.Errorf("cache builds = %d, want 1", builds)
 	}

@@ -7,25 +7,23 @@ import (
 	"entangling/internal/trace"
 )
 
-// This file implements the suite-sweep trace cache. A configurations x
-// workloads sweep used to regenerate (build the program, walk the CFG,
-// synthesize data addresses for) every workload's instruction stream
-// once per configuration — N_cfgs x N_specs generations of N_specs
-// distinct streams. The cache materializes each spec's stream once
+// This file implements the shared trace cache. A configurations x
+// workloads sweep (or a server job of the same shape) would otherwise
+// regenerate every workload's instruction stream once per
+// configuration. The cache materializes each (spec, n) stream once
 // into an immutable instruction slice shared read-only by every
-// configuration, and evicts it as soon as the last reference is
-// dropped, so a sweep's resident trace set stays proportional to the
-// worker count, not the suite size.
+// configuration.
 //
-// Entries are plainly refcounted: every successful Acquire takes one
-// reference and the matching Release drops it. A sweep that wants a
-// trace to survive the gap between one cell's Release and the next
-// cell's Acquire holds one extra reference with Retain for as long as
-// it still has cells of that workload outstanding (see
-// harness.RunSuiteCtx). Builds are singleflighted: any number of
-// concurrent Acquires of the same (spec, n) — including acquirers from
-// different sweeps or server jobs sharing one cache — join exactly one
-// materialization instead of racing their own.
+// A trace's lifetime follows one rule: one reference per pending cell.
+// A driver Reserves one use per cell it will run over the trace before
+// any of them starts, and Releases one use as each cell finishes (ran,
+// failed or was abandoned). Get builds the trace or joins the build
+// already running and takes no reference, so a trace stays resident
+// from its first Get until the last reserved use is released, however
+// the cells interleave, and is evicted then. Builds are
+// singleflighted: any number of concurrent Gets of the same (spec, n),
+// from different sweeps or server jobs sharing one cache, join exactly
+// one materialization.
 
 // Trace is an immutable, materialized instruction stream. It is safe
 // to share across goroutines; each reader gets its own Source.
@@ -102,7 +100,7 @@ func min64(a, b uint64) uint64 {
 	return b
 }
 
-// TraceCache shares materialized traces between the runs of one or
+// TraceCache shares materialized traces between the cells of one or
 // more sweeps. Safe for concurrent use.
 type TraceCache struct {
 	mu      sync.Mutex
@@ -113,11 +111,6 @@ type TraceCache struct {
 	// generation work is builds, not builds+hits).
 	builds uint64
 	hits   uint64
-
-	// acquireHook, when set, is consulted before every Acquire and may
-	// fail it (fault injection in tests). A hook-failed Acquire takes
-	// no reference and must not be paired with a Release.
-	acquireHook func(name string, n uint64) error
 }
 
 type cacheKey struct {
@@ -126,15 +119,15 @@ type cacheKey struct {
 }
 
 type cacheEntry struct {
-	// refs is the number of outstanding references (Acquires and
-	// Retains not yet Released).
-	refs int
+	// uses is the number of reserved uses not yet released.
+	uses int
 	// pinned entries survive any number of Releases (benchmark drivers
 	// that sweep the same suite repeatedly pin their specs up front).
 	pinned bool
-	// done is closed when the build completes; tr/err are written
-	// (under the cache lock) before the close, so waiters that return
-	// after <-done read them race-free.
+	// done is nil until the first Get (or Pin) starts the build, and
+	// closed when the build completes; tr/err are written (under the
+	// cache lock) before the close, so waiters that return after
+	// <-done read them race-free.
 	done chan struct{}
 	tr   *Trace
 	err  error
@@ -145,109 +138,82 @@ func NewTraceCache() *TraceCache {
 	return &TraceCache{entries: make(map[cacheKey]*cacheEntry)}
 }
 
-// Acquire returns the materialized trace of spec's first n
-// instructions, building it on first use; concurrent Acquires of the
-// same (spec, n) join one singleflighted build instead of racing their
-// own. Every successful Acquire takes one reference that the caller
-// must drop with exactly one Release; a failed Acquire takes no
-// reference and must not be Released. The entry is evicted when the
-// last reference is gone (unless pinned).
-func (c *TraceCache) Acquire(spec Spec, n uint64) (*Trace, error) {
-	c.mu.Lock()
-	hook := c.acquireHook
-	c.mu.Unlock()
-	if hook != nil {
-		if err := hook(spec.Name, n); err != nil {
-			return nil, fmt.Errorf("workload: acquiring trace %s: %w", spec.Name, err)
-		}
-	}
-	key := cacheKey{name: spec.Name, n: n}
-	c.mu.Lock()
+// entry returns the (spec, n) entry, creating an unbuilt one if
+// absent. Callers hold c.mu.
+func (c *TraceCache) entry(key cacheKey) *cacheEntry {
 	e, ok := c.entries[key]
 	if !ok {
-		e = &cacheEntry{refs: 1, done: make(chan struct{})}
+		e = &cacheEntry{}
 		c.entries[key] = e
-		c.builds++
-		c.mu.Unlock()
-		return c.build(key, e, spec, n)
 	}
-	e.refs++
-	c.hits++
-	c.mu.Unlock()
-
-	<-e.done
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.tr, nil
+	return e
 }
 
-// build materializes the entry's trace and publishes the outcome. A
-// failed build is evicted immediately so a later Acquire retries
-// instead of being served a cached error forever.
-func (c *TraceCache) build(key cacheKey, e *cacheEntry, spec Spec, n uint64) (*Trace, error) {
+// Reserve adds uses references to the (spec, n) trace without building
+// it: the trace, once built, stays resident until that many Releases.
+func (c *TraceCache) Reserve(spec Spec, n uint64, uses int) {
+	c.mu.Lock()
+	c.entry(cacheKey{name: spec.Name, n: n}).uses += uses
+	c.mu.Unlock()
+}
+
+// Get returns the materialized trace of spec's first n instructions,
+// building it on first use; concurrent Gets of the same (spec, n) join
+// one build instead of racing their own. Get takes no reference: the
+// caller keeps the trace resident with a reservation (see Reserve). A
+// trace nobody has reserved is evicted as soon as its build completes.
+func (c *TraceCache) Get(spec Spec, n uint64) (*Trace, error) {
+	return c.get(spec, n, false)
+}
+
+// Pin materializes the (spec, n) trace and keeps it for the cache's
+// lifetime: later Gets are hits and Releases never evict it. Drivers
+// that run the same sweep repeatedly (benchmark iterations) pin their
+// specs once so re-runs skip generation entirely.
+func (c *TraceCache) Pin(spec Spec, n uint64) (*Trace, error) {
+	return c.get(spec, n, true)
+}
+
+func (c *TraceCache) get(spec Spec, n uint64, pin bool) (*Trace, error) {
+	key := cacheKey{name: spec.Name, n: n}
+	c.mu.Lock()
+	e := c.entry(key)
+	e.pinned = e.pinned || pin
+	if e.done != nil {
+		c.hits++
+		c.mu.Unlock()
+		<-e.done
+		return e.tr, e.err
+	}
+	e.done = make(chan struct{})
+	c.builds++
+	c.mu.Unlock()
+
 	tr, err := Materialize(spec, n)
 	c.mu.Lock()
 	e.tr, e.err = tr, err
-	if c.entries[key] == e {
-		if err != nil {
-			// Waiters still receive err via the entry pointer; the
-			// map no longer serves it.
-			delete(c.entries, key)
-		} else if e.refs <= 0 && !e.pinned {
-			// Every acquirer released (or retained and released)
-			// while the build was still running.
-			delete(c.entries, key)
-		}
+	// Nothing else removes an entry while it builds (see Release), so
+	// the map still holds e here.
+	switch {
+	case err != nil && (e.uses > 0 || e.pinned):
+		// A failed build is not cached: its reservations move to a
+		// fresh unbuilt entry, so the next Get retries. Waiters still
+		// receive err via the old entry.
+		c.entries[key] = &cacheEntry{uses: e.uses, pinned: e.pinned}
+	case err != nil || (e.uses <= 0 && !e.pinned):
+		// Failed, or every reserved use was released while the build
+		// was still running.
+		delete(c.entries, key)
 	}
 	close(e.done)
 	c.mu.Unlock()
 	return tr, err
 }
 
-// Retain takes one additional reference on an already-resident
-// (spec, n) entry without counting a cache hit, reporting whether the
-// entry was present. Sweeps use it to keep a trace alive across the
-// gap between one cell's Release and the next cell's Acquire; the
-// reference is dropped with a matching Release.
-func (c *TraceCache) Retain(spec Spec, n uint64) bool {
-	key := cacheKey{name: spec.Name, n: n}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	e.refs++
-	return true
-}
-
-// Pin materializes the (spec, n) trace and retains it for the cache's
-// lifetime: subsequent Acquires are hits and Releases never evict it.
-// Drivers that run the same sweep repeatedly (benchmark iterations)
-// pin their specs once so re-runs skip generation entirely.
-func (c *TraceCache) Pin(spec Spec, n uint64) (*Trace, error) {
-	key := cacheKey{name: spec.Name, n: n}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{pinned: true, done: make(chan struct{})}
-		c.entries[key] = e
-		c.builds++
-		c.mu.Unlock()
-		return c.build(key, e, spec, n)
-	}
-	e.pinned = true
-	c.hits++
-	c.mu.Unlock()
-
-	<-e.done
-	return e.tr, e.err
-}
-
-// Release drops one reference on the (spec, n) trace. When the last
-// reference is gone the entry is evicted, freeing the stream; pinned
-// entries are never evicted. Releasing an absent entry is a no-op.
+// Release drops one reserved use of the (spec, n) trace. The last one
+// evicts the trace, freeing the stream; a build still running evicts
+// it when it completes. Pinned entries are never evicted, and
+// releasing an absent entry is a no-op.
 func (c *TraceCache) Release(spec Spec, n uint64) {
 	key := cacheKey{name: spec.Name, n: n}
 	c.mu.Lock()
@@ -256,38 +222,35 @@ func (c *TraceCache) Release(spec Spec, n uint64) {
 	if !ok || e.pinned {
 		return
 	}
-	e.refs--
-	if e.refs > 0 {
+	e.uses--
+	if e.uses > 0 {
+		return
+	}
+	if e.done == nil {
+		delete(c.entries, key) // never built
 		return
 	}
 	select {
 	case <-e.done:
 		delete(c.entries, key)
 	default:
-		// Still building: deleting now would let a concurrent Acquire
-		// start a second build of the same trace. The builder evicts
-		// the entry itself if the refcount is still zero when the
-		// build completes.
+		// Still building: deleting now would let a concurrent Get
+		// start a second build of the same trace.
 	}
 }
 
-// SetAcquireHook installs (or, with nil, removes) a hook consulted
-// before every Acquire. A non-nil error from the hook fails the
-// Acquire without taking a reference: the caller must not Release it.
-// The hook exists for deterministic fault injection in tests (see
-// internal/faultinject).
-func (c *TraceCache) SetAcquireHook(h func(name string, n uint64) error) {
-	c.mu.Lock()
-	c.acquireHook = h
-	c.mu.Unlock()
-}
-
 // CacheStats reports materializations performed and shared reuses
-// served, plus the number of currently resident traces.
+// served, plus the number of resident traces: those built or being
+// built (a reservation alone holds no memory).
 func (c *TraceCache) CacheStats() (builds, hits uint64, resident int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.builds, c.hits, len(c.entries)
+	for _, e := range c.entries {
+		if e.done != nil {
+			resident++
+		}
+	}
+	return c.builds, c.hits, resident
 }
 
 // String renders the cache counters (diagnostics).

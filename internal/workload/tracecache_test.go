@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 
@@ -70,23 +72,25 @@ func TestTraceCacheRefcount(t *testing.T) {
 	spec := testSpec(t)
 	c := NewTraceCache()
 
-	t1, err := c.Acquire(spec, 100)
+	c.Reserve(spec, 100, 2)
+	t1, err := c.Get(spec, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := c.Acquire(spec, 100)
+	t2, err := c.Get(spec, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t1 != t2 {
-		t.Error("second Acquire did not share the materialized trace")
+		t.Error("second Get did not share the materialized trace")
 	}
 	if builds, hits, resident := c.CacheStats(); builds != 1 || hits != 1 || resident != 1 {
-		t.Errorf("stats after 2 acquires: builds=%d hits=%d resident=%d", builds, hits, resident)
+		t.Errorf("stats after 2 gets: builds=%d hits=%d resident=%d", builds, hits, resident)
 	}
 
 	// A different window is a different entry.
-	if _, err := c.Acquire(spec, 50); err != nil {
+	c.Reserve(spec, 50, 1)
+	if _, err := c.Get(spec, 50); err != nil {
 		t.Fatal(err)
 	}
 	if builds, _, resident := c.CacheStats(); builds != 2 || resident != 2 {
@@ -95,7 +99,7 @@ func TestTraceCacheRefcount(t *testing.T) {
 
 	c.Release(spec, 100)
 	if _, _, resident := c.CacheStats(); resident != 2 {
-		t.Errorf("entry evicted with a reference outstanding (resident=%d)", resident)
+		t.Errorf("entry evicted with a use outstanding (resident=%d)", resident)
 	}
 	c.Release(spec, 100)
 	if _, _, resident := c.CacheStats(); resident != 1 {
@@ -103,83 +107,157 @@ func TestTraceCacheRefcount(t *testing.T) {
 	}
 	// Releasing an absent entry is a no-op.
 	c.Release(spec, 100)
+
+	// An unreserved Get builds and evicts at once.
+	if _, err := c.Get(spec, 30); err != nil {
+		t.Fatal(err)
+	}
+	if builds, _, resident := c.CacheStats(); builds != 3 || resident != 1 {
+		t.Errorf("unreserved Get: builds=%d resident=%d, want 3 and 1", builds, resident)
+	}
 }
 
-func TestTraceCacheRetainKeepsEntryAlive(t *testing.T) {
+// TestTraceCacheReservationBridgesGets: cells that run one after
+// another share one build, because the reservation, not the Get,
+// keeps the trace resident across the gap between them.
+func TestTraceCacheReservationBridgesGets(t *testing.T) {
 	spec := testSpec(t)
 	c := NewTraceCache()
+	const cells = 3
 
-	if _, err := c.Acquire(spec, 100); err != nil {
-		t.Fatal(err)
+	c.Reserve(spec, 100, cells)
+	for i := 0; i < cells; i++ {
+		if _, _, resident := c.CacheStats(); i > 0 && resident != 1 {
+			t.Fatalf("trace evicted between cells %d and %d (resident=%d)", i-1, i, resident)
+		}
+		if _, err := c.Get(spec, 100); err != nil {
+			t.Fatal(err)
+		}
+		c.Release(spec, 100)
 	}
-	// Retain takes a second reference without counting a hit.
-	if !c.Retain(spec, 100) {
-		t.Fatal("Retain missed a resident entry")
-	}
-	if builds, hits, _ := c.CacheStats(); builds != 1 || hits != 0 {
-		t.Errorf("builds=%d hits=%d after Acquire+Retain, want 1 and 0", builds, hits)
-	}
-
-	// The acquirer's Release leaves the retained entry resident; a
-	// re-Acquire across the gap is a hit, not a rebuild.
-	c.Release(spec, 100)
-	if _, _, resident := c.CacheStats(); resident != 1 {
-		t.Fatalf("retained entry evicted (resident=%d)", resident)
-	}
-	if _, err := c.Acquire(spec, 100); err != nil {
-		t.Fatal(err)
-	}
-	if builds, hits, _ := c.CacheStats(); builds != 1 || hits != 1 {
-		t.Errorf("builds=%d hits=%d after re-Acquire, want 1 and 1", builds, hits)
-	}
-
-	// Dropping both remaining references evicts.
-	c.Release(spec, 100)
-	c.Release(spec, 100)
-	if _, _, resident := c.CacheStats(); resident != 0 {
-		t.Errorf("entry survived its last Release (resident=%d)", resident)
-	}
-	// Retain on an absent entry reports the miss and takes nothing.
-	if c.Retain(spec, 100) {
-		t.Error("Retain claimed an evicted entry")
+	if builds, hits, resident := c.CacheStats(); builds != 1 || hits != cells-1 || resident != 0 {
+		t.Errorf("builds=%d hits=%d resident=%d, want 1, %d, 0", builds, hits, resident, cells-1)
 	}
 }
 
-func TestTraceCacheConcurrentAcquireBuildsOnce(t *testing.T) {
+func TestTraceCacheReserveWithoutGetBuildsNothing(t *testing.T) {
+	spec := testSpec(t)
+	c := NewTraceCache()
+	const k = 5
+
+	c.Reserve(spec, 100, k)
+	if builds, _, resident := c.CacheStats(); builds != 0 || resident != 0 {
+		t.Fatalf("Reserve built or counted a trace: builds=%d resident=%d", builds, resident)
+	}
+	for i := 0; i < k; i++ {
+		c.Release(spec, 100)
+	}
+	if builds, hits, resident := c.CacheStats(); builds != 0 || hits != 0 || resident != 0 {
+		t.Errorf("after %d releases: builds=%d hits=%d resident=%d, want all 0", k, builds, hits, resident)
+	}
+	if n := len(c.entries); n != 0 {
+		t.Errorf("%d unbuilt entries left behind", n)
+	}
+}
+
+func TestTraceCacheFailedBuildKeepsReservation(t *testing.T) {
+	payload, _ := encodeTestTrace(t, 500)
+	fail := errors.New("storage offline")
+	opens := 0
+	spec := TraceSpec("trace:flaky", "flaky", func() (io.ReadCloser, error) {
+		opens++
+		if opens == 1 {
+			return nil, fail
+		}
+		return io.NopCloser(bytes.NewReader(payload)), nil
+	})
+	c := NewTraceCache()
+
+	c.Reserve(spec, 500, 2)
+	if _, err := c.Get(spec, 500); !errors.Is(err, fail) {
+		t.Fatalf("Get error = %v, want wrapped %v", err, fail)
+	}
+	if builds, _, resident := c.CacheStats(); builds != 1 || resident != 0 {
+		t.Fatalf("failed build cached: builds=%d resident=%d", builds, resident)
+	}
+
+	// The next Get rebuilds, and the two reserved uses still hold it.
+	tr, err := c.Get(spec, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Instrs) != 500 {
+		t.Fatalf("rebuilt trace has %d instructions, want 500", len(tr.Instrs))
+	}
+	if builds, _, resident := c.CacheStats(); builds != 2 || resident != 1 {
+		t.Fatalf("retry: builds=%d resident=%d, want 2 and 1", builds, resident)
+	}
+	c.Release(spec, 500)
+	if _, _, resident := c.CacheStats(); resident != 1 {
+		t.Fatalf("reservation lost across the failed build (resident=%d)", resident)
+	}
+	c.Release(spec, 500)
+	if _, _, resident := c.CacheStats(); resident != 0 {
+		t.Errorf("entry not evicted after last Release (resident=%d)", resident)
+	}
+}
+
+func TestTraceCacheReleaseDuringBuildEvicts(t *testing.T) {
+	payload, _ := encodeTestTrace(t, 500)
+	opened, unblock := make(chan struct{}), make(chan struct{})
+	spec := TraceSpec("trace:slow", "slow", func() (io.ReadCloser, error) {
+		close(opened)
+		<-unblock
+		return io.NopCloser(bytes.NewReader(payload)), nil
+	})
+	c := NewTraceCache()
+
+	c.Reserve(spec, 500, 1)
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Get(spec, 500)
+		got <- err
+	}()
+	<-opened
+	c.Release(spec, 500)
+	if _, _, resident := c.CacheStats(); resident != 1 {
+		t.Fatalf("building entry not resident (resident=%d)", resident)
+	}
+	close(unblock)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if builds, _, resident := c.CacheStats(); builds != 1 || resident != 0 {
+		t.Errorf("after build: builds=%d resident=%d, want 1 and 0", builds, resident)
+	}
+}
+
+func TestTraceCacheConcurrentGetBuildsOnce(t *testing.T) {
 	spec := testSpec(t)
 	c := NewTraceCache()
 	const workers = 16
 
-	// All 16 acquirers hold their references until every Acquire has
-	// returned (the barrier below), so no interleaving of releases can
-	// empty the refcount mid-test and legitimize a second build.
+	c.Reserve(spec, 200, workers)
 	traces := make([]*Trace, workers)
-	barrier := make(chan struct{})
-	var acquired, done sync.WaitGroup
+	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		acquired.Add(1)
-		done.Add(1)
+		wg.Add(1)
 		go func(i int) {
-			defer done.Done()
-			tr, err := c.Acquire(spec, 200)
+			defer wg.Done()
+			defer c.Release(spec, 200)
+			tr, err := c.Get(spec, 200)
 			if err != nil {
 				t.Error(err)
-				acquired.Done()
 				return
 			}
 			traces[i] = tr
-			acquired.Done()
-			<-barrier
-			c.Release(spec, 200)
 		}(i)
 	}
-	acquired.Wait()
-	close(barrier)
-	done.Wait()
+	wg.Wait()
 
 	for i := 1; i < workers; i++ {
 		if traces[i] != traces[0] {
-			t.Fatal("concurrent acquires produced distinct traces")
+			t.Fatal("concurrent gets produced distinct traces")
 		}
 	}
 	if builds, hits, resident := c.CacheStats(); builds != 1 || hits != workers-1 || resident != 0 {
@@ -195,13 +273,14 @@ func TestTraceCachePinSurvivesRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An Acquire of a pinned entry is a hit and shares the trace.
-	got, err := c.Acquire(spec, 100)
+	// A Get of a pinned entry is a hit and shares the trace.
+	c.Reserve(spec, 100, 1)
+	got, err := c.Get(spec, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != pinned {
-		t.Error("Acquire after Pin rebuilt the trace")
+		t.Error("Get after Pin rebuilt the trace")
 	}
 	// No number of Releases evicts a pinned entry.
 	for i := 0; i < 5; i++ {
@@ -211,11 +290,12 @@ func TestTraceCachePinSurvivesRelease(t *testing.T) {
 		t.Errorf("pinned entry evicted (resident=%d)", resident)
 	}
 	if builds, hits, _ := c.CacheStats(); builds != 1 || hits != 1 {
-		t.Errorf("builds=%d hits=%d after Pin+Acquire, want 1 and 1", builds, hits)
+		t.Errorf("builds=%d hits=%d after Pin+Get, want 1 and 1", builds, hits)
 	}
 
-	// Pinning an entry acquired first also protects it.
-	if _, err := c.Acquire(spec, 30); err != nil {
+	// Pinning an entry reserved and built first also protects it.
+	c.Reserve(spec, 30, 1)
+	if _, err := c.Get(spec, 30); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Pin(spec, 30); err != nil {
@@ -224,49 +304,5 @@ func TestTraceCachePinSurvivesRelease(t *testing.T) {
 	c.Release(spec, 30)
 	if _, _, resident := c.CacheStats(); resident != 2 {
 		t.Errorf("late-pinned entry evicted (resident=%d)", resident)
-	}
-}
-
-func TestTraceCacheAcquireHook(t *testing.T) {
-	spec := testSpec(t)
-	c := NewTraceCache()
-
-	fail := errors.New("injected")
-	calls := 0
-	c.SetAcquireHook(func(name string, n uint64) error {
-		calls++
-		if name != spec.Name || n != 100 {
-			t.Errorf("hook saw (%s, %d), want (%s, 100)", name, n, spec.Name)
-		}
-		if calls == 1 {
-			return fail
-		}
-		return nil
-	})
-
-	// A hook-failed Acquire takes no reference and builds nothing.
-	if _, err := c.Acquire(spec, 100); !errors.Is(err, fail) {
-		t.Fatalf("Acquire error = %v, want wrapped %v", err, fail)
-	}
-	if builds, hits, resident := c.CacheStats(); builds != 0 || hits != 0 || resident != 0 {
-		t.Fatalf("failed Acquire touched the cache: builds=%d hits=%d resident=%d", builds, hits, resident)
-	}
-
-	// Retries succeed and their references drain the entry as usual.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Acquire(spec, 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Release(spec, 100)
-	c.Release(spec, 100)
-	if _, _, resident := c.CacheStats(); resident != 0 {
-		t.Errorf("entry not evicted after last Release (resident=%d)", resident)
-	}
-
-	// Removing the hook restores unconditional acquires.
-	c.SetAcquireHook(nil)
-	if _, err := c.Acquire(spec, 100); err != nil {
-		t.Fatal(err)
 	}
 }
