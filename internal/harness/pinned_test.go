@@ -37,6 +37,27 @@ func TestPinnedBenchFingerprint(t *testing.T) {
 	}
 }
 
+// TestPaperLineupFingerprint pins the Fig. 6 lineup — every
+// StandardConfigurations entry over workload.CVPSuite(2) at 400k+200k,
+// 128 cells — to the fingerprint of the benchmark's sweep-paper
+// workload, so every baseline prefetcher (RDIP, FNL+MMA, MANA-2K/8K,
+// SN4L, EPI) is pinned by the test suite and not only by a benchmark
+// run.
+func TestPaperLineupFingerprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full 128-cell paper sweep")
+	}
+	const want = "72edabd119c3cb95657a7f706c78bad77990cd50b50990423e6cb4499d3aa8c6"
+	opt := Options{Warmup: 400_000, Measure: 200_000, Parallelism: runtime.GOMAXPROCS(0)}
+	s, err := RunSuiteCtx(context.Background(), workload.CVPSuite(2), StandardConfigurations(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sha := MetricsFingerprint(s.Metrics()); sha != want {
+		t.Errorf("paper lineup fingerprint %s, want %s", sha, want)
+	}
+}
+
 // benchCell returns a small cached-trace cell of the pinned sweep for
 // allocation measurements.
 func benchCell(tb testing.TB, warmup, measure uint64) (Configuration, workload.Spec, *workload.Trace) {
