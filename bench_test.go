@@ -9,6 +9,7 @@
 package entangling_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -27,7 +28,6 @@ func benchOptions() harness.Options {
 	return harness.Options{
 		Warmup:      1_200_000,
 		Measure:     600_000,
-		PerCategory: 2,
 		Parallelism: 0,
 	}
 }
@@ -145,7 +145,7 @@ func BenchmarkFig01Timeliness(b *testing.B) {
 	opt := benchOptions()
 	specs := benchSpecs()
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig01(specs, opt)
+		t, err := harness.Fig01(context.Background(), specs, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkFig02LookaheadAccuracy(b *testing.B) {
 	opt.Measure /= 2
 	specs := benchSpecs()
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig02(specs, opt)
+		t, err := harness.Fig02(context.Background(), specs, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func BenchmarkExtContext(b *testing.B) {
 // employed in our evaluation), as less prefetches would be discarded."
 func BenchmarkExtPQSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := harness.ExtPQSweep(1_200_000, 600_000)
+		t, err := harness.ExtPQSweep(context.Background(), 1_200_000, 600_000)
 		if err != nil {
 			b.Fatal(err)
 		}

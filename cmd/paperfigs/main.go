@@ -53,12 +53,13 @@ func main() {
 
 	// An interrupt cancels the sweep cooperatively: in-flight cells
 	// stop at the next poll, completed cells stay checkpointed, and a
-	// later -resume run picks up from there.
+	// later -resume run picks up from there. Figures 1, 2 and ext-pq
+	// stop before their next run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	opt := harness.Options{
-		Warmup: *warmup, Measure: *measure, PerCategory: *perCat, Parallelism: 0,
+		Warmup: *warmup, Measure: *measure, Parallelism: 0,
 		Resume: *resume,
 	}
 	if *progress {
@@ -99,14 +100,14 @@ func main() {
 
 	// Figures 1-2 run their own measurements.
 	if all || want["1"] {
-		t, err := harness.Fig01(specs, opt)
+		t, err := harness.Fig01(ctx, specs, opt)
 		if err != nil {
 			fatal(err)
 		}
 		emit(t, "01")
 	}
 	if all || want["2"] {
-		t, err := harness.Fig02(specs, opt)
+		t, err := harness.Fig02(ctx, specs, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -217,7 +218,7 @@ func main() {
 			fatal(err)
 		}
 		emit(harness.ExtContextTable(ctxSweep), "ext-context")
-		pq, err := harness.ExtPQSweep(*warmup, *measure)
+		pq, err := harness.ExtPQSweep(ctx, *warmup, *measure)
 		if err != nil {
 			fatal(err)
 		}

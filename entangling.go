@@ -20,6 +20,7 @@
 package entangling
 
 import (
+	"context"
 	"io"
 
 	"entangling/internal/cache"
@@ -201,10 +202,14 @@ var (
 )
 
 // Fig01 and Fig02 run their own oracle/look-ahead measurements.
-func Fig01(specs []WorkloadSpec, opt Options) (*Table, error) { return harness.Fig01(specs, opt) }
+func Fig01(specs []WorkloadSpec, opt Options) (*Table, error) {
+	return harness.Fig01(context.Background(), specs, opt)
+}
 
 // Fig02 measures accuracy of fixed look-ahead prefetching.
-func Fig02(specs []WorkloadSpec, opt Options) (*Table, error) { return harness.Fig02(specs, opt) }
+func Fig02(specs []WorkloadSpec, opt Options) (*Table, error) {
+	return harness.Fig02(context.Background(), specs, opt)
+}
 
 // TraceSource is a stream of dynamic instructions; trace files opened
 // with OpenTrace and in-memory streams both implement it.

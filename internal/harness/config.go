@@ -134,8 +134,6 @@ type Options struct {
 	Warmup uint64
 	// Measure instructions are measured.
 	Measure uint64
-	// PerCategory sizes the CVP-like suite (workloads per category).
-	PerCategory int
 	// Parallelism bounds concurrent runs (defaults to GOMAXPROCS).
 	Parallelism int
 	// Traces, when non-nil, is a shared trace cache RunSuite draws from
@@ -168,7 +166,6 @@ func DefaultOptions() Options {
 	return Options{
 		Warmup:      2_000_000,
 		Measure:     1_000_000,
-		PerCategory: 6,
 		Parallelism: runtime.GOMAXPROCS(0),
 	}
 }
@@ -178,7 +175,6 @@ func QuickOptions() Options {
 	return Options{
 		Warmup:      800_000,
 		Measure:     400_000,
-		PerCategory: 2,
 		Parallelism: runtime.GOMAXPROCS(0),
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"entangling/internal/cpu"
@@ -71,8 +72,9 @@ func ExtContextTable(s *SuiteResults) *Table {
 }
 
 // ExtPQSweep runs the prefetch-queue sensitivity study on one srv
-// workload with the entangling-4k configuration.
-func ExtPQSweep(warmup, measure uint64) (*Table, error) {
+// workload with the entangling-4k configuration. Canceling ctx stops it
+// before its next run with ErrCellCanceled.
+func ExtPQSweep(ctx context.Context, warmup, measure uint64) (*Table, error) {
 	p := workload.Preset(workload.Srv)
 	p.Seed = 1
 	p.Name = "srv-pq"
@@ -90,6 +92,9 @@ func ExtPQSweep(warmup, measure uint64) (*Table, error) {
 		Note:   "the paper predicts fewer discarded prefetches with a larger PQ",
 	}
 	for _, pq := range []int{8, 16, 32, 64, 128} {
+		if err := canceled(ctx); err != nil {
+			return nil, err
+		}
 		cfg := cpu.DefaultConfig()
 		cfg.L1I.PQSize = pq
 		cfg.Prefetcher = pf

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"entangling/internal/core"
@@ -13,7 +14,8 @@ import (
 // Fig01 reproduces Figure 1: the fraction of L1I misses a fixed
 // look-ahead distance (in taken-branch discontinuities) would serve
 // timely, measured with the oracle on the no-prefetch baseline.
-func Fig01(specs []workload.Spec, opt Options) (*Table, error) {
+// Canceling ctx stops it before its next run with ErrCellCanceled.
+func Fig01(ctx context.Context, specs []workload.Spec, opt Options) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 1: fraction of timely prefetches vs fixed look-ahead distance",
 		Header: []string{"workload"},
@@ -26,6 +28,9 @@ func Fig01(specs []workload.Spec, opt Options) (*Table, error) {
 
 	agg := stats.NewHistogram(1, 10)
 	for _, spec := range specs {
+		if err := canceled(ctx); err != nil {
+			return nil, err
+		}
 		o := oracle.New()
 		if _, err := Run(Baseline, spec, opt.Warmup, opt.Measure, o, o.OnBranch); err != nil {
 			return nil, err
@@ -49,7 +54,8 @@ func Fig01(specs []workload.Spec, opt Options) (*Table, error) {
 
 // Fig02 reproduces Figure 2: prefetcher accuracy as the fixed
 // look-ahead distance grows, using the Markov look-ahead-d prefetcher.
-func Fig02(specs []workload.Spec, opt Options) (*Table, error) {
+// Canceling ctx stops it before its next run with ErrCellCanceled.
+func Fig02(ctx context.Context, specs []workload.Spec, opt Options) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 2: accuracy vs fixed look-ahead distance",
 		Header: []string{"distance"},
@@ -69,6 +75,9 @@ func Fig02(specs []workload.Spec, opt Options) (*Table, error) {
 		byCat := map[workload.Category][]float64{}
 		var all []float64
 		for _, spec := range specs {
+			if err := canceled(ctx); err != nil {
+				return nil, err
+			}
 			r, err := Run(cfg, spec, opt.Warmup, opt.Measure, nil, nil)
 			if err != nil {
 				return nil, err

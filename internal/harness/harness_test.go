@@ -1,17 +1,20 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"entangling/internal/energy"
 	"entangling/internal/workload"
 )
 
 func tinyOptions() Options {
-	return Options{Warmup: 150_000, Measure: 100_000, PerCategory: 1, Parallelism: 2}
+	return Options{Warmup: 150_000, Measure: 100_000, Parallelism: 2}
 }
 
 func tinySuite(t *testing.T) ([]workload.Spec, []Configuration, *SuiteResults) {
@@ -136,7 +139,7 @@ func TestFiguresRender(t *testing.T) {
 func TestFig01And02(t *testing.T) {
 	specs := workload.CVPSuite(1)[3:4] // one srv workload for speed
 	opt := tinyOptions()
-	f1, err := Fig01(specs, opt)
+	f1, err := Fig01(context.Background(), specs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +160,40 @@ func TestFig01And02(t *testing.T) {
 		prev = v
 	}
 
-	f2t, err := Fig02(specs, Options{Warmup: 100_000, Measure: 80_000})
+	f2t, err := Fig02(context.Background(), specs, Options{Warmup: 100_000, Measure: 80_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f2t.Rows) != 10 {
 		t.Fatalf("Fig02 rows = %d", len(f2t.Rows))
+	}
+}
+
+// TestFiguresStopOnCanceledContext checks that the figures running
+// their own measurements (Figures 1 and 2, the PQ study) honour a
+// canceled context: each returns ErrCellCanceled before its first run.
+// The windows are far too long to simulate, so a figure that ran
+// anyway fails by timing out.
+func TestFiguresStopOnCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	specs := workload.CVPSuite(1)[3:4]
+	const warmup, measure = 1 << 40, 1 << 40
+	opt := Options{Warmup: warmup, Measure: measure}
+	for name, run := range map[string]func() error{
+		"Fig01":      func() error { _, err := Fig01(ctx, specs, opt); return err },
+		"Fig02":      func() error { _, err := Fig02(ctx, specs, opt); return err },
+		"ExtPQSweep": func() error { _, err := ExtPQSweep(ctx, warmup, measure); return err },
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrCellCanceled) {
+				t.Errorf("%s on a canceled context: %v, want ErrCellCanceled", name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s kept simulating on a canceled context", name)
+		}
 	}
 }

@@ -36,7 +36,6 @@ func PinnedBenchOptions() Options {
 	return Options{
 		Warmup:      400_000,
 		Measure:     200_000,
-		PerCategory: 1,
 		Parallelism: runtime.GOMAXPROCS(0),
 	}
 }

@@ -31,10 +31,20 @@ type SuiteResults struct {
 	Restored int
 }
 
-// ErrCellCanceled marks a cell abandoned because the sweep's context
-// was canceled — the cell did not fail; it never (fully) ran. Test
-// with errors.Is against RunSuite's error or a CellError.
+// ErrCellCanceled marks a cell (or a figure's own run) abandoned
+// because its context was canceled — it did not fail; it never
+// (fully) ran. Test with errors.Is against RunSuite's error or a
+// CellError.
 var ErrCellCanceled = errors.New("cell canceled")
+
+// canceled returns ErrCellCanceled wrapping ctx's error once ctx is
+// done, else nil.
+func canceled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCellCanceled, err)
+	}
+	return nil
+}
 
 // ErrCellPanic marks a cell whose simulation panicked; the panic was
 // recovered and degraded to this error so the rest of the sweep
@@ -229,8 +239,8 @@ func RunCell(ctx context.Context, cfg Configuration, spec workload.Spec, opt Opt
 		})
 		return RunResult{}, cerr
 	}
-	if err := ctx.Err(); err != nil {
-		return fail(fmt.Errorf("%w: %v", ErrCellCanceled, err))
+	if err := canceled(ctx); err != nil {
+		return fail(err)
 	}
 	opt.Progress.emit(CellEvent{Type: CellStarted, Config: cfg.Name, Workload: spec.Name})
 	res, err := execCell(ctx, cfg, spec, opt)
@@ -284,8 +294,8 @@ func execCell(ctx context.Context, cfg Configuration, spec workload.Spec, opt Op
 	}
 	res, rerr := RunTraceCtx(ctx, cfg, spec, tr, opt.Warmup, opt.Measure)
 	if rerr != nil {
-		if ctx.Err() != nil {
-			return RunResult{}, fmt.Errorf("%w: %v", ErrCellCanceled, ctx.Err())
+		if cerr := canceled(ctx); cerr != nil {
+			return RunResult{}, cerr
 		}
 		return RunResult{}, rerr
 	}

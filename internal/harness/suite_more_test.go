@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -227,7 +228,7 @@ func TestExtTablesRender(t *testing.T) {
 		t.Fatal("extension configuration lists wrong")
 	}
 	// Smoke the PQ sweep at tiny scale.
-	tab, err := ExtPQSweep(60_000, 40_000)
+	tab, err := ExtPQSweep(context.Background(), 60_000, 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}

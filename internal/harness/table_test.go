@@ -103,7 +103,7 @@ func TestConfigurationLists(t *testing.T) {
 
 func TestDefaultAndQuickOptions(t *testing.T) {
 	d, q := DefaultOptions(), QuickOptions()
-	if d.Warmup <= q.Warmup || d.Measure <= q.Measure || d.PerCategory <= q.PerCategory {
+	if d.Warmup <= q.Warmup || d.Measure <= q.Measure {
 		t.Error("QuickOptions should be strictly smaller than DefaultOptions")
 	}
 	if d.Parallelism < 1 || q.Parallelism < 1 {

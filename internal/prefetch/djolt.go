@@ -34,21 +34,33 @@ type DJolt struct {
 	FeedbackUseless uint64
 }
 
-// sigTable is a signature-indexed miss table shared by the two ranges.
+// sigTable is a signature-indexed miss table: D-JOLT's two ranges and
+// RDIP's one. Each signature's entry holds up to six trigger lines,
+// each with an 8-bit footprint of the lines that follow it.
 type sigTable struct {
-	sets, ways int
-	entries    []rdipEntry
-	tick       uint64
-	depth      int // signature depth in events
+	tags     lruTable
+	entries  []sigEntry // parallel to tags' slots
+	depth    int        // D-JOLT signature depth in call/return events
+	setShift uint       // the set index hashes sig>>setShift
 }
 
-func newSigTable(entriesN, depth int) *sigTable {
-	ways := 4
+type sigEntry struct {
+	triggers [6]sigTrigger
+	n        int
+}
+
+type sigTrigger struct {
+	line      uint64
+	footprint uint8
+}
+
+func newSigTable(entriesN, depth int, setShift uint) *sigTable {
+	tags := newLRUTable(entriesN, 4)
 	return &sigTable{
-		sets:    entriesN / ways,
-		ways:    ways,
-		entries: make([]rdipEntry, entriesN),
-		depth:   depth,
+		tags:     tags,
+		entries:  make([]sigEntry, len(tags.slots)),
+		depth:    depth,
+		setShift: setShift,
 	}
 }
 
@@ -61,48 +73,16 @@ func (t *sigTable) signature(hist []uint64) uint64 {
 	return sig * 0x9E3779B97F4A7C15
 }
 
-func (t *sigTable) set(sig uint64) []rdipEntry {
-	s := int(sig>>33) % t.sets
-	if s < 0 {
-		s = -s
-	}
-	return t.entries[s*t.ways : (s+1)*t.ways]
-}
-
-func (t *sigTable) lookup(sig uint64) *rdipEntry {
-	set := t.set(sig)
-	for i := range set {
-		if set[i].valid && set[i].sig == sig {
-			t.tick++
-			set[i].lru = t.tick
-			return &set[i]
-		}
-	}
-	return nil
-}
-
-func (t *sigTable) ensure(sig uint64) *rdipEntry {
-	if e := t.lookup(sig); e != nil {
-		return e
-	}
-	set := t.set(sig)
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	t.tick++
-	*victim = rdipEntry{sig: sig, valid: true, lru: t.tick}
-	return victim
-}
-
+// train folds a miss on line into sig's entry: into the footprint of
+// a trigger it follows closely, else as a new trigger, dropping the
+// oldest when all six are taken (the entry holds the context's most
+// recent misses).
 func (t *sigTable) train(sig uint64, line uint64) {
-	e := t.ensure(sig)
+	slot, fresh := t.tags.ensure(sig>>t.setShift, sig)
+	e := &t.entries[slot]
+	if fresh {
+		*e = sigEntry{}
+	}
 	for i := 0; i < e.n; i++ {
 		tr := &e.triggers[i]
 		if line > tr.line && line-tr.line <= 8 {
@@ -114,24 +94,29 @@ func (t *sigTable) train(sig uint64, line uint64) {
 		}
 	}
 	if e.n < len(e.triggers) {
-		e.triggers[e.n] = rdipTrigger{line: line}
+		e.triggers[e.n] = sigTrigger{line: line}
 		e.n++
 		return
 	}
 	copy(e.triggers[:], e.triggers[1:])
-	e.triggers[len(e.triggers)-1] = rdipTrigger{line: line}
+	e.triggers[len(e.triggers)-1] = sigTrigger{line: line}
 }
 
+// prefetch issues sig's triggers and their footprints. A non-nil seen
+// dedupes lines across calls within one trigger event.
 func (t *sigTable) prefetch(issuer Issuer, cycle uint64, sig uint64, seen map[uint64]bool) {
-	e := t.lookup(sig)
-	if e == nil {
+	slot := t.tags.lookup(sig>>t.setShift, sig)
+	if slot < 0 {
 		return
 	}
+	e := &t.entries[slot]
 	issue := func(line uint64) {
-		if seen[line] {
-			return
+		if seen != nil {
+			if seen[line] {
+				return
+			}
+			seen[line] = true
 		}
-		seen[line] = true
 		issuer.Prefetch(cycle, line, 0)
 	}
 	for i := 0; i < e.n; i++ {
@@ -150,8 +135,8 @@ func NewDJolt(issuer Issuer) *DJolt {
 	return &DJolt{
 		Base:   Base{PfName: "djolt", Bits: uint64(125 * 1024 * 8)},
 		issuer: issuer,
-		short:  newSigTable(8192, 2),
-		long:   newSigTable(8192, 6),
+		short:  newSigTable(8192, 2, 33),
+		long:   newSigTable(8192, 6, 33),
 	}
 }
 

@@ -17,11 +17,10 @@ type FNLMMA struct {
 	// worth holds 2-bit worthiness counters indexed by hashed line.
 	worth []uint8
 
-	// missTable maps a miss line to the miss observed Distance misses
-	// later.
-	missSets, missWays int
-	missTable          []fnlEntry
-	tick               uint64
+	// missTags and missNext map a miss line to the miss observed
+	// Distance misses later.
+	missTags lruTable
+	missNext []uint64 // parallel to missTags' slots
 
 	// ring holds the last Distance miss lines.
 	ring []uint64
@@ -35,29 +34,20 @@ type FNLMMA struct {
 	haveLine bool
 }
 
-type fnlEntry struct {
-	tag   uint64
-	next  uint64
-	valid bool
-	lru   uint64
-}
-
 // fnlWorthBits sizes the worthiness table (16K 2-bit counters).
 const fnlWorthBits = 14
 
 // NewFNLMMA returns the paper's FNL+MMA configuration (97KB).
 func NewFNLMMA(issuer Issuer) *FNLMMA {
-	const entriesN = 8192
-	ways := 4
+	tags := newLRUTable(8192, 4)
 	return &FNLMMA{
-		Base:      Base{PfName: "fnl+mma", Bits: uint64(97 * 1024 * 8)},
-		issuer:    issuer,
-		worth:     make([]uint8, 1<<fnlWorthBits),
-		missSets:  entriesN / ways,
-		missWays:  ways,
-		missTable: make([]fnlEntry, entriesN),
-		ring:      make([]uint64, 4),
-		Distance:  4,
+		Base:     Base{PfName: "fnl+mma", Bits: uint64(97 * 1024 * 8)},
+		issuer:   issuer,
+		worth:    make([]uint8, 1<<fnlWorthBits),
+		missTags: tags,
+		missNext: make([]uint64, len(tags.slots)),
+		ring:     make([]uint64, 4),
+		Distance: 4,
 	}
 }
 
@@ -66,43 +56,8 @@ func worthIndex(line uint64) uint64 {
 	return h >> (64 - fnlWorthBits)
 }
 
-func (p *FNLMMA) missSet(line uint64) []fnlEntry {
-	h := line ^ line>>11
-	s := int(h % uint64(p.missSets))
-	return p.missTable[s*p.missWays : (s+1)*p.missWays]
-}
-
-func (p *FNLMMA) missLookup(line uint64) *fnlEntry {
-	set := p.missSet(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			p.tick++
-			set[i].lru = p.tick
-			return &set[i]
-		}
-	}
-	return nil
-}
-
-func (p *FNLMMA) missInsert(line, next uint64) {
-	if e := p.missLookup(line); e != nil {
-		e.next = next
-		return
-	}
-	set := p.missSet(line)
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	p.tick++
-	*victim = fnlEntry{tag: line, next: next, valid: true, lru: p.tick}
-}
+// missHash picks line's set in the miss-ahead table.
+func missHash(line uint64) uint64 { return line ^ line>>11 }
 
 // OnAccess implements Prefetcher.
 func (p *FNLMMA) OnAccess(ev cache.AccessEvent) {
@@ -131,7 +86,9 @@ func (p *FNLMMA) OnAccess(ev cache.AccessEvent) {
 	// MMA: train the miss Distance back with this miss, then predict
 	// forward from the current miss.
 	if p.full {
-		p.missInsert(p.ring[p.pos], line)
+		prev := p.ring[p.pos]
+		slot, _ := p.missTags.ensure(missHash(prev), prev)
+		p.missNext[slot] = line
 	}
 	p.ring[p.pos] = line
 	p.pos = (p.pos + 1) % p.Distance
@@ -143,15 +100,16 @@ func (p *FNLMMA) OnAccess(ev cache.AccessEvent) {
 	// worthiness-filtered follower.
 	t := line
 	for hop := 0; hop < 2; hop++ {
-		e := p.missLookup(t)
-		if e == nil {
+		slot := p.missTags.lookup(missHash(t), t)
+		if slot < 0 {
 			break
 		}
-		p.issuer.Prefetch(ev.Cycle, e.next, 0)
-		if p.worth[worthIndex(e.next+1)] >= 2 {
-			p.issuer.Prefetch(ev.Cycle, e.next+1, 0)
+		next := p.missNext[slot]
+		p.issuer.Prefetch(ev.Cycle, next, 0)
+		if p.worth[worthIndex(next+1)] >= 2 {
+			p.issuer.Prefetch(ev.Cycle, next+1, 0)
 		}
-		t = e.next
+		t = next
 	}
 }
 

@@ -17,9 +17,8 @@ type MANA struct {
 	Base
 	issuer Issuer
 
-	sets, ways int
-	entries    []manaEntry
-	tick       uint64
+	tags    lruTable     // keyed by trigger line
+	regions []manaRegion // parallel to tags' slots
 
 	// Lookahead is how many chained regions are prefetched ahead.
 	Lookahead int
@@ -33,13 +32,10 @@ type MANA struct {
 	walk []uint64
 }
 
-type manaEntry struct {
-	tag       uint64
+type manaRegion struct {
 	footprint uint8
 	next      uint64
 	hasNext   bool
-	valid     bool
-	lru       uint64
 }
 
 // regionSpan is how many lines after the trigger the footprint covers.
@@ -48,58 +44,29 @@ const regionSpan = 8
 // NewMANA builds a MANA table with the given entry count; storageKB is
 // the paper-quoted budget for the configuration.
 func NewMANA(issuer Issuer, name string, entriesN int, storageKB float64, lookahead int) *MANA {
-	ways := 4
-	sets := entriesN / ways
-	if sets < 1 {
-		sets = 1
-	}
+	tags := newLRUTable(entriesN, 4)
 	return &MANA{
 		Base:      Base{PfName: name, Bits: uint64(storageKB * 1024 * 8)},
 		issuer:    issuer,
-		sets:      sets,
-		ways:      ways,
-		entries:   make([]manaEntry, sets*ways),
+		tags:      tags,
+		regions:   make([]manaRegion, len(tags.slots)),
 		Lookahead: lookahead,
 	}
 }
 
-func (p *MANA) set(line uint64) []manaEntry {
-	h := line
-	h ^= h >> 13
-	s := int(h % uint64(p.sets))
-	return p.entries[s*p.ways : (s+1)*p.ways]
-}
-
-func (p *MANA) lookup(line uint64) *manaEntry {
-	set := p.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			p.tick++
-			set[i].lru = p.tick
-			return &set[i]
-		}
+func (p *MANA) lookup(line uint64) *manaRegion {
+	if i := p.tags.lookup(line^line>>13, line); i >= 0 {
+		return &p.regions[i]
 	}
 	return nil
 }
 
-func (p *MANA) ensure(line uint64) *manaEntry {
-	if e := p.lookup(line); e != nil {
-		return e
+func (p *MANA) ensure(line uint64) *manaRegion {
+	i, fresh := p.tags.ensure(line^line>>13, line)
+	if fresh {
+		p.regions[i] = manaRegion{}
 	}
-	set := p.set(line)
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	p.tick++
-	*victim = manaEntry{tag: line, valid: true, lru: p.tick}
-	return victim
+	return &p.regions[i]
 }
 
 // OnAccess implements Prefetcher.
@@ -116,10 +83,9 @@ func (p *MANA) OnAccess(ev cache.AccessEvent) {
 	// Region boundary: chain the old region to the new trigger, then
 	// walk the chain ahead issuing prefetches.
 	if p.haveRegion {
-		if e := p.ensure(p.curTrigger); e != nil {
-			e.next = line
-			e.hasNext = true
-		}
+		e := p.ensure(p.curTrigger)
+		e.next = line
+		e.hasNext = true
 	}
 	p.curTrigger = line
 	p.haveRegion = true

@@ -8,36 +8,22 @@ import (
 // RDIP (Kolli et al. [29], §IV-B) is the return-address-stack-directed
 // instruction prefetcher: the RAS content is hashed into a signature
 // that captures the call context; a miss table maps each signature to
-// the L1I misses observed under it (up to 3 trigger lines, each with
-// an 8-bit footprint of neighbouring lines). Every call and return
-// recomputes the signature and prefetches that context's misses.
+// the L1I misses observed under it (trigger lines, each with an 8-bit
+// footprint of neighbouring lines). Every call and return recomputes
+// the signature and prefetches that context's misses. The miss table
+// is D-JOLT's sigTable with a single range.
 //
 // Configuration as evaluated in the paper: a 4K-entry miss table with
-// 3 triggers and 8-bit footprints, 63KB total.
+// 3 triggers and 8-bit footprints, 63KB total (the shared table keeps
+// six triggers per entry, as D-JOLT's does).
 type RDIP struct {
 	Base
 	issuer Issuer
-
-	sets, ways int
-	entries    []rdipEntry
-	tick       uint64
+	table  *sigTable
 
 	// ras is the prefetcher's own shadow return-address stack.
 	ras []uint64
 	sig uint64
-}
-
-type rdipEntry struct {
-	sig      uint64
-	valid    bool
-	lru      uint64
-	triggers [6]rdipTrigger
-	n        int
-}
-
-type rdipTrigger struct {
-	line      uint64
-	footprint uint8
 }
 
 // rdipSigDepth is how many RAS entries form the signature.
@@ -45,14 +31,10 @@ const rdipSigDepth = 2
 
 // NewRDIP returns the paper's RDIP configuration (4K entries, 63KB).
 func NewRDIP(issuer Issuer) *RDIP {
-	const entriesN = 4096
-	ways := 4
 	return &RDIP{
-		Base:    Base{PfName: "rdip", Bits: uint64(63 * 1024 * 8)},
-		issuer:  issuer,
-		sets:    entriesN / ways,
-		ways:    ways,
-		entries: make([]rdipEntry, entriesN),
+		Base:   Base{PfName: "rdip", Bits: uint64(63 * 1024 * 8)},
+		issuer: issuer,
+		table:  newSigTable(4096, 0, 32), // depth unused: computeSig hashes the RAS
 	}
 }
 
@@ -65,46 +47,6 @@ func (p *RDIP) computeSig() uint64 {
 	}
 	sig *= 0x9E3779B97F4A7C15
 	return sig
-}
-
-func (p *RDIP) set(sig uint64) []rdipEntry {
-	s := int(sig>>32) % p.sets
-	if s < 0 {
-		s = -s
-	}
-	return p.entries[s*p.ways : (s+1)*p.ways]
-}
-
-func (p *RDIP) lookup(sig uint64) *rdipEntry {
-	set := p.set(sig)
-	for i := range set {
-		if set[i].valid && set[i].sig == sig {
-			p.tick++
-			set[i].lru = p.tick
-			return &set[i]
-		}
-	}
-	return nil
-}
-
-func (p *RDIP) ensure(sig uint64) *rdipEntry {
-	if e := p.lookup(sig); e != nil {
-		return e
-	}
-	set := p.set(sig)
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	p.tick++
-	*victim = rdipEntry{sig: sig, valid: true, lru: p.tick}
-	return victim
 }
 
 // OnBranch implements Prefetcher: calls and returns move the signature
@@ -123,46 +65,15 @@ func (p *RDIP) OnBranch(ev BranchEvent) {
 		return
 	}
 	p.sig = p.computeSig()
-	if e := p.lookup(p.sig); e != nil {
-		for i := 0; i < e.n; i++ {
-			tr := e.triggers[i]
-			p.issuer.Prefetch(ev.Cycle, tr.line, 0)
-			for b := uint64(0); b < 8; b++ {
-				if tr.footprint&(1<<b) != 0 {
-					p.issuer.Prefetch(ev.Cycle, tr.line+b+1, 0)
-				}
-			}
-		}
-	}
+	p.table.prefetch(p.issuer, ev.Cycle, p.sig, nil)
 }
 
 // OnAccess implements Prefetcher: misses train the current signature's
 // entry.
 func (p *RDIP) OnAccess(ev cache.AccessEvent) {
-	if ev.Hit {
-		return
+	if !ev.Hit {
+		p.table.train(p.sig, ev.LineAddr)
 	}
-	e := p.ensure(p.sig)
-	// Fold the miss into an existing trigger's footprint if adjacent.
-	for i := 0; i < e.n; i++ {
-		tr := &e.triggers[i]
-		if ev.LineAddr > tr.line && ev.LineAddr-tr.line <= 8 {
-			tr.footprint |= 1 << (ev.LineAddr - tr.line - 1)
-			return
-		}
-		if tr.line == ev.LineAddr {
-			return
-		}
-	}
-	if e.n < len(e.triggers) {
-		e.triggers[e.n] = rdipTrigger{line: ev.LineAddr}
-		e.n++
-		return
-	}
-	// Replace round-robin (the paper's entries hold the most recent
-	// context misses).
-	copy(e.triggers[:], e.triggers[1:])
-	e.triggers[len(e.triggers)-1] = rdipTrigger{line: ev.LineAddr}
 }
 
 func init() {
