@@ -320,7 +320,8 @@ func (m *Machine) snap() snapshot {
 // paper uses a 20M-instruction warm-up, §IV-A), then a measurement
 // window, and returns results for the measurement window only; a zero
 // warmup measures the whole run. It panics with ErrMachineUsed on a
-// consumed machine.
+// consumed machine, and when src yields a record the packed form
+// cannot hold (see RunWindowsCtx).
 func (m *Machine) RunWindows(src trace.Source, warmup, measure uint64) Results {
 	res, err := m.RunWindowsCtx(context.Background(), src, warmup, measure)
 	if err != nil {
@@ -338,6 +339,11 @@ func (m *Machine) RunWindows(src trace.Source, warmup, measure uint64) Results {
 // context.Background() has a nil Done channel, so the uncancellable
 // path stays on the allocation-free fast loop with no select.
 //
+// The machine reads packed records (trace.Packed). A *trace.PackedSource
+// is read in place; any other source is packed a window at a time, and
+// a record the packed form cannot hold (a branch type beyond Return)
+// fails the run with the packer's error.
+//
 // A Machine runs once: on a consumed machine RunWindowsCtx returns
 // ErrMachineUsed. A canceled run consumes the machine too, because its
 // partial state must never masquerade as a fresh warmup.
@@ -346,12 +352,16 @@ func (m *Machine) RunWindowsCtx(ctx context.Context, src trace.Source, warmup, m
 		return Results{}, ErrMachineUsed
 	}
 	m.used = true
-	if !m.consume(src, warmup, ctx.Done()) {
+	ps := trace.Repack(src)
+	if !m.consume(ps, warmup, ctx.Done()) {
 		return Results{}, ctx.Err()
 	}
 	s := m.snap()
-	if !m.consume(src, m.instrIdx+measure, ctx.Done()) {
+	if !m.consume(ps, m.instrIdx+measure, ctx.Done()) {
 		return Results{}, ctx.Err()
+	}
+	if err := ps.Err(); err != nil {
+		return Results{}, err
 	}
 	return m.resultsSince(s), nil
 }
@@ -367,53 +377,47 @@ const cancelCheckInterval = 1 << 14
 // run may continue: false means it was canceled.
 //
 // Cancellation is polled between fixed-size chunks, never inside the
-// hot loop: the uncancellable path (nil done) runs the whole window as
-// one chunk, and the cancellable path pays one channel poll per
-// cancelCheckInterval instructions — the per-instruction fast loop is
-// identical in both cases, so the pinned metrics fingerprint and
-// wall-clock are unaffected.
-func (m *Machine) consume(src trace.Source, maxInstrs uint64, done <-chan struct{}) bool {
-	// buf lives here, not in consumeChunk: src.Next(&buf) makes it
-	// escape, and allocating it per chunk would charge cancellable
-	// runs one heap allocation every cancelCheckInterval instructions.
-	var buf trace.Instruction
-	if done == nil {
-		m.consumeChunk(src, maxInstrs, &buf)
-		return true
-	}
+// hot loop: the uncancellable path (nil done) runs the whole window in
+// as few chunks as the source's windows allow, and the cancellable
+// path pays one channel poll per cancelCheckInterval instructions —
+// the per-instruction fast loop is identical in both cases, so the
+// pinned metrics fingerprint and wall-clock are unaffected.
+func (m *Machine) consume(src *trace.PackedSource, maxInstrs uint64, done <-chan struct{}) bool {
 	for m.instrIdx < maxInstrs {
-		select {
-		case <-done:
-			return false
-		default:
+		limit := maxInstrs
+		if done != nil {
+			select {
+			case <-done:
+				return false
+			default:
+			}
+			limit = min(limit, m.instrIdx+cancelCheckInterval)
 		}
-		limit := m.instrIdx + cancelCheckInterval
-		if limit > maxInstrs {
-			limit = maxInstrs
-		}
-		before := m.instrIdx
-		m.consumeChunk(src, limit, &buf)
-		if m.instrIdx == before {
+		p, c, ok := src.Window(int(min(limit-m.instrIdx, cancelCheckInterval)))
+		if !ok {
 			break // source exhausted
 		}
+		src.Seek(m.consumeChunk(p, c, limit))
 	}
 	return true
 }
 
-// consumeChunk advances the pipeline until instrIdx reaches maxInstrs
-// or the source ends. buf is scratch for non-slice sources.
-func (m *Machine) consumeChunk(src trace.Source, maxInstrs uint64, buf *trace.Instruction) {
-	// Cached traces are in-memory slices: iterate them in place, sparing
-	// the loop a per-instruction interface call and struct copy. The
-	// instructions are read-only (one cached trace replays under many
-	// configurations); consumed count is reported back via Advance.
-	var span []trace.Instruction
-	spanIdx := 0
-	sliceSrc, fastPath := src.(*trace.SliceSource)
-	if fastPath {
-		span = sliceSrc.Remaining()
-		defer func() { sliceSrc.Advance(spanIdx) }()
+// consumeChunk advances the pipeline over p's records from c on until
+// instrIdx reaches maxInstrs or the stream ends, and returns the cursor
+// after the last record it consumed.
+//
+// The records are decoded inline where each field is used; only
+// branches, which the predictor takes as a record, are expanded into a
+// trace.Instruction.
+func (m *Machine) consumeChunk(p *trace.Packed, c trace.Cursor, maxInstrs uint64) trace.Cursor {
+	ops := p.Ops[c.Op:]
+	if rem := maxInstrs - m.instrIdx; uint64(len(ops)) > rem {
+		ops = ops[:rem]
 	}
+	words := p.Words
+	w := c.Word
+	next := c.PC
+
 	haveBlock := m.haveBlock
 	curVirtLine := m.curVirtLine
 	fetchStart := m.fetchStart
@@ -425,21 +429,15 @@ func (m *Machine) consumeChunk(src trace.Source, maxInstrs uint64, buf *trace.In
 	fetchOff := uint64(blockCount / fw)
 	fetchSub := blockCount % fw
 
-	for m.instrIdx < maxInstrs {
-		var in *trace.Instruction
-		if fastPath {
-			if spanIdx == len(span) {
-				break
-			}
-			in = &span[spanIdx]
-			spanIdx++
-		} else {
-			if !src.Next(buf) {
-				break
-			}
-			in = buf
+	for _, op := range ops {
+		pc := next
+		next += trace.DefaultSize
+		if op&trace.OpEscape != 0 {
+			pc = words[w]
+			next = pc + words[w+1]
+			w += 2
 		}
-		virtLine := cache.LineAddr(in.PC)
+		virtLine := cache.LineAddr(pc)
 
 		if !haveBlock || forceBlock || virtLine != curVirtLine {
 			// A new fetch block enters the FTQ.
@@ -463,7 +461,7 @@ func (m *Machine) consumeChunk(src trace.Source, maxInstrs uint64, buf *trace.In
 
 			// Fetch-directed lookup: the L1I access happens now, at FTQ
 			// insertion, possibly long before fetch consumes the block.
-			lineReady := m.icache.DemandAccess(predictCycle, m.fetchLine(in.PC))
+			lineReady := m.icache.DemandAccess(predictCycle, m.fetchLine(pc))
 			m.blocks++
 
 			// Fetch waits for the line beyond the earliest cycle a hit
@@ -509,16 +507,18 @@ func (m *Machine) consumeChunk(src trace.Source, maxInstrs uint64, buf *trace.In
 
 		// Execute.
 		execDone := dispatch + 1
-		if in.IsLoad {
-			addr := cache.LineAddr(in.DataAddr)
+		if op&trace.OpLoad != 0 {
+			addr := cache.LineAddr(words[w])
+			w++
 			if m.cfg.PhysicalAddresses {
 				addr = m.trans.Translate(addr)
 			}
 			if ready := m.l1d.Access(dispatch, addr, false); ready > execDone {
 				execDone = ready
 			}
-		} else if in.IsStore {
-			addr := cache.LineAddr(in.DataAddr)
+		} else if op&trace.OpStore != 0 {
+			addr := cache.LineAddr(words[w])
+			w++
 			if m.cfg.PhysicalAddresses {
 				addr = m.trans.Translate(addr)
 			}
@@ -527,14 +527,18 @@ func (m *Machine) consumeChunk(src trace.Source, maxInstrs uint64, buf *trace.In
 		}
 
 		// Branch handling.
-		if in.Branch.IsBranch() {
-			out := m.pred.Process(in)
+		if br := trace.BranchType(op & trace.OpBranch); br != trace.NotBranch {
+			target := words[w]
+			w++
+			taken := op&trace.OpTaken != 0
+			in := trace.Instruction{PC: pc, Target: target, Size: uint8(next - pc), Branch: br, Taken: taken}
+			out := m.pred.Process(&in)
 			ev := prefetch.BranchEvent{
 				Cycle:  fetchStart,
-				PC:     in.PC,
-				Type:   in.Branch,
-				Taken:  in.Taken,
-				Target: in.Target,
+				PC:     pc,
+				Type:   br,
+				Taken:  taken,
+				Target: target,
 			}
 			m.pf.OnBranch(ev)
 			if m.cfg.BranchHook != nil {
@@ -556,7 +560,8 @@ func (m *Machine) consumeChunk(src trace.Source, maxInstrs uint64, buf *trace.In
 				}
 				forceBlock = true
 			}
-			if in.Taken {
+			if taken {
+				next = target
 				forceBlock = true
 			}
 		}
@@ -578,14 +583,15 @@ func (m *Machine) consumeChunk(src trace.Source, maxInstrs uint64, buf *trace.In
 			m.robPos = 0
 		}
 		m.lastRetire = retire
-		m.instrIdx++
 	}
+	m.instrIdx += uint64(len(ops))
 
 	m.haveBlock = haveBlock
 	m.curVirtLine = curVirtLine
 	m.fetchStart = fetchStart
 	m.blockCount = blockCount
 	m.forceBlock = forceBlock
+	return trace.Cursor{Op: c.Op + len(ops), Word: w, PC: next}
 }
 
 // resultsSince builds Results for the window after snapshot s.

@@ -1,0 +1,131 @@
+package cpu
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+
+	"entangling/internal/prefetch"
+	"entangling/internal/trace"
+)
+
+// mixedStream is a deterministic stream with every kind of record the
+// packed form distinguishes: plain, loads, stores, taken and not-taken
+// branches, and jumps and sizes that need an escape.
+func mixedStream(n int) []trace.Instruction {
+	ins := make([]trace.Instruction, n)
+	pc := uint64(0x400000)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range ins {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		in := trace.Instruction{PC: pc, Size: trace.DefaultSize}
+		switch x % 16 {
+		case 0, 1:
+			in.Branch, in.Taken, in.Target = trace.CondBranch, x&64 != 0, 0x400000+(x>>20)%0x8000&^3
+		case 2:
+			in.Branch, in.Taken, in.Target = trace.DirectCall, true, 0x410000+(x>>24)%0x4000&^3
+		case 3:
+			in.Branch, in.Taken, in.Target = trace.Return, true, 0x400000+(x>>28)%0x8000&^3
+		case 4, 5, 6:
+			in.IsLoad, in.DataAddr = true, 0x7f000000+(x>>16)%0x100000
+		case 7:
+			in.IsStore, in.DataAddr = true, 0x7f000000+(x>>18)%0x100000
+		case 8:
+			in.Size = 2
+		}
+		ins[i] = in
+		pc = in.NextPC()
+		if x%97 == 0 {
+			pc = 0x420000 + (x>>8)%0x1000&^3 // a jump without a branch
+		}
+	}
+	return ins
+}
+
+// TestPackedCursorResumes: the machine resumes its read position
+// exactly across the warmup/measure boundary, across the
+// cancelCheckInterval chunks of a cancellable run, and across the
+// windows a repacked record source is read in. Every way of feeding the
+// same stream must give the same results and the same branch events,
+// and those events must be the stream's branches in order.
+func TestPackedCursorResumes(t *testing.T) {
+	ins := mixedStream(3*cancelCheckInterval + 1234)
+	p, err := trace.Pack(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The boundary falls inside a chunk and inside a repack window.
+	const warmup = cancelCheckInterval + 777
+	measure := uint64(len(ins)) - warmup - 100
+
+	run := func(src trace.Source, cancellable bool) (Results, []prefetch.BranchEvent) {
+		ctx := context.Background()
+		if cancellable {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithCancel(ctx)
+			defer cancel()
+		}
+		var evs []prefetch.BranchEvent
+		cfg := DefaultConfig()
+		cfg.BranchHook = func(e prefetch.BranchEvent) { evs = append(evs, e) }
+		res, err := New(cfg).RunWindowsCtx(ctx, src, warmup, measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, evs
+	}
+
+	want, wantEvs := run(trace.NewPackedSource(p), false)
+	if want.Instructions != measure {
+		t.Fatalf("measured %d instructions, want %d", want.Instructions, measure)
+	}
+	var branches []trace.Instruction
+	for _, in := range ins[:warmup+measure] {
+		if in.Branch.IsBranch() {
+			branches = append(branches, in)
+		}
+	}
+	if len(wantEvs) != len(branches) {
+		t.Fatalf("%d branch events, stream has %d branches", len(wantEvs), len(branches))
+	}
+	for i, e := range wantEvs {
+		in := branches[i]
+		if e.PC != in.PC || e.Type != in.Branch || e.Taken != in.Taken || e.Target != in.Target {
+			t.Fatalf("branch event %d = %+v, stream has %+v", i, e, in)
+		}
+	}
+
+	for _, tc := range []struct {
+		name        string
+		src         trace.Source
+		cancellable bool
+	}{
+		{"packed, chunked", trace.NewPackedSource(p), true},
+		{"repacked", &trace.SliceSource{Instrs: ins}, false},
+		{"repacked, chunked", &trace.SliceSource{Instrs: ins}, true},
+	} {
+		got, evs := run(tc.src, tc.cancellable)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: results diverged:\ngot  %+v\nwant %+v", tc.name, got, want)
+		}
+		if !reflect.DeepEqual(evs, wantEvs) {
+			t.Errorf("%s: branch events diverged", tc.name)
+		}
+	}
+}
+
+// TestRunWindowsRefusesUnpackableRecord: a record source that yields a
+// branch type the packed form cannot hold fails the run with the
+// packer's error instead of simulating a corrupted record.
+func TestRunWindowsRefusesUnpackableRecord(t *testing.T) {
+	src := &trace.SliceSource{Instrs: []trace.Instruction{
+		{PC: 0x1000, Size: 4},
+		{PC: 0x1004, Size: 4, Branch: trace.Return + 1, Taken: true, Target: 0x2000},
+	}}
+	if _, err := New(DefaultConfig()).RunWindowsCtx(context.Background(), src, 0, 10); !errors.Is(err, trace.ErrBadBranch) {
+		t.Fatalf("err = %v, want ErrBadBranch", err)
+	}
+}

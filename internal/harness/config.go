@@ -233,13 +233,18 @@ func RunTraceCtx(ctx context.Context, cfg Configuration, spec workload.Spec, tr 
 }
 
 // RunSource executes one configuration over an arbitrary instruction
-// source (e.g. a trace file). The source is consumed once.
+// source (e.g. a trace file). The source is consumed once; a record the
+// simulator cannot represent (see cpu.Machine.RunWindowsCtx) fails the
+// run.
 func RunSource(cfg Configuration, src trace.Source, warmup, measure uint64) (RunResult, error) {
 	m, err := machineFor(cfg, 0, nil, nil)
 	if err != nil {
 		return RunResult{}, err
 	}
-	r := m.RunWindows(src, warmup, measure)
+	r, err := m.RunWindowsCtx(context.Background(), src, warmup, measure)
+	if err != nil {
+		return RunResult{}, err
+	}
 	return runResultFrom(cfg, workload.Spec{Name: "trace"}, m, r), nil
 }
 

@@ -358,6 +358,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("entangling_trace_builds_total", "Workload trace materializations performed.", builds)
 	counter("entangling_trace_hits_total", "Workload trace cache hits.", hits)
 	gauge("entangling_trace_resident", "Workload traces currently resident.", resident)
+	gauge("entangling_trace_resident_bytes", "Memory held by the resident workload traces' packed streams.", int(s.traces.ResidentBytes()))
 
 	s.mu.Lock()
 	running, known := s.running, len(s.jobs)

@@ -827,7 +827,7 @@ func TestServerRequestValidation(t *testing.T) {
 }
 
 func TestServerHealthzAndMetrics(t *testing.T) {
-	_, ts := startTestServer(t, testConfig())
+	s, ts := startTestServer(t, testConfig())
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatalf("GET healthz: %v", err)
@@ -845,6 +845,38 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 	})
 	waitResult(t, ts, sr.ID)
 
+	text := getMetrics(t, ts)
+	for _, want := range []string{
+		"entangling_jobs_submitted_total 1",
+		"entangling_jobs_completed_total 1",
+		"entangling_cells_simulated_total 1",
+		"# TYPE entangling_trace_resident gauge",
+		"entangling_trace_resident_bytes 0",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+
+	// A resident trace shows up as the bytes of its packed stream.
+	tr, err := s.traces.Pin(workload.CVPSuite(1)[0], 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = getMetrics(t, ts)
+	for _, want := range []string{
+		"entangling_trace_resident 1\n",
+		fmt.Sprintf("entangling_trace_resident_bytes %d\n", tr.Packed.Bytes()),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// getMetrics returns the /metrics exposition text.
+func getMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET metrics: %v", err)
@@ -857,17 +889,7 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics Content-Type: %q", ct)
 	}
-	text := string(body)
-	for _, want := range []string{
-		"entangling_jobs_submitted_total 1",
-		"entangling_jobs_completed_total 1",
-		"entangling_cells_simulated_total 1",
-		"# TYPE entangling_trace_resident gauge",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics output missing %q:\n%s", want, text)
-		}
-	}
+	return string(body)
 }
 
 func TestServerRunDrainsOnContextCancel(t *testing.T) {

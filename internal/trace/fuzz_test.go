@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
@@ -134,4 +135,78 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			_ = r.Err()
 		}
 	})
+}
+
+// rawInstruction derives an arbitrary record, valid or not, from 28
+// bytes of fuzz input.
+func rawInstruction(b []byte) Instruction {
+	return Instruction{
+		PC:       binary.LittleEndian.Uint64(b[0:]),
+		Target:   binary.LittleEndian.Uint64(b[8:]) >> (b[24] & 63),
+		DataAddr: binary.LittleEndian.Uint64(b[16:]) >> (b[25] & 63),
+		Size:     b[26],
+		Branch:   BranchType(b[27] % 9),
+		Taken:    b[25]&64 != 0,
+		IsLoad:   b[25]&128 != 0,
+		IsStore:  b[24]&64 != 0,
+	}
+}
+
+// FuzzPackedRoundTrip checks, for arbitrary records, that the packer
+// either refuses a record with a typed error, because it is one the
+// packed form cannot hold, or packs it so that it decodes back
+// identically; and that a valid codec stream packs exactly.
+func FuzzPackedRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 56))
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, 12))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ins []Instruction
+		pk := NewPacker(0, 0)
+		for b := data; len(b) >= 28; b = b[28:] {
+			in := rawInstruction(b)
+			mem := in.IsLoad || in.IsStore
+			err := pk.Append(&in)
+			switch {
+			case in.Branch > Return:
+				if !errors.Is(err, ErrBadBranch) {
+					t.Fatalf("%+v: Append = %v, want ErrBadBranch", in, err)
+				}
+			case in.Branch == NotBranch && in.Target != 0:
+				if !errors.Is(err, ErrStrayTarget) {
+					t.Fatalf("%+v: Append = %v, want ErrStrayTarget", in, err)
+				}
+			case !mem && in.DataAddr != 0:
+				if !errors.Is(err, ErrStrayData) {
+					t.Fatalf("%+v: Append = %v, want ErrStrayData", in, err)
+				}
+			case err != nil:
+				t.Fatalf("%+v: Append refused a representable record: %v", in, err)
+			default:
+				ins = append(ins, in)
+			}
+		}
+		checkExpand(t, pk.Packed(), ins)
+
+		valid := instructionsFromBytes(data)
+		p, err := Pack(valid)
+		if err != nil {
+			t.Fatalf("packing a valid stream: %v", err)
+		}
+		checkExpand(t, p, valid)
+	})
+}
+
+func checkExpand(t *testing.T, p *Packed, want []Instruction) {
+	t.Helper()
+	got := p.Expand()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d records, packed %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: decoded %+v, packed %+v", i, got[i], want[i])
+		}
+	}
 }

@@ -1,7 +1,7 @@
-// Package trace defines the instruction record consumed by the CPU
-// model and a compact binary on-disk format for instruction traces,
-// mirroring the role of ChampSim's trace format in the paper's
-// methodology (§IV-A).
+// Package trace defines the instruction record, a compact binary
+// on-disk format for instruction traces, mirroring the role of
+// ChampSim's trace format in the paper's methodology (§IV-A), and the
+// packed in-memory form the CPU model reads (packed.go).
 //
 // A trace is a sequence of dynamic instructions on the correct path
 // (the paper's simulator, like ChampSim, does not model wrong-path
@@ -141,16 +141,6 @@ func (s *SliceSource) Next(in *Instruction) bool {
 	s.pos++
 	return true
 }
-
-// Remaining exposes the unread tail of the slice, letting the hot
-// simulation loop iterate instructions in place — no per-instruction
-// interface call or struct copy. Callers must treat the instructions
-// as read-only (a cached trace replays under many configurations) and
-// report how far they got via Advance.
-func (s *SliceSource) Remaining() []Instruction { return s.Instrs[s.pos:] }
-
-// Advance marks n instructions of Remaining as consumed.
-func (s *SliceSource) Advance(n int) { s.pos += n }
 
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }

@@ -53,7 +53,11 @@ func TestMaterializeMatchesWalker(t *testing.T) {
 }
 
 func TestTraceSourceIndependentReaders(t *testing.T) {
-	tr := &Trace{Instrs: []trace.Instruction{{PC: 1}, {PC: 2}, {PC: 3}}}
+	p, err := trace.Pack([]trace.Instruction{{PC: 1}, {PC: 2}, {PC: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trace{Packed: p}
 	a, b := tr.Source(), tr.Source()
 	var in trace.Instruction
 	if !a.Next(&in) || in.PC != 1 {
@@ -186,8 +190,8 @@ func TestTraceCacheFailedBuildKeepsReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Instrs) != 500 {
-		t.Fatalf("rebuilt trace has %d instructions, want 500", len(tr.Instrs))
+	if tr.Packed.Len() != 500 {
+		t.Fatalf("rebuilt trace has %d instructions, want 500", tr.Packed.Len())
 	}
 	if builds, _, resident := c.CacheStats(); builds != 2 || resident != 1 {
 		t.Fatalf("retry: builds=%d resident=%d, want 2 and 1", builds, resident)
