@@ -40,7 +40,6 @@ func main() {
 	flag.IntVar(&cfg.MaxCells, "max-cells", 512, "largest sweep one job may request")
 	flag.Int64Var(&cfg.MaxBodyBytes, "max-body", 1<<20, "largest accepted submission body in bytes")
 	flag.IntVar(&cfg.PerCategory, "per-category", 6, "CVP workloads per category in the registry")
-	flag.BoolVar(&cfg.AllowFaults, "allow-faults", false, "accept fault_plan in submissions (testing)")
 	flag.StringVar(&cfg.TraceDir, "trace-dir", "", "store uploaded traces here (default <checkpoint-dir>/traces when -checkpoint-dir is set)")
 	flag.Int64Var(&cfg.MaxTraceBytes, "max-trace-bytes", 128<<20, "largest accepted trace upload body in bytes")
 	flag.DurationVar(&cfg.DrainGrace, "drain-grace", 10*time.Second, "how long a drain waits for running jobs before canceling them")

@@ -1,12 +1,15 @@
 // Package faultinject is the repository's deterministic fault layer:
 // seed-driven injection of cell panics, cell errors, slow cells and
-// checkpoint-record corruption. The harness tests
-// use it to prove every failure path of the sweep executor (panic
-// recovery, typed cell errors, checkpoint quarantine) without any
-// real nondeterminism — whether a given site faults is a pure function
-// of (seed, site), independent of goroutine scheduling, parallelism
-// and wall-clock time, so a "chaotic" test run is exactly
-// reproducible. A fault-prone site faults every time it runs.
+// checkpoint-record corruption. Only tests import it. The harness
+// tests use it to prove every failure path of the sweep executor
+// (panic recovery, typed cell errors, checkpoint quarantine); the
+// server tests install its CellHook on the job server's resolver to
+// slow or fail chosen cells, since no job request can carry a plan.
+// Injection involves no real nondeterminism — whether a given site
+// faults is a pure function of (seed, site), independent of goroutine
+// scheduling, parallelism and wall-clock time, so a "chaotic" test run
+// is exactly reproducible. A fault-prone site faults every time it
+// runs.
 //
 // The package deliberately knows nothing about the harness: it exposes
 // a plain hook function (CellHook) matching the hook signature of
@@ -23,53 +26,22 @@ import (
 
 // Plan configures which operations fault. Probabilities are evaluated
 // deterministically per site: a site either faults on every run or
-// never does, for a given seed. The JSON tags are the wire form the
-// job server accepts (durations travel as nanoseconds).
+// never does, for a given seed.
 type Plan struct {
 	// Seed drives every injection decision.
-	Seed uint64 `json:"seed"`
+	Seed uint64
 
 	// CellPanicProb is the probability a sweep cell panics.
-	CellPanicProb float64 `json:"cell_panic_prob,omitempty"`
+	CellPanicProb float64
 	// CellErrorProb is the probability a sweep cell returns an error.
-	CellErrorProb float64 `json:"cell_error_prob,omitempty"`
+	CellErrorProb float64
 	// CellSlowProb is the probability a sweep cell stalls for SlowDelay
 	// before running, which holds the cell in flight (cancellation and
 	// drain tests).
-	CellSlowProb float64 `json:"cell_slow_prob,omitempty"`
+	CellSlowProb float64
 	// SlowDelay is how long a slow cell stalls; the stall does not
 	// observe cancellation.
-	SlowDelay time.Duration `json:"slow_delay_ns,omitempty"`
-}
-
-// Enabled reports whether the plan injects anything at all: a zero
-// (or probability-free) Plan is a no-op and needs no Injector.
-func (p Plan) Enabled() bool {
-	return p.CellPanicProb > 0 || p.CellErrorProb > 0 || p.CellSlowProb > 0
-}
-
-// Validate reports the first structural problem with a plan — out of
-// range probabilities or a negative stall — or nil. Plans arriving
-// from the network are validated before an Injector is built.
-func (p Plan) Validate() error {
-	probs := map[string]float64{
-		"cell_panic_prob": p.CellPanicProb,
-		"cell_error_prob": p.CellErrorProb,
-		"cell_slow_prob":  p.CellSlowProb,
-	}
-	// Deterministic report order.
-	for _, name := range []string{"cell_panic_prob", "cell_error_prob", "cell_slow_prob"} {
-		if v := probs[name]; v < 0 || v > 1 {
-			return fmt.Errorf("faultinject: %s %v outside [0,1]", name, v)
-		}
-	}
-	if p.SlowDelay < 0 {
-		return fmt.Errorf("faultinject: negative slow delay %v", p.SlowDelay)
-	}
-	if p.CellSlowProb > 0 && p.SlowDelay == 0 {
-		return fmt.Errorf("faultinject: cell_slow_prob set without slow_delay_ns")
-	}
-	return nil
+	SlowDelay time.Duration
 }
 
 // Counts reports the faults actually injected.

@@ -166,9 +166,9 @@ func (s *CheckpointStore) Dir() string { return s.blobs.Dir() }
 // Save atomically and durably persists rec as <fingerprint>.ckpt.
 //
 // Save is idempotent under concurrency: saving a record identical to
-// the one already stored is a no-op success (the job server keeps a
-// fault-plan flight and a clean flight of the same fingerprint apart,
-// so both can finish the cell and save it), while saving different
+// the one already stored is a no-op success (writers that share a
+// store directory, such as two sweeps or a sweep and a job server, can
+// both finish the same cell and save it), while saving different
 // bytes over a valid existing record fails with blob.ErrConflict:
 // cells are deterministic over their fingerprint, so disagreeing
 // records mean corruption or nondeterminism, and letting the last

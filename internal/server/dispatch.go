@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"entangling/internal/faultinject"
 	"entangling/internal/harness"
 	"entangling/internal/workload"
 )
@@ -23,15 +22,13 @@ const memCap = 4096
 
 // cellSpec fully describes one simulation cell to resolve. Fingerprint
 // is the cell's content address (harness.CellFingerprint over Config,
-// Workload, Warmup and Measure); Plan optionally injects deterministic
-// faults into the run.
+// Workload, Warmup and Measure).
 type cellSpec struct {
 	Config      harness.Configuration
 	Workload    workload.Spec
 	Warmup      uint64
 	Measure     uint64
 	Fingerprint string
-	Plan        *faultinject.Plan
 }
 
 // cellResult is a resolved cell: a result or a typed cell error, plus
@@ -61,8 +58,8 @@ type resolver struct {
 	flights map[string]*flight
 }
 
-// newResolver builds a resolver over base; the windows and fault hook
-// are filled in per cell.
+// newResolver builds a resolver over base; the windows are filled in
+// per cell.
 func newResolver(base harness.Options) *resolver {
 	return &resolver{
 		base:    base,
@@ -77,8 +74,5 @@ func newResolver(base harness.Options) *resolver {
 func (x *resolver) simulate(ctx context.Context, cell cellSpec) (harness.RunResult, *harness.CellError) {
 	opt := x.base
 	opt.Warmup, opt.Measure = cell.Warmup, cell.Measure
-	if cell.Plan != nil {
-		opt.CellHook = faultinject.New(*cell.Plan).CellHook
-	}
 	return harness.RunCell(ctx, cell.Config, cell.Workload, opt)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"entangling/internal/faultinject"
 	"entangling/internal/harness"
 )
 
@@ -55,19 +54,18 @@ func (x *resolver) resolve(ctx context.Context, cell cellSpec) cellResult {
 			}
 		}
 		// 3. Singleflight: join the in-progress run, or start it.
-		key := flightKey(cell.Fingerprint, cell.Plan)
-		f, created := x.joinFlight(key)
+		f, created := x.joinFlight(cell.Fingerprint)
 		shared := !created
 		if created {
-			go x.runFlight(f, key, cell)
+			go x.runFlight(f, cell)
 		}
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			x.leaveFlight(key, f)
+			x.leaveFlight(cell.Fingerprint, f)
 			return canceledOutcome()
 		}
-		x.leaveFlight(key, f)
+		x.leaveFlight(cell.Fingerprint, f)
 		if f.err != nil && f.err.Canceled() && ctx.Err() == nil {
 			// The flight died with its initiator's cancellation, not
 			// ours: loop — the next pass starts (or joins) a fresh
@@ -85,33 +83,24 @@ func (x *resolver) resolve(ctx context.Context, cell cellSpec) cellResult {
 	}
 }
 
-// flightKey separates fault-injected flights from clean ones: a
-// faulty job must never donate a failure to (or steal a success from)
-// a clean job's identical cell.
-func flightKey(fp string, plan *faultinject.Plan) string {
-	if plan == nil {
-		return fp
-	}
-	return fp + "|faults"
-}
-
-// joinFlight subscribes to the cell's flight, creating it if absent;
-// created reports whether this caller must run it.
-func (x *resolver) joinFlight(key string) (f *flight, created bool) {
+// joinFlight subscribes to the flight of the cell with fingerprint
+// fp, creating it if absent; created reports whether this caller must
+// run it.
+func (x *resolver) joinFlight(fp string) (f *flight, created bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if f, ok := x.flights[key]; ok {
+	if f, ok := x.flights[fp]; ok {
 		f.subscribers++
 		return f, false
 	}
 	f = &flight{done: make(chan struct{}), subscribers: 1}
-	x.flights[key] = f
+	x.flights[fp] = f
 	return f, true
 }
 
 // leaveFlight drops one subscription; the last leaver of an
 // unfinished flight cancels the detached run.
-func (x *resolver) leaveFlight(key string, f *flight) {
+func (x *resolver) leaveFlight(fp string, f *flight) {
 	x.mu.Lock()
 	f.subscribers--
 	abandon := f.subscribers <= 0
@@ -119,8 +108,8 @@ func (x *resolver) leaveFlight(key string, f *flight) {
 	// holding it. A nil snapshot means the run hasn't started yet, and
 	// runFlight's own subscriber check will cancel it.
 	cancel := f.cancel
-	if abandon && x.flights[key] == f {
-		delete(x.flights, key)
+	if abandon && x.flights[fp] == f {
+		delete(x.flights, fp)
 	}
 	x.mu.Unlock()
 	if abandon {
@@ -138,7 +127,7 @@ func (x *resolver) leaveFlight(key string, f *flight) {
 // when every subscriber leaves). Successful results are published to
 // the in-process cache; the harness has already checkpointed them to
 // the durable store.
-func (x *resolver) runFlight(f *flight, key string, cell cellSpec) {
+func (x *resolver) runFlight(f *flight, cell cellSpec) {
 	ctx, cancel := context.WithCancel(context.Background())
 	x.mu.Lock()
 	f.cancel = cancel
@@ -162,8 +151,8 @@ func (x *resolver) runFlight(f *flight, key string, cell cellSpec) {
 	// failures, so a failed run is never served as a sticky cached
 	// error.
 	x.mu.Lock()
-	if x.flights[key] == f {
-		delete(x.flights, key)
+	if x.flights[cell.Fingerprint] == f {
+		delete(x.flights, cell.Fingerprint)
 	}
 	x.mu.Unlock()
 	close(f.done)

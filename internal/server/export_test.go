@@ -4,9 +4,11 @@ package server
 // tests drive the node through internal/client. The client imports
 // this package, so those tests cannot live inside it.
 var (
-	StartTestServer   = startTestServer
-	TenantTestConfig  = tenantTestConfig
-	EncodeWalkerTrace = encodeWalkerTrace
+	StartTestServer       = startTestServer
+	StartHookedTestServer = startHookedTestServer
+	FaultHook             = faultHook
+	TenantTestConfig      = tenantTestConfig
+	EncodeWalkerTrace     = encodeWalkerTrace
 )
 
 const (

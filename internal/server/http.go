@@ -150,13 +150,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reject(w, st, http.StatusBadRequest, ReasonBadRequest, "%v", err)
 		return
 	}
-	if req.FaultPlan != nil && st != nil && !st.t.AllowFaults {
-		s.stats.inc(&s.stats.authForbidden)
-		reject(w, st, http.StatusForbidden, ReasonForbidden,
-			"tenant %q is not allowed to submit fault plans", st.t.Name)
+	spec, err := s.reg.resolve(req, s.cfg.Budget, s.cfg.MaxCells, s.resolveTraceWorkload)
+	if errors.Is(err, errTraceStore) {
+		writeErrorReason(w, http.StatusInternalServerError, ReasonInternal, "%v", err)
 		return
 	}
-	spec, err := s.reg.resolve(req, s.cfg.Budget, s.cfg.MaxCells, s.cfg.AllowFaults, s.resolveTraceWorkload)
 	if err != nil {
 		reject(w, st, http.StatusBadRequest, ReasonBadRequest, "%v", err)
 		return

@@ -2,9 +2,7 @@ package server_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -25,12 +23,12 @@ const (
 	mixRounds  = 2
 )
 
-// mixLane is one tenant driving the node: its SDK client, whether it
-// holds the fault-plan grant, and the outcomes it observed.
+// mixLane is one tenant driving the node: its SDK client, its index
+// among the lanes, and the outcomes it observed.
 type mixLane struct {
-	name    string
-	cl      *client.Client
-	granted bool
+	name  string
+	cl    *client.Client
+	index int
 
 	mu       sync.Mutex
 	admitted int // submissions that created a job (not deduped)
@@ -70,11 +68,7 @@ func waitState(ctx context.Context, ln *mixLane, req server.JobRequest, want str
 // unique jobs so no two ops share a cell unless they mean to.
 func mixOps(trace []byte) map[string]mixOp {
 	unique := func(ln *mixLane, round, kind int) uint64 {
-		off := uint64(kind*100 + round*10)
-		if ln.granted {
-			off++
-		}
-		return mixWarmup + 1 + off
+		return mixWarmup + 1 + uint64(kind*100+round*10+ln.index)
 	}
 	return map[string]mixOp{
 		// The same job from every lane and round: a resubmission
@@ -116,19 +110,9 @@ func mixOps(trace []byte) map[string]mixOp {
 			_, _, err = waitState(ctx, ln, req, server.StateCompleted)
 			return err
 		},
-		// An injected error fails the granted tenant's job;
-		// the other tenant's fault plan is refused outright.
+		// The node's fault hook fails every fp-00 cell.
 		"faults": func(ctx context.Context, ln *mixLane, round int) error {
-			req := server.JobRequest{Configurations: []string{"no"}, Workloads: []string{"fp-00"}, Warmup: unique(ln, round, 2), Measure: mixMeasure,
-				FaultPlan: &faultinject.Plan{Seed: 7, CellErrorProb: 1}}
-			if !ln.granted {
-				_, err := ln.cl.Submit(ctx, req)
-				var apiErr *client.APIError
-				if !errors.As(err, &apiErr) || apiErr.Status != http.StatusForbidden || apiErr.Reason != server.ReasonForbidden {
-					return fmt.Errorf("ungranted fault plan: got %v, want 403 %s", err, server.ReasonForbidden)
-				}
-				return nil
-			}
+			req := server.JobRequest{Configurations: []string{"no"}, Workloads: []string{"fp-00"}, Warmup: unique(ln, round, 2), Measure: mixMeasure}
 			_, doc, err := waitState(ctx, ln, req, server.StateFailed)
 			if err != nil {
 				return err
@@ -171,7 +155,7 @@ func metricValue(t *testing.T, text, series string) int {
 
 // TestServerMixedTrafficDrainsClean drives a two-tenant node with all
 // five op kinds at once — dedupe resubmits, cold jobs, trace upload
-// then sweep, fault plans and submit-then-cancel — from two concurrent
+// then sweep, injected faults and submit-then-cancel — from two concurrent
 // lanes through the client SDK. Every op must end in its expected
 // terminal state, each tenant's submitted-jobs counter must equal the
 // submissions that lane saw admitted, and the drain must hand back
@@ -180,23 +164,20 @@ func TestServerMixedTrafficDrainsClean(t *testing.T) {
 	cfg := server.TenantTestConfig()
 	cfg.Workers = 2
 	cfg.QueueCapacity = 64
-	cfg.AllowFaults = true
 	cfg.TraceDir = filepath.Join(t.TempDir(), "traces")
 	for i := range cfg.Tenants.Tenants {
 		cfg.Tenants.Tenants[i].MaxJobsInFlight = 64
 	}
-	s, ts := server.StartTestServer(t, cfg)
+	// fp-00 is the faults op's workload and no other op's.
+	s, ts := server.StartHookedTestServer(t, cfg, server.FaultHook(faultinject.Plan{Seed: 7, CellErrorProb: 1}, "fp-00"))
 
 	var lanes []*mixLane
-	for _, l := range []struct {
-		name, key string
-		granted   bool
-	}{{"acme", server.GoldKey, true}, {"zeta", server.BronzeKey, false}} {
+	for i, l := range []struct{ name, key string }{{"acme", server.GoldKey}, {"zeta", server.BronzeKey}} {
 		cl, err := client.New(client.Config{BaseURL: ts.URL, APIKey: l.key})
 		if err != nil {
 			t.Fatal(err)
 		}
-		lanes = append(lanes, &mixLane{name: l.name, cl: cl, granted: l.granted})
+		lanes = append(lanes, &mixLane{name: l.name, cl: cl, index: i})
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

@@ -3,44 +3,36 @@ package server
 import "sync"
 
 // This file replaces the PR 4 admission channel with a tiered queue:
-// one FIFO per priority tier, drained strictly highest-weight-first.
+// one FIFO per priority tier, drained strictly highest-tier-first.
 // A bronze job never delays a gold job that arrived after it, while
 // jobs within a tier keep submission order. Capacity is shared across
 // tiers — the queue bound protects the server's memory, the
 // per-tenant quotas protect tenants from each other.
 
-// tierQueue is a bounded, multi-tier FIFO. Safe for concurrent use.
+// tierQueue is a bounded FIFO per entry of tierNames. Safe for
+// concurrent use.
 type tierQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	cap    int
-	tiers  [][]*job // index 0 drains first
+	tiers  [len(tierNames)][]*job // index 0 drains first
 	size   int
 	closed bool
 }
 
-func newTierQueue(capacity, tiers int) *tierQueue {
-	if tiers < 1 {
-		tiers = 1
-	}
-	q := &tierQueue{cap: capacity, tiers: make([][]*job, tiers)}
+func newTierQueue(capacity int) *tierQueue {
+	q := &tierQueue{cap: capacity}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push enqueues j on the given tier (clamped to the configured
-// range). It reports false when the queue is at capacity or closed.
+// push enqueues j on the given tier, an index into tierNames. It
+// reports false when the queue is at capacity or closed.
 func (q *tierQueue) push(j *job, tier int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed || q.size >= q.cap {
 		return false
-	}
-	if tier < 0 {
-		tier = 0
-	}
-	if tier >= len(q.tiers) {
-		tier = len(q.tiers) - 1
 	}
 	q.tiers[tier] = append(q.tiers[tier], j)
 	q.size++

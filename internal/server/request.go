@@ -9,7 +9,6 @@ import (
 	"io"
 	"strings"
 
-	"entangling/internal/faultinject"
 	"entangling/internal/harness"
 	"entangling/internal/workload"
 )
@@ -31,11 +30,6 @@ type JobRequest struct {
 	Workloads      []string `json:"workloads"`
 	Warmup         uint64   `json:"warmup"`
 	Measure        uint64   `json:"measure"`
-
-	// FaultPlan, when present, injects deterministic faults into this
-	// job's cells (degraded-result testing). Rejected unless the server
-	// runs with fault injection enabled.
-	FaultPlan *faultinject.Plan `json:"fault_plan,omitempty"`
 }
 
 // jobSpec is a fully resolved, validated request: the exact cells a
@@ -49,7 +43,6 @@ type jobSpec struct {
 	measure uint64
 	// fingerprints[cfg.Name][spec.Name], precomputed once.
 	fingerprints map[string]map[string]string
-	plan         *faultinject.Plan
 }
 
 func (j *jobSpec) cellCount() int { return len(j.cfgs) * len(j.specs) }
@@ -115,10 +108,10 @@ func parseJobRequest(r io.Reader) (JobRequest, error) {
 	return req, nil
 }
 
-// resolve validates the request against the registries, the cell
-// budget and the fault policy, and returns the executable jobSpec.
-// traces resolves "trace:<id>" workload names (nil rejects them).
-func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells int, allowFaults bool, traces traceResolver) (*jobSpec, error) {
+// resolve validates the request against the registries and the cell
+// budget, and returns the executable jobSpec. traces resolves
+// "trace:<id>" workload names (nil rejects them).
+func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells int, traces traceResolver) (*jobSpec, error) {
 	if len(req.Configurations) == 0 {
 		return nil, fmt.Errorf("job request: no configurations")
 	}
@@ -183,29 +176,15 @@ func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells in
 		}
 		js.fingerprints[c.Name] = per
 	}
-
-	if req.FaultPlan != nil {
-		if !allowFaults {
-			return nil, fmt.Errorf("job request: fault injection is disabled on this server")
-		}
-		if err := req.FaultPlan.Validate(); err != nil {
-			return nil, fmt.Errorf("job request: %w", err)
-		}
-		if req.FaultPlan.Enabled() {
-			js.plan = req.FaultPlan
-		}
-	}
-
 	js.id = js.computeID()
 	return js, nil
 }
 
 // computeID derives the job's content address: a hash over the
-// windows, every cell fingerprint in request order, and the fault
-// plan. Two requests describing the same simulation work share an ID —
-// that identity is what makes duplicate submission a cache hit rather
-// than a second sweep — while any semantic difference (including an
-// injected fault plan, which can change outcomes) separates them.
+// windows and every cell fingerprint in request order. Two requests
+// describing the same simulation work share an ID — that identity is
+// what makes duplicate submission a cache hit rather than a second
+// sweep — while any semantic difference separates them.
 func (j *jobSpec) computeID() string {
 	h := sha256.New()
 	var w [8]byte
@@ -218,14 +197,6 @@ func (j *jobSpec) computeID() string {
 			io.WriteString(h, j.fingerprints[c.Name][s.Name])
 			h.Write([]byte{0})
 		}
-	}
-	if j.plan != nil {
-		b, err := json.Marshal(j.plan)
-		if err != nil {
-			panic(err) // plain struct of scalars cannot fail to marshal
-		}
-		io.WriteString(h, "faults:")
-		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

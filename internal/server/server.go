@@ -65,9 +65,6 @@ type Config struct {
 	// MaxTraceBytes caps one trace upload body (default 128 MiB).
 	MaxTraceBytes int64
 
-	// AllowFaults permits fault_plan in submissions (testing only).
-	AllowFaults bool
-
 	// DrainGrace is how long Drain waits for running jobs before
 	// canceling them (default 10s).
 	DrainGrace time.Duration
@@ -165,7 +162,7 @@ type Server struct {
 	stats    counters
 
 	// tenants is the auth/quota table; nil means the server runs
-	// open (no auth, one tier, no quotas).
+	// open (no auth, every job on tier 0, no quotas).
 	tenants *tenants
 
 	queue *tierQueue
@@ -197,15 +194,13 @@ func New(cfg Config) (*Server, error) {
 		drained:  make(chan struct{}),
 		jobs:     make(map[string]*job),
 	}
-	tiers := 1
 	if cfg.Tenants != nil {
 		if err := cfg.Tenants.Validate(); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.tenants = newTenants(*cfg.Tenants, cfg.clock)
-		tiers = s.tenants.tierCount()
 	}
-	s.queue = newTierQueue(cfg.QueueCapacity, tiers)
+	s.queue = newTierQueue(cfg.QueueCapacity)
 	if cfg.TraceDir != "" {
 		tstore, err := trace.OpenStore(cfg.TraceDir)
 		if err != nil {
@@ -325,7 +320,6 @@ func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec) 
 		Warmup:      j.spec.warmup,
 		Measure:     j.spec.measure,
 		Fingerprint: j.spec.fingerprints[cfg.Name][spec.Name],
-		Plan:        j.spec.plan,
 	})
 	elapsed := time.Since(start).Milliseconds()
 	if out.Err != nil {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,12 +49,22 @@ func testConfig() Config {
 // undrained workers all fail the test with a stack dump).
 func startTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	return startHookedTestServer(t, cfg, nil)
+}
+
+// startHookedTestServer is startTestServer with hook installed as the
+// CellHook of every cell the server simulates. It is the only way to
+// inject faults into the server: no job request can carry them.
+func startHookedTestServer(t *testing.T, cfg Config, hook func(config, workload string) error) (*Server, *httptest.Server) {
+	t.Helper()
 	leakcheck.Check(t)
 	cfg.Logf = t.Logf
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Set before Start, so no worker can observe the write.
+	s.resolver.base.CellHook = hook
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -61,6 +72,19 @@ func startTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		ts.Close()
 	})
 	return s, ts
+}
+
+// faultHook injects plan's faults into the cells of the named
+// workloads and leaves every other cell clean, so one server can run
+// both kinds of job.
+func faultHook(plan faultinject.Plan, workloads ...string) func(config, workload string) error {
+	inj := faultinject.New(plan)
+	return func(config, workload string) error {
+		if !slices.Contains(workloads, workload) {
+			return nil
+		}
+		return inj.CellHook(config, workload)
+	}
 }
 
 // postJob submits a request and returns the HTTP status and body.
@@ -455,20 +479,19 @@ func TestServerQueueFull429(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueCapacity = 1
 	cfg.MaxJobs = 3
-	cfg.AllowFaults = true
-	s, ts := startTestServer(t, cfg)
+	// Every srv-00 cell stalls; int-00 runs clean.
+	slow := faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}
+	s, ts := startHookedTestServer(t, cfg, faultHook(slow, "srv-00"))
 
 	d := submitOK(t, ts, JobRequest{Configurations: []string{"no"}, Workloads: []string{"int-00"}, Warmup: testWarmup, Measure: testMeasure})
 	waitResult(t, ts, d.ID)
 
-	slow := &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}
 	mkReq := func(measure uint64) JobRequest {
 		return JobRequest{
 			Configurations: []string{"no"},
 			Workloads:      []string{"srv-00"},
 			Warmup:         testWarmup,
 			Measure:        measure,
-			FaultPlan:      slow,
 		}
 	}
 
@@ -511,16 +534,14 @@ func TestServerQueueFull429(t *testing.T) {
 func TestServerCancelMidJob(t *testing.T) {
 	cfg := testConfig()
 	cfg.CellParallelism = 1
-	cfg.AllowFaults = true
-	s, ts := startTestServer(t, cfg)
+	slow := faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}
+	s, ts := startHookedTestServer(t, cfg, faultHook(slow, "crypto-00", "int-00"))
 
-	slow := &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}
 	sr := submitOK(t, ts, JobRequest{
 		Configurations: []string{"no"},
 		Workloads:      []string{"crypto-00", "int-00"},
 		Warmup:         testWarmup,
 		Measure:        testMeasure,
-		FaultPlan:      slow,
 	})
 	waitStatus(t, ts, sr.ID, func(d StatusDoc) bool { return d.State == StateRunning })
 
@@ -579,15 +600,14 @@ func TestServerJobBuildsEachTraceOnce(t *testing.T) {
 func TestServerCanceledJobReleasesTraces(t *testing.T) {
 	cfg := testConfig()
 	cfg.CellParallelism = 1
-	cfg.AllowFaults = true
-	s, ts := startTestServer(t, cfg)
+	slow := faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 300 * time.Millisecond}
+	s, ts := startHookedTestServer(t, cfg, faultHook(slow, "crypto-00", "int-00"))
 
 	sr := submitOK(t, ts, JobRequest{
 		Configurations: []string{"no", "nextline"},
 		Workloads:      []string{"crypto-00", "int-00"},
 		Warmup:         testWarmup,
 		Measure:        testMeasure,
-		FaultPlan:      &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 300 * time.Millisecond},
 	})
 	waitStatus(t, ts, sr.ID, func(d StatusDoc) bool { return d.State == StateRunning })
 	if status, _ := doAs(t, ts, "", "DELETE", "/v1/jobs/"+sr.ID, nil); status != http.StatusOK {
@@ -616,10 +636,6 @@ func TestServerCanceledJobReleasesTraces(t *testing.T) {
 // again instead of deduping onto it — the surviving cells come back
 // from the result cache, the injected ones fail again.
 func TestServerFaultPlanDegradedResult(t *testing.T) {
-	cfg := testConfig()
-	cfg.AllowFaults = true
-	s, ts := startTestServer(t, cfg)
-
 	// Pick a seed whose deterministic error rolls fail some — but not
 	// all — of the sweep's cells, using the same (seed, kind, site)
 	// hash faultinject evaluates.
@@ -645,13 +661,14 @@ func TestServerFaultPlanDegradedResult(t *testing.T) {
 	if seed == 0 {
 		t.Fatalf("no seed yields a mixed outcome")
 	}
+	s, ts := startHookedTestServer(t, testConfig(),
+		faultHook(faultinject.Plan{Seed: seed, CellErrorProb: prob}, wlNames...))
 
 	req := JobRequest{
 		Configurations: cfgNames,
 		Workloads:      wlNames,
 		Warmup:         testWarmup,
 		Measure:        testMeasure,
-		FaultPlan:      &faultinject.Plan{Seed: seed, CellErrorProb: prob},
 	}
 	sr := submitOK(t, ts, req)
 	doc, _ := waitResult(t, ts, sr.ID)
@@ -801,9 +818,7 @@ func TestServerRequestValidation(t *testing.T) {
 		{"too many cells", mustJSON(JobRequest{Configurations: []string{"no", "nextline", "ideal"}, Workloads: []string{"crypto-00", "int-00"}, Measure: testMeasure}), 400, ""},
 		{"unknown field", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"surprise":1}`), 400, ""},
 		{"trailing data", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000}{}`), 400, ""},
-		{"fault plan disabled", mustJSON(JobRequest{Configurations: good.Configurations, Workloads: good.Workloads, Measure: testMeasure,
-			FaultPlan: &faultinject.Plan{Seed: 1, CellErrorProb: 1}}), 400, ""},
-		{"acquire faults", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"fault_plan":{"seed":1,"acquire_fail_prob":0.5}}`), 400, "acquire_fail_prob"},
+		{"fault plan", []byte(`{"configurations":["no"],"workloads":["crypto-00"],"measure":10000,"fault_plan":{"seed":1,"cell_error_prob":1}}`), 400, "fault_plan"},
 		{"not json", []byte("entangle me"), 400, ""},
 		{"oversized body", mustJSON(JobRequest{Configurations: good.Configurations,
 			Workloads: []string{strings.Repeat("w", 600)}, Measure: testMeasure}), 413, ""},

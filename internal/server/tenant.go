@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -16,14 +17,13 @@ import (
 // authentication, per-tenant quotas (jobs in flight, cells per
 // second, cumulative trace bytes) and priority tiers for the
 // admission queue. A server started without a tenants config runs
-// open — no auth, no quotas, one default tier — exactly the PR 4
-// behavior, so every single-tenant deployment and test is untouched.
-// With a config loaded, every /v1 request must present a known API
-// key; the typed rejection taxonomy is
+// open — no auth, no quotas, every job on the top tier — exactly the
+// PR 4 behavior, so every single-tenant deployment and test is
+// untouched. With a config loaded, every /v1 request must present a
+// known API key; the typed rejection taxonomy is
 //
 //	401 unauthorized      missing or unknown API key
-//	403 forbidden         known tenant, disallowed action (foreign
-//	                      job, fault plan without allow_faults)
+//	403 forbidden         known tenant, another tenant's job
 //	429 quota_*           the named tenant quota is exhausted
 //
 // and every rejection names the tenant limit it enforced, so a
@@ -46,8 +46,8 @@ type Tenant struct {
 	// Key is the API key presented as "Authorization: Bearer <key>"
 	// or "X-API-Key: <key>".
 	Key string `json:"key"`
-	// Tier names the admission priority tier (must be one of the
-	// configured tiers; empty means the lowest tier).
+	// Tier names the admission priority tier (one of tierNames;
+	// empty means the lowest tier).
 	Tier string `json:"tier,omitempty"`
 
 	// MaxJobsInFlight caps this tenant's jobs in non-terminal states
@@ -62,35 +62,17 @@ type Tenant struct {
 	// MaxTraceBytes caps the cumulative stored bytes of this
 	// tenant's accepted trace uploads (deduped re-uploads are free).
 	MaxTraceBytes int64 `json:"max_trace_bytes"`
-
-	// AllowFaults permits this tenant to submit fault_plan jobs when
-	// the server itself runs with fault injection enabled. Without
-	// it, a fault_plan submission is a 403.
-	AllowFaults bool `json:"allow_faults,omitempty"`
 }
 
-// TierSpec is one admission tier: jobs from higher-weight tiers are
-// always dequeued before lower-weight ones.
-type TierSpec struct {
-	Name   string `json:"name"`
-	Weight int    `json:"weight"`
-}
-
-// DefaultTiers is the tier lineup used when a tenants config does not
-// declare its own.
-func DefaultTiers() []TierSpec {
-	return []TierSpec{
-		{Name: "gold", Weight: 100},
-		{Name: "silver", Weight: 10},
-		{Name: "bronze", Weight: 1},
-	}
-}
+// tierNames is the fixed admission tier lineup, highest priority
+// first: a queued job of a higher tier always runs before any job of
+// a lower one.
+var tierNames = [...]string{"gold", "silver", "bronze"}
 
 // TenantsConfig is the -tenants-file document.
 type TenantsConfig struct {
-	SchemaVersion int        `json:"schema_version"`
-	Tiers         []TierSpec `json:"tiers,omitempty"`
-	Tenants       []Tenant   `json:"tenants"`
+	SchemaVersion int      `json:"schema_version"`
+	Tenants       []Tenant `json:"tenants"`
 }
 
 // ParseTenantsConfig decodes and validates a tenants-file document.
@@ -127,23 +109,6 @@ func (c TenantsConfig) Validate() error {
 	if c.SchemaVersion != TenantsConfigSchemaVersion {
 		return fmt.Errorf("tenants config: schema_version %d, want %d", c.SchemaVersion, TenantsConfigSchemaVersion)
 	}
-	tiers := c.Tiers
-	if len(tiers) == 0 {
-		tiers = DefaultTiers()
-	}
-	tierNames := make(map[string]bool, len(tiers))
-	for _, tr := range tiers {
-		if tr.Name == "" {
-			return errors.New("tenants config: tier with empty name")
-		}
-		if tr.Weight <= 0 {
-			return fmt.Errorf("tenants config: tier %q: weight %d must be positive", tr.Name, tr.Weight)
-		}
-		if tierNames[tr.Name] {
-			return fmt.Errorf("tenants config: duplicate tier %q", tr.Name)
-		}
-		tierNames[tr.Name] = true
-	}
 	if len(c.Tenants) == 0 {
 		return errors.New("tenants config: no tenants")
 	}
@@ -164,7 +129,7 @@ func (c TenantsConfig) Validate() error {
 			return fmt.Errorf("tenants config: tenant %q: key already assigned to another tenant", t.Name)
 		}
 		keys[t.Key] = true
-		if t.Tier != "" && !tierNames[t.Tier] {
+		if t.Tier != "" && slices.Index(tierNames[:], t.Tier) < 0 {
 			return fmt.Errorf("tenants config: tenant %q: unknown tier %q", t.Name, t.Tier)
 		}
 		if t.MaxJobsInFlight <= 0 {
@@ -230,12 +195,11 @@ type tenantState struct {
 	rejected       map[string]uint64 // by Reason*
 }
 
-// tenants is the server's tenant table: key → state, plus the tier
-// lineup. Nil *tenants means the server runs open.
+// tenants is the server's tenant table: key → state. Nil *tenants
+// means the server runs open.
 type tenants struct {
 	byKey  map[string]*tenantState
 	byName map[string]*tenantState
-	tiers  []TierSpec // sorted by weight, descending
 	now    func() time.Time
 }
 
@@ -244,28 +208,15 @@ func newTenants(cfg TenantsConfig, now func() time.Time) *tenants {
 	if now == nil {
 		now = time.Now
 	}
-	tiers := cfg.Tiers
-	if len(tiers) == 0 {
-		tiers = DefaultTiers()
-	}
-	tiers = append([]TierSpec(nil), tiers...)
-	// Higher weight drains first; equal weights keep declaration order.
-	sort.SliceStable(tiers, func(i, j int) bool { return tiers[i].Weight > tiers[j].Weight })
-
-	tierIndex := make(map[string]int, len(tiers))
-	for i, tr := range tiers {
-		tierIndex[tr.Name] = i
-	}
 	ts := &tenants{
 		byKey:  make(map[string]*tenantState, len(cfg.Tenants)),
 		byName: make(map[string]*tenantState, len(cfg.Tenants)),
-		tiers:  tiers,
 		now:    now,
 	}
 	for _, t := range cfg.Tenants {
-		tier := len(tiers) - 1 // empty tier → lowest priority
+		tier := len(tierNames) - 1 // empty tier → lowest priority
 		if t.Tier != "" {
-			tier = tierIndex[t.Tier]
+			tier = slices.Index(tierNames[:], t.Tier)
 		}
 		st := &tenantState{
 			t:          t,
@@ -285,9 +236,6 @@ func (ts *tenants) lookup(key string) (*tenantState, bool) {
 	st, ok := ts.byKey[key]
 	return st, ok
 }
-
-// tierCount reports how many admission tiers the table defines.
-func (ts *tenants) tierCount() int { return len(ts.tiers) }
 
 // admitJob checks the jobs-in-flight and cells/sec quotas and, when
 // both pass, atomically charges them. cells is the job's cell count.
@@ -443,7 +391,7 @@ func (ts *tenants) snapshot() []tenantMetrics {
 		st.mu.Lock()
 		m := tenantMetrics{
 			Name:           st.t.Name,
-			Tier:           ts.tiers[st.tier].Name,
+			Tier:           tierNames[st.tier],
 			Inflight:       st.inflight,
 			JobsSubmitted:  st.jobsSubmitted,
 			JobsDeduped:    st.jobsDeduped,

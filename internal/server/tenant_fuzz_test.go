@@ -16,8 +16,7 @@ func FuzzTenantsConfigDecode(f *testing.F) {
 	  "schema_version": 1,
 	  "tenants": [
 	    {"name": "acme", "key": "acme-key-0001", "tier": "gold",
-	     "max_jobs_in_flight": 4, "cells_per_sec": 100, "max_trace_bytes": 1048576,
-	     "allow_faults": true},
+	     "max_jobs_in_flight": 4, "cells_per_sec": 100, "max_trace_bytes": 1048576},
 	    {"name": "zeta", "key": "zeta-key-0001", "tier": "bronze",
 	     "max_jobs_in_flight": 2, "cells_per_sec": 10, "max_trace_bytes": 65536}
 	  ]
@@ -39,6 +38,10 @@ func FuzzTenantsConfigDecode(f *testing.F) {
 	f.Add([]byte(`{"schema_version":2,"tenants":[]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
+	// Retired fields are unknown fields now: the tier lineup is fixed,
+	// and no tenant can be granted fault injection.
+	f.Add([]byte(allowFaultsDoc))
+	f.Add([]byte(tiersDoc))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := ParseTenantsConfig(data)
@@ -84,6 +87,12 @@ func FuzzTenantsConfigDecode(f *testing.F) {
 	})
 }
 
+// Documents that set fields the tenants file no longer has.
+const (
+	allowFaultsDoc = `{"schema_version":1,"tenants":[{"name":"a","key":"12345678","max_jobs_in_flight":4,"cells_per_sec":1,"max_trace_bytes":1,"allow_faults":true}]}`
+	tiersDoc       = `{"schema_version":1,"tiers":[{"name":"gold","weight":100}],"tenants":[{"name":"a","key":"12345678","tier":"gold","max_jobs_in_flight":4,"cells_per_sec":1,"max_trace_bytes":1}]}`
+)
+
 // TestTenantsConfigRejections pins the exact refusals the fuzz seeds
 // rely on, with readable errors.
 func TestTenantsConfigRejections(t *testing.T) {
@@ -112,6 +121,15 @@ func TestTenantsConfigRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantSub) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
+		}
+	}
+	for _, tc := range []struct{ name, doc, field string }{
+		{"allow_faults", allowFaultsDoc, "allow_faults"},
+		{"tiers", tiersDoc, "tiers"},
+	} {
+		_, err := ParseTenantsConfig([]byte(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Fatalf("%s: ParseTenantsConfig error %v, want unknown field %q", tc.name, err, tc.field)
 		}
 	}
 	if err := tenantFixture().Validate(); err != nil {

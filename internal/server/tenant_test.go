@@ -32,13 +32,13 @@ const (
 )
 
 // tenantFixture is the two-tenant config the battery runs on: a gold
-// tenant with fault rights and a bronze tenant without.
+// tenant and a bronze tenant.
 func tenantFixture() *TenantsConfig {
 	return &TenantsConfig{
 		SchemaVersion: TenantsConfigSchemaVersion,
 		Tenants: []Tenant{
 			{Name: "acme", Key: goldKey, Tier: "gold",
-				MaxJobsInFlight: 8, CellsPerSec: 1e9, MaxTraceBytes: 1 << 30, AllowFaults: true},
+				MaxJobsInFlight: 8, CellsPerSec: 1e9, MaxTraceBytes: 1 << 30},
 			{Name: "zeta", Key: bronzeKey, Tier: "bronze",
 				MaxJobsInFlight: 8, CellsPerSec: 1e9, MaxTraceBytes: 1 << 30},
 		},
@@ -324,7 +324,7 @@ func TestQuotaTraceBytes(t *testing.T) {
 // highest-tier-first, FIFO within a tier, capacity shared across
 // tiers, and post-close draining.
 func TestTierQueueDrainOrder(t *testing.T) {
-	q := newTierQueue(5, 3)
+	q := newTierQueue(5)
 	mk := func() *job { return &job{} }
 	b1, g1, s1, g2, b2 := mk(), mk(), mk(), mk(), mk()
 	for _, p := range []struct {
@@ -483,30 +483,6 @@ func TestForeignJobForbidden(t *testing.T) {
 	}
 }
 
-// TestFaultPlanRequiresGrant: fault_plan submissions are 403 for
-// tenants without allow_faults even on a fault-enabled server, and
-// accepted for tenants with the grant.
-func TestFaultPlanRequiresGrant(t *testing.T) {
-	cfg := tenantTestConfig()
-	cfg.AllowFaults = true
-	_, ts := startTestServer(t, cfg)
-
-	req := smallJob(400)
-	req.FaultPlan = &faultinject.Plan{Seed: 7, CellErrorProb: 1}
-	b, _ := json.Marshal(req)
-
-	status, body := doAs(t, ts, bronzeKey, "POST", "/v1/jobs", b)
-	if status != http.StatusForbidden {
-		t.Fatalf("ungranted fault plan: status %d, want 403 (%s)", status, body)
-	}
-	if r := reasonOf(t, body); r != ReasonForbidden {
-		t.Fatalf("ungranted fault plan reason %q, want %q", r, ReasonForbidden)
-	}
-
-	sub := submitAs(t, ts, goldKey, req)
-	waitStatusAs(t, ts, goldKey, sub.ID, func(d StatusDoc) bool { return terminalState(d.State) })
-}
-
 // TestPerTenantMetrics: the /metrics exposition carries per-tenant
 // labeled series, including the rejection taxonomy.
 func TestPerTenantMetrics(t *testing.T) {
@@ -545,22 +521,23 @@ func TestTenantRejectionCounters(t *testing.T) {
 	const soloKey, rateKey = "solo-key-000001", "rate-key-000001"
 	frozen := time.Unix(1_700_000_000, 0)
 	cfg := tenantTestConfig()
-	cfg.QueueCapacity, cfg.AllowFaults = 1, true
+	cfg.QueueCapacity = 1
 	cfg.MaxBodyBytes, cfg.MaxTraceBytes = 4<<10, 4<<10
 	cfg.TraceDir = filepath.Join(t.TempDir(), "traces")
 	cfg.clock = func() time.Time { return frozen } // rate's bucket never refills
 	cfg.Tenants.Tenants[1].MaxTraceBytes = 1       // zeta: one upload, then over quota
 	cfg.Tenants.Tenants = append(cfg.Tenants.Tenants,
-		Tenant{Name: "solo", Key: soloKey, MaxJobsInFlight: 1, CellsPerSec: 1e9, MaxTraceBytes: 1 << 30, AllowFaults: true},
+		Tenant{Name: "solo", Key: soloKey, MaxJobsInFlight: 1, CellsPerSec: 1e9, MaxTraceBytes: 1 << 30},
 		Tenant{Name: "rate", Key: rateKey, MaxJobsInFlight: 8, CellsPerSec: 1, MaxTraceBytes: 1 << 30})
-	s, ts := startTestServer(t, cfg)
+	// slow's srv-00 cell stalls; every other row runs clean workloads.
+	s, ts := startHookedTestServer(t, cfg,
+		faultHook(faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}, "srv-00"))
 	owner := map[string]*tenantState{}
 	for _, st := range s.tenants.byName {
 		owner[st.t.Key] = st
 	}
 
-	slow := JobRequest{Configurations: []string{"no"}, Workloads: []string{"srv-00"}, Warmup: testWarmup, Measure: testMeasure,
-		FaultPlan: &faultinject.Plan{Seed: 1, CellSlowProb: 1, SlowDelay: 800 * time.Millisecond}}
+	slow := JobRequest{Configurations: []string{"no"}, Workloads: []string{"srv-00"}, Warmup: testWarmup, Measure: testMeasure}
 	body := func(req JobRequest) []byte { b, _ := json.Marshal(req); return b }
 	trace := encodeWalkerTrace(t, 300)
 	var acmeJob string
@@ -577,7 +554,6 @@ func TestTenantRejectionCounters(t *testing.T) {
 		{"malformed job body", nil, goldKey, "POST /v1/jobs", []byte(`{"configurations":`), 400, ReasonBadRequest},
 		{"oversized job body", nil, goldKey, "POST /v1/jobs", []byte(`{"configurations":["` + strings.Repeat("a", 8<<10) + `"]}`), 413, ReasonTooLarge},
 		{"unresolvable job", nil, goldKey, "POST /v1/jobs", body(JobRequest{Configurations: []string{"nope"}, Workloads: []string{"int-00"}, Measure: 1}), 400, ReasonBadRequest},
-		{"fault plan without grant", nil, bronzeKey, "POST /v1/jobs", body(slow), 403, ReasonForbidden},
 		{"unknown job", nil, goldKey, "GET /v1/jobs/0000000000000000", nil, 404, ReasonNotFound},
 		{"unknown job cancel", nil, goldKey, "DELETE /v1/jobs/0000000000000000", nil, 404, ReasonNotFound},
 		{"foreign job", func() {

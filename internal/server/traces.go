@@ -164,12 +164,20 @@ func (s *Server) handleTraceStat(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	info, err := s.tstore.Stat(id)
-	if err != nil {
+	if errors.Is(err, trace.ErrUnknownTrace) {
 		reject(w, st, http.StatusNotFound, ReasonNotFound, "unknown trace %q", id)
+		return
+	}
+	if err != nil {
+		writeErrorReason(w, http.StatusInternalServerError, ReasonInternal, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, docFromInfo(info, false))
 }
+
+// errTraceStore marks a job whose trace the server failed to read
+// from its own store: a server fault, not a bad request.
+var errTraceStore = errors.New("reading the trace store")
 
 // resolveTraceWorkload is the traceResolver wired into job resolution:
 // it maps "trace:<id>" to an executable Spec over the stored payload.
@@ -179,8 +187,11 @@ func (s *Server) resolveTraceWorkload(name string, traceLen uint64) (workload.Sp
 		return workload.Spec{}, fmt.Errorf("workload %q: trace storage is not configured on this server", name)
 	}
 	info, err := s.tstore.Stat(id)
-	if err != nil {
+	if errors.Is(err, trace.ErrUnknownTrace) {
 		return workload.Spec{}, fmt.Errorf("unknown trace %q (upload it via POST /v1/traces first)", id)
+	}
+	if err != nil {
+		return workload.Spec{}, fmt.Errorf("workload %q: %w: %w", name, errTraceStore, err)
 	}
 	if traceLen > info.Instructions {
 		return workload.Spec{}, fmt.Errorf("workload %q: warmup+measure of %d instructions exceeds the trace's %d",

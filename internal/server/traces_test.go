@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -233,6 +234,28 @@ func TestTraceListAndStat(t *testing.T) {
 
 	if status, _ := doAs(t, ts, "", "GET", "/v1/traces/"+string(bytes.Repeat([]byte("f"), 64)), nil); status != http.StatusNotFound {
 		t.Errorf("unknown trace stat: status %d, want 404", status)
+	}
+}
+
+// TestTraceStoreFailureIsInternal: a trace the store fails to read
+// (its sidecar path is a directory, so reading it fails with EISDIR)
+// is a server fault — 500 internal on stat and on submission — not an
+// unknown trace.
+func TestTraceStoreFailureIsInternal(t *testing.T) {
+	cfg := traceTestConfig(t)
+	_, ts := startTestServer(t, cfg)
+	id := string(bytes.Repeat([]byte("a"), 64))
+	if err := os.Mkdir(filepath.Join(cfg.TraceDir, id+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	status, body := doAs(t, ts, "", "GET", "/v1/traces/"+id, nil)
+	if status != http.StatusInternalServerError || reasonOf(t, body) != ReasonInternal {
+		t.Errorf("stat of an unreadable trace: status %d (%s), want 500 %s", status, body, ReasonInternal)
+	}
+	status, body = postJob(t, ts, JobRequest{Configurations: []string{"no"}, Workloads: []string{"trace:" + id}, Warmup: 100, Measure: 100})
+	if status != http.StatusInternalServerError || reasonOf(t, body) != ReasonInternal {
+		t.Errorf("job on an unreadable trace: status %d (%s), want 500 %s", status, body, ReasonInternal)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"entangling/internal/blob"
 )
@@ -74,6 +75,8 @@ func validID(id string) bool {
 }
 
 // ErrUnknownTrace is returned by Open/Stat for IDs not in the store.
+// Any other error from them is a storage failure, returned with its
+// cause.
 var ErrUnknownTrace = errors.New("trace: unknown trace id")
 
 // Put ingests one trace from r, validating every record during the
@@ -212,8 +215,11 @@ func (s *Store) Open(id string) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("trace: id %q: %w", id, ErrUnknownTrace)
 	}
 	f, err := s.blobs.Open(id + ".trace")
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("trace: id %q: %w", id, ErrUnknownTrace)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace: id %q: %w", id, err)
 	}
 	return f, nil
 }
