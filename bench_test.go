@@ -311,10 +311,16 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	p.Seed = 1
 	cfg := harness.Configuration{Name: "entangling-4k", Prefetcher: "entangling-4k"}
 	spec := workload.Spec{Name: "srv-bench", Params: p}
+	// The trace is built once, outside the timer: the metric is the
+	// machine's rate, not the workload walker's.
+	opt := harness.Options{Measure: 500_000, Traces: workload.NewTraceCache()}
+	if _, err := opt.Traces.Pin(spec, opt.Measure); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Run(cfg, spec, 0, 500_000, nil, nil)
+		r, err := harness.RunCell(context.Background(), cfg, spec, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

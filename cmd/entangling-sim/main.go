@@ -7,13 +7,17 @@
 //	entangling-sim -workload cassandra -prefetcher mana-4k -measure 2000000
 //	entangling-sim -workload int -prefetcher ideal -physical
 //	entangling-sim -workload srv -metrics-out run.json
+//	entangling-sim -trace srv.trace -checkpoint ck
 //	entangling-sim -cpuprofile cpu.pprof -measure 5000000
 //	entangling-sim -list
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -21,6 +25,7 @@ import (
 
 	"entangling"
 	"entangling/internal/harness"
+	"entangling/internal/workload"
 )
 
 func main() {
@@ -76,57 +81,45 @@ func main() {
 		cfg.Prefetcher = *pf
 	}
 
-	var (
-		r        entangling.Results
-		baseline *entangling.Results
-		err      error
-		name     string
-		category string
-	)
+	var spec entangling.WorkloadSpec
+	var err error
 	if *traceIn != "" {
-		name = *traceIn
-		r, err = runTrace(cfg, *traceIn, *warmup, *measure)
-		if err != nil {
-			fatal(err)
-		}
+		spec, err = traceSpec(*traceIn)
 	} else {
-		var spec entangling.WorkloadSpec
 		spec, err = resolveWorkload(*wl, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		name = spec.Name
-		category = string(spec.Params.Category)
-
-		cfgs := []entangling.Configuration{cfg}
-		if *base && *pf != "no" {
-			cfgs = append(cfgs, entangling.Configuration{Name: "no", Physical: *phys})
-		}
-		opt := harness.Options{
-			Warmup: *warmup, Measure: *measure, Parallelism: 1, Resume: *resume,
-			Progress: func(ev harness.CellEvent) {
-				if ev.Type == harness.CellRestored {
-					fmt.Fprintf(os.Stderr, "resumed %s/%s from checkpoint\n", ev.Config, ev.Workload)
-				}
-			},
-		}
-		if *checkpoint != "" {
-			if opt.Checkpoint, err = harness.OpenCheckpointStore(*checkpoint); err != nil {
-				fatal(err)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	cfgs := []entangling.Configuration{cfg}
+	if *base && *pf != "no" {
+		cfgs = append(cfgs, entangling.Configuration{Name: "no", Physical: *phys})
+	}
+	opt := harness.Options{
+		Warmup: *warmup, Measure: *measure, Parallelism: 1, Resume: *resume,
+		Progress: func(ev harness.CellEvent) {
+			if ev.Type == harness.CellRestored {
+				fmt.Fprintf(os.Stderr, "resumed %s/%s from checkpoint\n", ev.Config, ev.Workload)
 			}
-		}
-		suite, err := harness.RunSuite([]entangling.WorkloadSpec{spec}, cfgs, opt)
-		if err != nil {
+		},
+	}
+	if *checkpoint != "" {
+		if opt.Checkpoint, err = harness.OpenCheckpointStore(*checkpoint); err != nil {
 			fatal(err)
-		}
-		r = suite.Runs[cfg.Name][spec.Name].R
-		if len(cfgs) > 1 {
-			b := suite.Runs["no"][spec.Name].R
-			baseline = &b
 		}
 	}
+	suite, err := harness.RunSuite([]entangling.WorkloadSpec{spec}, cfgs, opt)
+	if err != nil {
+		fatal(err)
+	}
+	r := suite.Runs[cfg.Name][spec.Name].R
+	var baseline *entangling.Results
+	if len(cfgs) > 1 {
+		b := suite.Runs["no"][spec.Name].R
+		baseline = &b
+	}
 
-	fmt.Printf("workload           %s (seed %d)\n", name, *seed)
+	fmt.Printf("workload           %s (seed %d)\n", spec.Name, *seed)
 	fmt.Printf("prefetcher         %s (%.2f KB)\n", r.PrefetcherName, float64(r.StorageBits)/8/1024)
 	fmt.Printf("instructions       %d (+%d warm-up)\n", r.Instructions, *warmup)
 	fmt.Printf("cycles             %d\n", r.Cycles)
@@ -156,9 +149,10 @@ func main() {
 
 	if *metricsOut != "" {
 		m := harness.SuiteMetrics{SchemaVersion: harness.MetricsSchemaVersion}
-		m.Runs = append(m.Runs, harness.MetricsForRun(cfg.Name, name, category, r, baseline))
+		category := string(spec.Params.Category)
+		m.Runs = append(m.Runs, harness.MetricsForRun(cfg.Name, spec.Name, category, r, baseline))
 		if baseline != nil {
-			m.Runs = append(m.Runs, harness.MetricsForRun("no", name, category, *baseline, nil))
+			m.Runs = append(m.Runs, harness.MetricsForRun("no", spec.Name, category, *baseline, nil))
 		}
 		if err := harness.WriteMetricsFile(*metricsOut, m); err != nil {
 			fatal(err)
@@ -218,16 +212,20 @@ func namedWorkloads() []string {
 	return out
 }
 
-// runTrace runs the configuration over a trace file.
-func runTrace(cfg entangling.Configuration, path string, warmup, measure uint64) (entangling.Results, error) {
+// traceSpec names a trace file as a workload: its content address is
+// the SHA-256 of the file, and each cell that needs the stream reopens
+// the path.
+func traceSpec(path string) (entangling.WorkloadSpec, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return entangling.Results{}, err
+		return entangling.WorkloadSpec{}, err
 	}
 	defer f.Close()
-	src, err := entangling.OpenTrace(f)
-	if err != nil {
-		return entangling.Results{}, err
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return entangling.WorkloadSpec{}, err
 	}
-	return entangling.RunSource(cfg, src, warmup, measure)
+	return workload.TraceSpec(path, hex.EncodeToString(h.Sum(nil)), func() (io.ReadCloser, error) {
+		return os.Open(path)
+	}), nil
 }

@@ -53,15 +53,12 @@ func main() {
 
 	// An interrupt cancels the sweep cooperatively: in-flight cells
 	// stop at the next poll, completed cells stay checkpointed, and a
-	// later -resume run picks up from there. Figures 1, 2 and ext-pq
-	// stop before their next run.
+	// later -resume run picks up from there. Figures 1 and 2 are sweeps
+	// like the rest; ext-pq stops mid-run too but checkpoints nothing.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opt := harness.Options{
-		Warmup: *warmup, Measure: *measure, Parallelism: 0,
-		Resume: *resume,
-	}
+	opt := harness.Options{Warmup: *warmup, Measure: *measure, Resume: *resume}
 	if *progress {
 		opt.Progress = logProgress
 	}
@@ -98,7 +95,7 @@ func main() {
 		}
 	}
 
-	// Figures 1-2 run their own measurements.
+	// Figures 1-2: the motivation study.
 	if all || want["1"] {
 		t, err := harness.Fig01(ctx, specs, opt)
 		if err != nil {

@@ -164,7 +164,7 @@ func QuickOptions() Options { return harness.QuickOptions() }
 // Run executes one configuration over one workload with the given
 // instruction windows (warmup discarded, measure measured).
 func Run(cfg Configuration, w WorkloadSpec, warmup, measure uint64) (Results, error) {
-	r, err := harness.Run(cfg, w, warmup, measure, nil, nil)
+	r, err := harness.RunCell(context.Background(), cfg, w, harness.Options{Warmup: warmup, Measure: measure})
 	if err != nil {
 		return Results{}, err
 	}
@@ -201,12 +201,13 @@ var (
 	Table04 = harness.Table04
 )
 
-// Fig01 and Fig02 run their own oracle/look-ahead measurements.
+// Fig01 runs its own sweep of the look-ahead oracle.
 func Fig01(specs []WorkloadSpec, opt Options) (*Table, error) {
 	return harness.Fig01(context.Background(), specs, opt)
 }
 
-// Fig02 measures accuracy of fixed look-ahead prefetching.
+// Fig02 runs its own sweep measuring the accuracy of fixed look-ahead
+// prefetching.
 func Fig02(specs []WorkloadSpec, opt Options) (*Table, error) {
 	return harness.Fig02(context.Background(), specs, opt)
 }

@@ -66,13 +66,6 @@ type Config struct {
 	PhysicalAddresses bool
 	// TranslatorSalt decorrelates page mappings between workloads.
 	TranslatorSalt uint64
-
-	// ExtraL1IListener, when set, also receives every L1I event (used
-	// by the oracle look-ahead study of Figures 1-2).
-	ExtraL1IListener cache.Listener
-	// BranchHook, when set, receives every branch event in addition to
-	// the prefetcher.
-	BranchHook func(prefetch.BranchEvent)
 }
 
 // DefaultConfig returns the baseline machine of Table III.
@@ -212,8 +205,8 @@ type Machine struct {
 	redirects   uint64
 }
 
-// teeListener fans L1I events out to the prefetcher and an extra
-// observer.
+// teeListener fans L1I events out to the prefetcher and the lifecycle
+// tracker.
 type teeListener struct {
 	a, b cache.Listener
 }
@@ -243,11 +236,7 @@ func New(cfg Config) *Machine {
 	// prefetcher cares (implements cache.FeedbackSink).
 	sink, _ := m.pf.(cache.FeedbackSink)
 	m.tracker = cache.NewLifecycleTracker(sink)
-	var listener cache.Listener = teeListener{a: m.pf, b: m.tracker}
-	if cfg.ExtraL1IListener != nil {
-		listener = teeListener{a: listener, b: cfg.ExtraL1IListener}
-	}
-	m.icache.SetListener(listener)
+	m.icache.SetListener(teeListener{a: m.pf, b: m.tracker})
 
 	if cfg.FTQDepth < 1 {
 		m.cfg.FTQDepth = 1
@@ -533,17 +522,13 @@ func (m *Machine) consumeChunk(p *trace.Packed, c trace.Cursor, maxInstrs uint64
 			taken := op&trace.OpTaken != 0
 			in := trace.Instruction{PC: pc, Target: target, Size: uint8(next - pc), Branch: br, Taken: taken}
 			out := m.pred.Process(&in)
-			ev := prefetch.BranchEvent{
+			m.pf.OnBranch(prefetch.BranchEvent{
 				Cycle:  fetchStart,
 				PC:     pc,
 				Type:   br,
 				Taken:  taken,
 				Target: target,
-			}
-			m.pf.OnBranch(ev)
-			if m.cfg.BranchHook != nil {
-				m.cfg.BranchHook(ev)
-			}
+			})
 			if out.Redirect() {
 				m.redirects++
 				var r uint64

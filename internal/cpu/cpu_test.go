@@ -118,13 +118,13 @@ func TestPhysicalAddressesRun(t *testing.T) {
 	}
 }
 
-func TestBranchHookFires(t *testing.T) {
-	var events int
-	run(t, workload.Int, 7, 50_000, func(c *Config) {
-		c.BranchHook = func(prefetch.BranchEvent) { events++ }
-	})
-	if events == 0 {
-		t.Error("BranchHook never fired")
+// TestOnBranchFires: the prefetcher's OnBranch hook sees the run's
+// branches.
+func TestOnBranchFires(t *testing.T) {
+	var events []prefetch.BranchEvent
+	run(t, workload.Int, 7, 50_000, func(c *Config) { c.Prefetcher = recordBranches(&events) })
+	if len(events) == 0 {
+		t.Error("OnBranch never fired")
 	}
 }
 

@@ -45,6 +45,23 @@ func mixedStream(n int) []trace.Instruction {
 	return ins
 }
 
+// branchRecorder is a prefetcher that issues nothing and records every
+// branch event the machine delivers.
+type branchRecorder struct {
+	prefetch.Base
+	evs *[]prefetch.BranchEvent
+}
+
+func (r *branchRecorder) OnBranch(e prefetch.BranchEvent) { *r.evs = append(*r.evs, e) }
+
+// recordBranches returns a factory for a branchRecorder appending to
+// evs.
+func recordBranches(evs *[]prefetch.BranchEvent) prefetch.Factory {
+	return func(prefetch.Issuer) prefetch.Prefetcher {
+		return &branchRecorder{Base: prefetch.Base{PfName: "branches"}, evs: evs}
+	}
+}
+
 // TestPackedCursorResumes: the machine resumes its read position
 // exactly across the warmup/measure boundary, across the
 // cancelCheckInterval chunks of a cancellable run, and across the
@@ -70,7 +87,7 @@ func TestPackedCursorResumes(t *testing.T) {
 		}
 		var evs []prefetch.BranchEvent
 		cfg := DefaultConfig()
-		cfg.BranchHook = func(e prefetch.BranchEvent) { evs = append(evs, e) }
+		cfg.Prefetcher = recordBranches(&evs)
 		res, err := New(cfg).RunWindowsCtx(ctx, src, warmup, measure)
 		if err != nil {
 			t.Fatal(err)

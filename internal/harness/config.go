@@ -7,13 +7,12 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 
-	"entangling/internal/cache"
 	"entangling/internal/core"
 	"entangling/internal/cpu"
+	"entangling/internal/oracle"
 	"entangling/internal/prefetch"
+	"entangling/internal/stats"
 	"entangling/internal/trace"
 	"entangling/internal/workload"
 )
@@ -134,7 +133,8 @@ type Options struct {
 	Warmup uint64
 	// Measure instructions are measured.
 	Measure uint64
-	// Parallelism bounds concurrent runs (defaults to GOMAXPROCS).
+	// Parallelism bounds concurrent runs; below 1 it means
+	// runtime.GOMAXPROCS(0).
 	Parallelism int
 	// Traces, when non-nil, is a shared trace cache RunSuite draws from
 	// instead of building a private one. Drivers that run several
@@ -163,20 +163,12 @@ type Options struct {
 
 // DefaultOptions returns the paperfigs defaults.
 func DefaultOptions() Options {
-	return Options{
-		Warmup:      2_000_000,
-		Measure:     1_000_000,
-		Parallelism: runtime.GOMAXPROCS(0),
-	}
+	return Options{Warmup: 2_000_000, Measure: 1_000_000}
 }
 
 // QuickOptions returns a reduced setting for benchmarks and smoke runs.
 func QuickOptions() Options {
-	return Options{
-		Warmup:      800_000,
-		Measure:     400_000,
-		Parallelism: runtime.GOMAXPROCS(0),
-	}
+	return Options{Warmup: 800_000, Measure: 400_000}
 }
 
 // RunResult couples one (configuration, workload) run with its
@@ -189,30 +181,18 @@ type RunResult struct {
 	// Ent holds Entangling-internal statistics when the configuration
 	// runs an Entangling prefetcher (Figures 12-15).
 	Ent *core.Stats
-}
-
-// Run executes one configuration over one workload. extraListener and
-// branchHook may be nil; they serve the oracle studies.
-func Run(cfg Configuration, spec workload.Spec, warmup, measure uint64,
-	extraListener cache.Listener, branchHook func(prefetch.BranchEvent)) (RunResult, error) {
-
-	prog, err := workload.BuildProgram(spec.Params)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("harness: building %s: %w", spec.Name, err)
-	}
-	m, err := machineFor(cfg, spec.Params.Seed, extraListener, branchHook)
-	if err != nil {
-		return RunResult{}, err
-	}
-	r := m.RunWindows(workload.NewWalker(prog), warmup, measure)
-	return runResultFrom(cfg, spec, m, r), nil
+	// Oracle holds the per-miss look-ahead distance histogram, warmup
+	// included, when the configuration runs the "oracle" prefetcher
+	// (Figure 1). Omitted otherwise, so every other cell encodes as
+	// before.
+	Oracle *stats.Histogram `json:",omitempty"`
 }
 
 // RunTrace executes one configuration over a pre-materialized workload
-// trace (see workload.TraceCache). Behaviour is identical to Run — the
-// walker is deterministic, so replaying its materialized stream
-// produces the same machine state — but the generation cost is paid
-// once per trace instead of once per run.
+// trace (see workload.TraceCache). The walker is deterministic, so
+// replaying its materialized stream produces the same machine state as
+// walking the program, but the generation cost is paid once per trace
+// instead of once per run.
 func RunTrace(cfg Configuration, spec workload.Spec, tr *workload.Trace, warmup, measure uint64) (RunResult, error) {
 	return RunTraceCtx(context.Background(), cfg, spec, tr, warmup, measure)
 }
@@ -221,7 +201,7 @@ func RunTrace(cfg Configuration, spec workload.Spec, tr *workload.Trace, warmup,
 // simulation loop polls ctx and abandons the run with ctx's error when
 // it fires. context.Background() keeps the uncancellable fast path.
 func RunTraceCtx(ctx context.Context, cfg Configuration, spec workload.Spec, tr *workload.Trace, warmup, measure uint64) (RunResult, error) {
-	m, err := machineFor(cfg, spec.Params.Seed, nil, nil)
+	m, err := machineFor(cfg, spec.Params.Seed)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -237,7 +217,7 @@ func RunTraceCtx(ctx context.Context, cfg Configuration, spec workload.Spec, tr 
 // simulator cannot represent (see cpu.Machine.RunWindowsCtx) fails the
 // run.
 func RunSource(cfg Configuration, src trace.Source, warmup, measure uint64) (RunResult, error) {
-	m, err := machineFor(cfg, 0, nil, nil)
+	m, err := machineFor(cfg, 0)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -252,17 +232,18 @@ func RunSource(cfg Configuration, src trace.Source, warmup, measure uint64) (Run
 // RunResult.
 func runResultFrom(cfg Configuration, spec workload.Spec, m *cpu.Machine, r cpu.Results) RunResult {
 	out := RunResult{Config: cfg.Name, Workload: spec.Name, Category: spec.Params.Category, R: r}
-	if ent, ok := m.Prefetcher().(*core.Entangling); ok {
-		s := ent.Stats()
+	switch pf := m.Prefetcher().(type) {
+	case *core.Entangling:
+		s := pf.Stats()
 		out.Ent = &s
+	case *oracle.LookaheadOracle:
+		out.Oracle = pf.Distances
 	}
 	return out
 }
 
 // machineFor assembles the simulated machine for a configuration.
-func machineFor(cfg Configuration, salt uint64,
-	extraListener cache.Listener, branchHook func(prefetch.BranchEvent)) (*cpu.Machine, error) {
-
+func machineFor(cfg Configuration, salt uint64) (*cpu.Machine, error) {
 	mc := cpu.DefaultConfig()
 	if cfg.IdealL1I {
 		mc.L1I.Ideal = true
@@ -281,7 +262,5 @@ func machineFor(cfg Configuration, salt uint64,
 		}
 		mc.Prefetcher = f
 	}
-	mc.ExtraL1IListener = extraListener
-	mc.BranchHook = branchHook
 	return cpu.New(mc), nil
 }

@@ -72,17 +72,21 @@ func ExtContextTable(s *SuiteResults) *Table {
 }
 
 // ExtPQSweep runs the prefetch-queue sensitivity study on one srv
-// workload with the entangling-4k configuration. Canceling ctx stops it
-// before its next run with ErrCellCanceled.
+// workload with the entangling-4k configuration: the trace is built
+// once and replayed for each queue size. Canceling ctx stops it, before
+// the trace is built or mid-run, with ErrCellCanceled.
 func ExtPQSweep(ctx context.Context, warmup, measure uint64) (*Table, error) {
 	p := workload.Preset(workload.Srv)
 	p.Seed = 1
 	p.Name = "srv-pq"
-	prog, err := workload.BuildProgram(p)
+	pf, err := prefetch.Lookup("entangling-4k")
 	if err != nil {
 		return nil, err
 	}
-	pf, err := prefetch.Lookup("entangling-4k")
+	if err := canceled(ctx); err != nil {
+		return nil, err
+	}
+	tr, err := workload.NewTraceCache().Get(workload.Spec{Name: p.Name, Params: p}, warmup+measure)
 	if err != nil {
 		return nil, err
 	}
@@ -92,14 +96,16 @@ func ExtPQSweep(ctx context.Context, warmup, measure uint64) (*Table, error) {
 		Note:   "the paper predicts fewer discarded prefetches with a larger PQ",
 	}
 	for _, pq := range []int{8, 16, 32, 64, 128} {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
 		cfg := cpu.DefaultConfig()
 		cfg.L1I.PQSize = pq
 		cfg.Prefetcher = pf
-		m := cpu.New(cfg)
-		r := m.RunWindows(workload.NewWalker(prog), warmup, measure)
+		r, err := cpu.New(cfg).RunWindowsCtx(ctx, tr.Source(), warmup, measure)
+		if err != nil {
+			if cerr := canceled(ctx); cerr != nil {
+				return nil, cerr
+			}
+			return nil, err
+		}
 		t.AddRow(fmt.Sprintf("%d", pq), f3(r.IPC),
 			fmt.Sprintf("%d", r.L1I.PrefetchDroppedPQ), fmt.Sprintf("%d", r.L1I.PrefetchIssued))
 	}

@@ -6,16 +6,20 @@ import (
 
 	"entangling/internal/core"
 	"entangling/internal/energy"
-	"entangling/internal/oracle"
 	"entangling/internal/stats"
 	"entangling/internal/workload"
 )
 
 // Fig01 reproduces Figure 1: the fraction of L1I misses a fixed
 // look-ahead distance (in taken-branch discontinuities) would serve
-// timely, measured with the oracle on the no-prefetch baseline.
-// Canceling ctx stops it before its next run with ErrCellCanceled.
+// timely, measured with the oracle on the no-prefetch baseline: one
+// sweep of the "oracle" prefetcher, which issues nothing.
 func Fig01(ctx context.Context, specs []workload.Spec, opt Options) (*Table, error) {
+	cfg := Configuration{Name: "oracle", Prefetcher: "oracle"}
+	s, err := RunSuiteCtx(ctx, specs, []Configuration{cfg}, opt)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Figure 1: fraction of timely prefetches vs fixed look-ahead distance",
 		Header: []string{"workload"},
@@ -26,36 +30,36 @@ func Fig01(ctx context.Context, specs []workload.Spec, opt Options) (*Table, err
 	}
 	t.Header = append(t.Header, ">10")
 
+	row := func(name string, h *stats.Histogram) {
+		cells := []string{name}
+		for d := 1; d <= 10; d++ {
+			cells = append(cells, pct(h.CumulativeFraction(d)))
+		}
+		t.AddRow(append(cells, pct(1-h.CumulativeFraction(10)))...)
+	}
 	agg := stats.NewHistogram(1, 10)
-	for _, spec := range specs {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
-		o := oracle.New()
-		if _, err := Run(Baseline, spec, opt.Warmup, opt.Measure, o, o.OnBranch); err != nil {
-			return nil, err
-		}
-		row := []string{spec.Name}
-		for _, f := range o.TimelyFraction() {
-			row = append(row, pct(f))
-		}
-		row = append(row, pct(1-o.Distances.CumulativeFraction(10)))
-		t.AddRow(row...)
-		agg.Merge(o.Distances)
+	for _, wl := range s.WorkloadOrder {
+		h := s.Runs[cfg.Name][wl].Oracle
+		row(wl, h)
+		agg.Merge(h)
 	}
-	mean := []string{"ALL"}
-	for d := 1; d <= 10; d++ {
-		mean = append(mean, pct(agg.CumulativeFraction(d)))
-	}
-	mean = append(mean, pct(1-agg.CumulativeFraction(10)))
-	t.AddRow(mean...)
+	row("ALL", agg)
 	return t, nil
 }
 
 // Fig02 reproduces Figure 2: prefetcher accuracy as the fixed
-// look-ahead distance grows, using the Markov look-ahead-d prefetcher.
-// Canceling ctx stops it before its next run with ErrCellCanceled.
+// look-ahead distance grows, using the Markov look-ahead-d prefetcher:
+// one sweep over lookahead-1 ... lookahead-10.
 func Fig02(ctx context.Context, specs []workload.Spec, opt Options) (*Table, error) {
+	cfgs := make([]Configuration, 10)
+	for d := range cfgs {
+		name := fmt.Sprintf("lookahead-%d", d+1)
+		cfgs[d] = Configuration{Name: name, Prefetcher: name}
+	}
+	s, err := RunSuiteCtx(ctx, specs, cfgs, opt)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Title:  "Figure 2: accuracy vs fixed look-ahead distance",
 		Header: []string{"distance"},
@@ -67,26 +71,16 @@ func Fig02(ctx context.Context, specs []workload.Spec, opt Options) (*Table, err
 	}
 	t.Header = append(t.Header, "all")
 
-	for d := 1; d <= 10; d++ {
-		cfg := Configuration{
-			Name:       fmt.Sprintf("lookahead-%d", d),
-			Prefetcher: fmt.Sprintf("lookahead-%d", d),
-		}
+	for d, cfg := range cfgs {
 		byCat := map[workload.Category][]float64{}
 		var all []float64
-		for _, spec := range specs {
-			if err := canceled(ctx); err != nil {
-				return nil, err
-			}
-			r, err := Run(cfg, spec, opt.Warmup, opt.Measure, nil, nil)
-			if err != nil {
-				return nil, err
-			}
+		for _, wl := range s.WorkloadOrder {
+			r := s.Runs[cfg.Name][wl]
 			acc := r.R.L1I.Accuracy()
-			byCat[spec.Params.Category] = append(byCat[spec.Params.Category], acc)
+			byCat[r.Category] = append(byCat[r.Category], acc)
 			all = append(all, acc)
 		}
-		row := []string{fmt.Sprintf("%d", d)}
+		row := []string{fmt.Sprintf("%d", d+1)}
 		for _, c := range cats {
 			row = append(row, pct(stats.Mean(byCat[c])))
 		}

@@ -89,7 +89,8 @@ func TestRunSuiteComplete(t *testing.T) {
 
 func TestRunUnknownPrefetcher(t *testing.T) {
 	specs := workload.CVPSuite(1)
-	_, err := Run(Configuration{Name: "x", Prefetcher: "bogus"}, specs[0], 1000, 1000, nil, nil)
+	_, err := RunCell(context.Background(), Configuration{Name: "x", Prefetcher: "bogus"}, specs[0],
+		Options{Warmup: 1000, Measure: 1000})
 	if err == nil {
 		t.Fatal("unknown prefetcher accepted")
 	}

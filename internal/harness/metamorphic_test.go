@@ -9,6 +9,7 @@ import (
 
 	"entangling/internal/cache"
 	"entangling/internal/oracle"
+	"entangling/internal/prefetch"
 	"entangling/internal/workload"
 )
 
@@ -101,6 +102,71 @@ func (c *countingOracle) OnFill(ev cache.FillEvent) {
 	c.LookaheadOracle.OnFill(ev)
 }
 
+// crossCheck is a test-only prefetcher: it runs a configuration's own
+// prefetcher and forwards every hook and feedback event to a counting
+// oracle as well, so the oracle observes exactly the run the cache
+// does.
+type crossCheck struct {
+	prefetch.Prefetcher
+	co *countingOracle
+}
+
+func (c *crossCheck) OnAccess(e cache.AccessEvent) { c.Prefetcher.OnAccess(e); c.co.OnAccess(e) }
+func (c *crossCheck) OnFill(e cache.FillEvent)     { c.Prefetcher.OnFill(e); c.co.OnFill(e) }
+func (c *crossCheck) OnEvict(e cache.EvictEvent)   { c.Prefetcher.OnEvict(e); c.co.OnEvict(e) }
+func (c *crossCheck) OnBranch(e prefetch.BranchEvent) {
+	c.Prefetcher.OnBranch(e)
+	c.co.OnBranch(e)
+}
+
+func (c *crossCheck) OnPrefetchFeedback(f prefetch.Feedback) {
+	if s, ok := c.Prefetcher.(prefetch.FeedbackSink); ok {
+		s.OnPrefetchFeedback(f)
+	}
+	c.co.OnPrefetchFeedback(f)
+}
+
+var (
+	crossCheckMu sync.Mutex
+	// crossCheckLast holds, per registered name, the counting oracle of
+	// the last machine built with it.
+	crossCheckLast = map[string]*countingOracle{}
+)
+
+// crossCheckConfiguration returns cfg with its prefetcher wrapped in a
+// crossCheck, registered (once per process) under a test-only name,
+// and a func returning the counting oracle of the last machine built
+// for it. Cells of one configuration must run one at a time.
+func crossCheckConfiguration(t *testing.T, cfg Configuration) (Configuration, func() *countingOracle) {
+	t.Helper()
+	name := "xcheck-" + cfg.Name
+	inner := cfg.Prefetcher
+	if inner == "" {
+		inner = "no"
+	}
+	f, err := prefetch.Lookup(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossCheckMu.Lock()
+	defer crossCheckMu.Unlock()
+	if _, err := prefetch.Lookup(name); err != nil {
+		prefetch.Register(name, func(is prefetch.Issuer) prefetch.Prefetcher {
+			co := &countingOracle{LookaheadOracle: oracle.New()}
+			crossCheckMu.Lock()
+			crossCheckLast[name] = co
+			crossCheckMu.Unlock()
+			return &crossCheck{Prefetcher: f(is), co: co}
+		})
+	}
+	cfg.Prefetcher = name
+	return cfg, func() *countingOracle {
+		crossCheckMu.Lock()
+		defer crossCheckMu.Unlock()
+		return crossCheckLast[name]
+	}
+}
+
 // TestOracleCrossChecksCacheStats: the oracle observes the same run as
 // the cache, so their books must balance per cell — every demanded
 // fill classified exactly once, the timely-fraction curve a cumulative
@@ -116,12 +182,13 @@ func TestOracleCrossChecksCacheStats(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
+			cfg, last := crossCheckConfiguration(t, cfg)
 			for _, spec := range specs {
-				co := &countingOracle{LookaheadOracle: oracle.New()}
-				r, err := Run(cfg, spec, opt.Warmup, opt.Measure, co, co.OnBranch)
+				r, err := RunCell(context.Background(), cfg, spec, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
+				co := last()
 
 				// Every demanded fill the oracle saw landed in exactly one
 				// distance bucket.

@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"runtime"
-
-	"entangling/internal/workload"
-)
+import "entangling/internal/workload"
 
 // The pinned mini-sweep: 4 CVP-1 workloads x 7 configurations = 28
 // cells at fixed windows. Its metrics fingerprint is the contract every
@@ -33,9 +29,5 @@ func PinnedBenchConfigurations() []Configuration {
 
 // PinnedBenchOptions returns the fixed windows of the mini-sweep.
 func PinnedBenchOptions() Options {
-	return Options{
-		Warmup:      400_000,
-		Measure:     200_000,
-		Parallelism: runtime.GOMAXPROCS(0),
-	}
+	return Options{Warmup: 400_000, Measure: 200_000}
 }

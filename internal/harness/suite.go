@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -31,7 +32,7 @@ type SuiteResults struct {
 	Restored int
 }
 
-// ErrCellCanceled marks a cell (or a figure's own run) abandoned
+// ErrCellCanceled marks a cell (or a run of the PQ study) abandoned
 // because its context was canceled — it did not fail; it never
 // (fully) ran. Test with errors.Is against RunSuite's error or a
 // CellError.
@@ -168,7 +169,7 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 
 	workers := opt.Parallelism
 	if workers < 1 {
-		workers = 1
+		workers = runtime.GOMAXPROCS(0)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -2,9 +2,13 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"entangling/internal/core"
 	"entangling/internal/workload"
@@ -254,5 +258,30 @@ func TestHeadlineRenders(t *testing.T) {
 	}
 	if tab.Rows[0][0] != "entangling-2k" {
 		t.Errorf("first row %v", tab.Rows[0])
+	}
+}
+
+// TestParallelismZeroUsesGOMAXPROCS: Options.Parallelism below 1 runs
+// runtime.GOMAXPROCS(0) workers, so at GOMAXPROCS 2 two cells are in
+// flight at once. Each cell's hook waits at a barrier for the other; a
+// single worker would leave the first cell waiting until the timeout.
+func TestParallelismZeroUsesGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	opt := Options{Warmup: 1000, Measure: 1000, CellHook: func(string, string) error {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("no second cell in flight")
+		}
+	}}
+	cfgs := []Configuration{Baseline, {Name: "nextline", Prefetcher: "nextline"}}
+	if _, err := RunSuite(workload.CVPSuite(1)[:1], cfgs, opt); err != nil {
+		t.Fatal(err)
 	}
 }

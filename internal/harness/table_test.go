@@ -106,8 +106,10 @@ func TestDefaultAndQuickOptions(t *testing.T) {
 	if d.Warmup <= q.Warmup || d.Measure <= q.Measure {
 		t.Error("QuickOptions should be strictly smaller than DefaultOptions")
 	}
-	if d.Parallelism < 1 || q.Parallelism < 1 {
-		t.Error("parallelism must default to at least 1")
+	// Zero defers the worker count to the sweep, which runs
+	// GOMAXPROCS workers (TestParallelismZeroUsesGOMAXPROCS).
+	if d.Parallelism != 0 || q.Parallelism != 0 {
+		t.Error("parallelism must default to the sweep's GOMAXPROCS")
 	}
 }
 

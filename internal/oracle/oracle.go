@@ -4,6 +4,11 @@
 // computes how many discontinuities (taken branches) in advance a
 // prefetch would have had to be issued for the miss to be covered
 // timely — the per-miss optimal look-ahead distance.
+//
+// The oracle is registered as the prefetcher "oracle". It issues
+// nothing, so a machine running it behaves exactly like the "no"
+// baseline; it only observes the L1I and branch events every
+// prefetcher receives.
 package oracle
 
 import (
@@ -11,6 +16,10 @@ import (
 	"entangling/internal/prefetch"
 	"entangling/internal/stats"
 )
+
+func init() {
+	prefetch.Register("oracle", func(prefetch.Issuer) prefetch.Prefetcher { return New() })
+}
 
 // maxTracked is the largest distance bucket; larger distances land in
 // the histogram's overflow bucket ("10+" in Figure 1).
@@ -20,8 +29,10 @@ const maxTracked = 10
 const ringSize = 4096
 
 // LookaheadOracle observes a run and accumulates the distance
-// histogram. Wire it as the machine's ExtraL1IListener and BranchHook.
+// histogram over the whole run, warmup included.
 type LookaheadOracle struct {
+	prefetch.Base
+
 	// Distances histograms the per-miss required look-ahead distance
 	// (buckets 1..10 plus overflow).
 	Distances *stats.Histogram
@@ -34,10 +45,13 @@ type LookaheadOracle struct {
 
 // New creates an oracle.
 func New() *LookaheadOracle {
-	return &LookaheadOracle{Distances: stats.NewHistogram(1, maxTracked)}
+	return &LookaheadOracle{
+		Base:      prefetch.Base{PfName: "oracle"},
+		Distances: stats.NewHistogram(1, maxTracked),
+	}
 }
 
-// OnBranch implements the machine's branch hook: taken branches are
+// OnBranch implements prefetch.Prefetcher: taken branches are
 // the discontinuities the look-ahead distance is measured in (§I,
 // "the look-ahead distance represents the number of taken branches").
 func (o *LookaheadOracle) OnBranch(ev prefetch.BranchEvent) {
@@ -51,10 +65,7 @@ func (o *LookaheadOracle) OnBranch(ev prefetch.BranchEvent) {
 	}
 }
 
-// OnAccess implements cache.Listener (unused).
-func (o *LookaheadOracle) OnAccess(cache.AccessEvent) {}
-
-// OnFill implements cache.Listener: every demanded fill is a miss whose
+// OnFill implements prefetch.Prefetcher: every demanded fill is a miss whose
 // latency is now known; find the smallest k such that issuing the
 // prefetch at the k-th most recent discontinuity before the miss would
 // have been at least latency cycles early.
@@ -92,9 +103,6 @@ func (o *LookaheadOracle) OnFill(ev cache.FillEvent) {
 	}
 	o.Distances.Add(maxTracked + 1) // overflow: ">10"
 }
-
-// OnEvict implements cache.Listener (unused).
-func (o *LookaheadOracle) OnEvict(cache.EvictEvent) {}
 
 // TimelyFraction returns, for each distance 1..10, the fraction of
 // misses a fixed look-ahead of that distance would have served timely
