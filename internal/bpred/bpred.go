@@ -10,7 +10,10 @@
 // pipeline stage that detects it).
 package bpred
 
-import "entangling/internal/trace"
+import (
+	"entangling/internal/lru"
+	"entangling/internal/trace"
+)
 
 // Config sizes the predictor structures. The defaults model the
 // paper's Sunny-Cove-like baseline.
@@ -67,13 +70,6 @@ type Outcome struct {
 // Redirect reports whether the front-end must be redirected at all.
 func (o Outcome) Redirect() bool { return o.BTBMiss || o.DirMispredict || o.TargetMispredict }
 
-type btbEntry struct {
-	tag    uint64
-	target uint64
-	valid  bool
-	lru    uint64
-}
-
 // Predictor bundles all front-end prediction state.
 type Predictor struct {
 	cfg Config
@@ -83,13 +79,13 @@ type Predictor struct {
 	chooser []uint8
 	ghr     uint64
 
-	btb     []btbEntry // BTBSets * BTBWays
-	btbTick uint64
-	// Index masks derived from cfg at construction; btbSetMask is
-	// BTBSets-1 when BTBSets is a power of two (0 selects the slow
-	// modulo path).
+	// btb holds branch PCs, set by pc>>2; btbTargets is the payload
+	// parallel to its slots.
+	btb        *lru.Sets
+	btbTargets []uint64
+	// Index masks derived from cfg at construction.
 	gshareMask, bimodalMask, chooserMask uint64
-	histMask, itcMask, btbSetMask        uint64
+	histMask, itcMask                    uint64
 
 	ras    []uint64
 	rasTop int // number of valid entries (capped, wraps by overwrite)
@@ -135,22 +131,20 @@ func New(cfg Config) *Predictor {
 		cfg.ITCBits = def.ITCBits
 	}
 	p := &Predictor{
-		cfg:     cfg,
-		gshare:  make([]uint8, 1<<cfg.GshareBits),
-		bimodal: make([]uint8, 1<<cfg.BimodalBits),
-		chooser: make([]uint8, 1<<cfg.ChooserBits),
-		btb:     make([]btbEntry, cfg.BTBSets*cfg.BTBWays),
-		ras:     make([]uint64, cfg.RASSize),
-		itc:     make([]uint64, 1<<cfg.ITCBits),
+		cfg:        cfg,
+		gshare:     make([]uint8, 1<<cfg.GshareBits),
+		bimodal:    make([]uint8, 1<<cfg.BimodalBits),
+		chooser:    make([]uint8, 1<<cfg.ChooserBits),
+		btb:        lru.New(cfg.BTBSets, cfg.BTBWays),
+		btbTargets: make([]uint64, cfg.BTBSets*cfg.BTBWays),
+		ras:        make([]uint64, cfg.RASSize),
+		itc:        make([]uint64, 1<<cfg.ITCBits),
 	}
 	p.gshareMask = uint64(1)<<cfg.GshareBits - 1
 	p.bimodalMask = uint64(1)<<cfg.BimodalBits - 1
 	p.chooserMask = uint64(1)<<cfg.ChooserBits - 1
 	p.histMask = uint64(1)<<cfg.HistoryBits - 1
 	p.itcMask = uint64(1)<<cfg.ITCBits - 1
-	if cfg.BTBSets&(cfg.BTBSets-1) == 0 {
-		p.btbSetMask = uint64(cfg.BTBSets - 1)
-	}
 	// Weakly initialize counters to "weakly taken/weakly use gshare".
 	for i := range p.gshare {
 		p.gshare[i] = 1
@@ -206,20 +200,21 @@ func (p *Predictor) Process(in *trace.Instruction) Outcome {
 		p.itc[idx] = in.Target
 
 	default: // direct branches: BTB provides the target
-		target, hit := p.btbLookup(in.PC)
-		out.PredTarget = target
-		if in.Taken && predTaken {
-			if !hit {
-				out.BTBMiss = true
-				p.BTBMisses++
-			} else if target != in.Target {
-				// Stale BTB entry; treat as decode-time redirect too.
-				out.BTBMiss = true
-				p.BTBMisses++
-			}
+		i := p.btb.Lookup(in.PC>>2, in.PC)
+		if i >= 0 {
+			out.PredTarget = p.btbTargets[i]
+		}
+		// A miss, or a stale target, is a decode-time redirect.
+		if in.Taken && predTaken && (i < 0 || out.PredTarget != in.Target) {
+			out.BTBMiss = true
+			p.BTBMisses++
 		}
 		if in.Taken {
-			p.btbInsert(in.PC, in.Target)
+			if i < 0 {
+				i = p.btb.Victim(in.PC >> 2)
+				p.btb.Install(i, in.PC)
+			}
+			p.btbTargets[i] = in.Target
 		}
 	}
 
@@ -299,50 +294,6 @@ func (p *Predictor) chooserIndex(pc uint64) uint64 {
 
 func (p *Predictor) itcIndex(pc uint64) uint64 {
 	return ((pc >> 2) ^ p.path) & p.itcMask
-}
-
-// btbSet returns the BTB set index for pc.
-func (p *Predictor) btbSet(pc uint64) uint64 {
-	if p.btbSetMask != 0 || p.cfg.BTBSets == 1 {
-		return (pc >> 2) & p.btbSetMask
-	}
-	return (pc >> 2) % uint64(p.cfg.BTBSets)
-}
-
-// btbLookup returns the stored target for pc, if present.
-func (p *Predictor) btbLookup(pc uint64) (uint64, bool) {
-	base := int(p.btbSet(pc)) * p.cfg.BTBWays
-	for i := 0; i < p.cfg.BTBWays; i++ {
-		e := &p.btb[base+i]
-		if e.valid && e.tag == pc {
-			p.btbTick++
-			e.lru = p.btbTick
-			return e.target, true
-		}
-	}
-	return 0, false
-}
-
-// btbInsert records pc -> target, evicting LRU on conflict.
-func (p *Predictor) btbInsert(pc, target uint64) {
-	base := int(p.btbSet(pc)) * p.cfg.BTBWays
-	victim := base
-	for i := 0; i < p.cfg.BTBWays; i++ {
-		e := &p.btb[base+i]
-		if e.valid && e.tag == pc {
-			e.target = target
-			return
-		}
-		if !e.valid {
-			victim = base + i
-			break
-		}
-		if e.lru < p.btb[victim].lru {
-			victim = base + i
-		}
-	}
-	p.btbTick++
-	p.btb[victim] = btbEntry{tag: pc, target: target, valid: true, lru: p.btbTick}
 }
 
 func (p *Predictor) pushRAS(ret uint64) {

@@ -21,11 +21,9 @@ const LineSize = 1 << LineBits
 // LineAddr converts a byte address to a line address.
 func LineAddr(addr uint64) uint64 { return addr >> LineBits }
 
-// line is one way of one set.
+// line is the L1I's payload for one way; the way's tag and recency
+// live in the ICache's lru.Sets.
 type line struct {
-	tag   uint64
-	lru   uint64
-	valid bool
 	// prefetched is set when the line was brought in by a prefetch.
 	prefetched bool
 	// accessed is the paper's per-line "access bit": cleared on a
@@ -34,106 +32,6 @@ type line struct {
 	// meta is opaque prefetcher metadata (the paper's src-entangled
 	// field stored alongside L1I lines).
 	meta uint64
-}
-
-// array is the L1I's set-associative tag/data array with LRU
-// replacement.
-//
-// Tags live twice: in each line struct and in the dense tags
-// side-array. Way scans walk the 8-byte tags instead of the 32-byte
-// line structs (4x less memory touched); the structs hold everything
-// else. The side-array stores tag+1 so that the zero value means
-// "empty way" — a fresh array needs no initialization pass. install is
-// the only way to write a line, which keeps the two representations in
-// sync.
-//
-// Unlike the TimingCache's tarray, this array can hold duplicate tags
-// in one set (an Ideal-mode install can race an in-flight prefetch
-// fill, and in timing mode a demand miss stalling for a free MSHR can
-// let drainPQ issue a second fill for the same line), so lookup must
-// preserve first-match scan order and no MRU hint or reordering is
-// applied.
-type array struct {
-	sets, ways int
-	// setMask is sets-1 when sets is a power of two (every shipped
-	// config); index selection is then a mask instead of a divide.
-	setMask uint64
-	lines   []line
-	// tags[i] is lines[i].tag+1, or 0 while lines[i] is invalid.
-	tags []uint64
-	tick uint64
-}
-
-func newArray(sets, ways int) *array {
-	if sets <= 0 || ways <= 0 {
-		panic("cache: array needs positive sets and ways")
-	}
-	a := &array{
-		sets: sets, ways: ways,
-		lines: make([]line, sets*ways),
-		tags:  make([]uint64, sets*ways),
-	}
-	if sets&(sets-1) == 0 {
-		a.setMask = uint64(sets - 1)
-	}
-	return a
-}
-
-// install writes nl into the way at idx (as reported by victim or
-// lookupMRUOrVictim) and mirrors its tag into the side-array. Every
-// line write must go through it; lines are never invalidated, only
-// replaced.
-func (a *array) install(idx int, nl line) {
-	a.tags[idx] = nl.tag + 1
-	a.lines[idx] = nl
-}
-
-func (a *array) setIndex(lineAddr uint64) int {
-	if a.setMask != 0 || a.sets == 1 {
-		return int(lineAddr & a.setMask)
-	}
-	return int(lineAddr % uint64(a.sets))
-}
-
-// lookup returns the first line holding lineAddr, or nil. Invalid
-// ways hold 0 in the side-array, which a sought tag+1 never equals, so
-// no valid check is needed; first-match order over the ways is
-// identical to a struct scan, which matters because this array can
-// hold duplicate tags (see the type comment).
-func (a *array) lookup(lineAddr uint64) *line {
-	base := a.setIndex(lineAddr) * a.ways
-	tags := a.tags[base : base+a.ways]
-	want := lineAddr + 1
-	for i, t := range tags {
-		if t == want {
-			return &a.lines[base+i]
-		}
-	}
-	return nil
-}
-
-// touch marks a line most-recently used.
-func (a *array) touch(l *line) {
-	a.tick++
-	l.lru = a.tick
-}
-
-// victim returns the line to replace in lineAddr's set — an invalid
-// way if any, otherwise the LRU way — along with its index for
-// install.
-func (a *array) victim(lineAddr uint64) (*line, int) {
-	base := a.setIndex(lineAddr) * a.ways
-	set := a.lines[base : base+a.ways]
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			return &set[i], base + i
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	return &set[vi], base + vi
 }
 
 // Stats counts the events the harness and the energy model consume.

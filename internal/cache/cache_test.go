@@ -20,33 +20,38 @@ func (f *fixedLevel) Access(now uint64, lineAddr uint64, prefetch bool) uint64 {
 	return now + f.latency
 }
 
+// TestArrayLRU checks that a level's tag array evicts its least
+// recently used line: a hit refreshes recency, so the line not
+// touched since goes first.
 func TestArrayLRU(t *testing.T) {
-	a := newArray(1, 2)
-	install := func(addr uint64) {
-		v, vidx := a.victim(addr)
-		a.install(vidx, line{tag: addr, valid: true})
-		a.touch(v)
-	}
-	install(1)
-	install(2)
+	l2 := NewTimingCache(TimingConfig{Sets: 1, Ways: 2, Latency: 1}, &fixedLevel{latency: 10})
+	l2.Access(0, 1, false)
+	l2.Access(10, 2, false)
 	// Touch 1 so 2 becomes LRU.
-	a.touch(a.lookup(1))
-	install(3)
-	if a.lookup(2) != nil {
+	l2.Access(20, 1, false)
+	l2.Access(30, 3, false)
+	if l2.Contains(2) {
 		t.Error("LRU line 2 not evicted")
 	}
-	if a.lookup(1) == nil || a.lookup(3) == nil {
+	if !l2.Contains(1) || !l2.Contains(3) {
 		t.Error("wrong eviction choice")
 	}
 }
 
+// TestArrayVictimPrefersInvalid checks that a fill takes an empty way
+// while the set has one, evicting nothing.
 func TestArrayVictimPrefersInvalid(t *testing.T) {
-	a := newArray(1, 4)
-	v, vidx := a.victim(7)
-	a.install(vidx, line{tag: 7, valid: true})
-	a.touch(v)
-	if got, _ := a.victim(8); got.valid {
-		t.Error("victim chose a valid line while invalid ways exist")
+	l2 := NewTimingCache(TimingConfig{Sets: 1, Ways: 4, Latency: 1}, &fixedLevel{latency: 10})
+	for i, addr := range []uint64{7, 8, 9, 10} {
+		l2.Access(uint64(10*i), addr, false)
+	}
+	if e := l2.Stats().Evictions; e != 0 {
+		t.Errorf("Evictions = %d while invalid ways existed, want 0", e)
+	}
+	for _, addr := range []uint64{7, 8, 9, 10} {
+		if !l2.Contains(addr) {
+			t.Errorf("line %d not resident", addr)
+		}
 	}
 }
 
@@ -56,7 +61,7 @@ func TestArrayPanicsOnBadShape(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	newArray(0, 4)
+	NewTimingCache(TimingConfig{Sets: 0, Ways: 4}, &fixedLevel{})
 }
 
 func TestLineAddr(t *testing.T) {

@@ -1,5 +1,7 @@
 package cache
 
+import "entangling/internal/lru"
+
 // This file implements the instrumented L1I: the cache the paper
 // extends with timing and src-entangled information (Figure 4). MSHR
 // entries carry the issue timestamp and an access bit; prefetch-queue
@@ -120,8 +122,11 @@ type pqEntry struct {
 
 // ICache is the instrumented L1I.
 type ICache struct {
-	cfg      ICacheConfig
-	arr      *array
+	cfg ICacheConfig
+	// arr holds the tags and recency; lines is the payload parallel to
+	// its slots.
+	arr      *lru.Sets
+	lines    []line
 	next     Level
 	listener Listener
 	stats    Stats
@@ -154,9 +159,11 @@ func NewICache(cfg ICacheConfig, next Level, listener Listener) *ICache {
 	if cfg.PQIssuePerCycle <= 0 {
 		cfg.PQIssuePerCycle = 2
 	}
+	arr := lru.New(cfg.Sets, cfg.Ways)
 	return &ICache{
 		cfg:      cfg,
-		arr:      newArray(cfg.Sets, cfg.Ways),
+		arr:      arr,
+		lines:    make([]line, arr.Len()),
 		next:     next,
 		listener: listener,
 		mshr:     make([]mshrEntry, cfg.MSHRs),
@@ -177,7 +184,7 @@ func (c *ICache) SetListener(l Listener) { c.listener = l }
 func (c *ICache) Now() uint64 { return c.now }
 
 // Contains reports whether the line is present (test helper).
-func (c *ICache) Contains(lineAddr uint64) bool { return c.arr.lookup(lineAddr) != nil }
+func (c *ICache) Contains(lineAddr uint64) bool { return c.arr.Find(lineAddr, lineAddr) >= 0 }
 
 // AdvanceTo processes fills and prefetch issue up to cycle now.
 func (c *ICache) AdvanceTo(now uint64) {
@@ -227,18 +234,11 @@ func (c *ICache) applyFill(idx int) {
 	e := c.mshr[idx]
 	c.mshr[idx].valid = false
 
-	v, vidx := c.arr.victim(e.lineAddr)
-	if v.valid {
-		c.evict(e.readyCycle, v)
-	}
-	c.arr.install(vidx, line{
-		tag:        e.lineAddr,
-		valid:      true,
+	c.install(e.readyCycle, e.lineAddr, line{
 		prefetched: e.isPrefetch,
 		accessed:   e.accessBit,
 		meta:       e.meta,
 	})
-	c.arr.touch(v)
 	c.stats.Fills++
 	c.stats.Writes++
 	if e.isPrefetch {
@@ -256,20 +256,28 @@ func (c *ICache) applyFill(idx int) {
 	}
 }
 
-func (c *ICache) evict(cycle uint64, v *line) {
-	c.stats.Evictions++
-	if v.prefetched && !v.accessed {
-		c.stats.WrongPrefetches++
+// install writes lineAddr with payload l into its set's victim way at
+// cycle, evicting the line the way held, if any.
+func (c *ICache) install(cycle, lineAddr uint64, l line) {
+	i := c.arr.Victim(lineAddr)
+	if c.arr.Valid(i) {
+		v := c.lines[i]
+		c.stats.Evictions++
+		if v.prefetched && !v.accessed {
+			c.stats.WrongPrefetches++
+		}
+		if c.listener != nil {
+			c.listener.OnEvict(EvictEvent{
+				Cycle:      cycle,
+				LineAddr:   c.arr.Key(i),
+				Prefetched: v.prefetched,
+				Accessed:   v.accessed,
+				Meta:       v.meta,
+			})
+		}
 	}
-	if c.listener != nil {
-		c.listener.OnEvict(EvictEvent{
-			Cycle:      cycle,
-			LineAddr:   v.tag,
-			Prefetched: v.prefetched,
-			Accessed:   v.accessed,
-			Meta:       v.meta,
-		})
-	}
+	c.arr.Install(i, lineAddr)
+	c.lines[i] = l
 }
 
 // drainPQ issues queued prefetches whose time has come, honoring issue
@@ -292,7 +300,7 @@ func (c *ICache) drainPQ(now uint64) bool {
 		}
 		// Probe the tag array; drop if present.
 		c.stats.TagProbes++
-		if l := c.arr.lookup(head.lineAddr); l != nil {
+		if c.arr.Find(head.lineAddr, head.lineAddr) >= 0 {
 			c.stats.PrefetchDroppedHit++
 			c.popPQ()
 			c.nextIssueSlot = t + interval
@@ -382,8 +390,8 @@ func (c *ICache) DemandAccess(now uint64, lineAddr uint64) uint64 {
 	c.stats.Accesses++
 	c.stats.TagProbes++
 
-	if l := c.arr.lookup(lineAddr); l != nil {
-		c.arr.touch(l)
+	if i := c.arr.Lookup(lineAddr, lineAddr); i >= 0 {
+		l := &c.lines[i]
 		c.stats.Hits++
 		c.stats.Reads++
 		ev := AccessEvent{
@@ -410,12 +418,7 @@ func (c *ICache) DemandAccess(now uint64, lineAddr uint64) uint64 {
 		c.stats.Hits++
 		c.stats.Reads++
 		c.next.Access(now+c.cfg.Latency, lineAddr, false)
-		v, vidx := c.arr.victim(lineAddr)
-		if v.valid {
-			c.evict(now, v)
-		}
-		c.arr.install(vidx, line{tag: lineAddr, valid: true, accessed: true})
-		c.arr.touch(v)
+		c.install(now, lineAddr, line{accessed: true})
 		c.stats.Fills++
 		return now + c.cfg.Latency
 	}
@@ -490,7 +493,7 @@ func (c *ICache) Prefetch(notBefore uint64, lineAddr uint64, meta uint64) bool {
 	// Probe the tag array up front: a request for a present line would
 	// only waste a PQ slot until the drain-time check drops it anyway.
 	c.stats.TagProbes++
-	if c.arr.lookup(lineAddr) != nil {
+	if c.arr.Find(lineAddr, lineAddr) >= 0 {
 		c.stats.PrefetchDroppedHit++
 		return true
 	}

@@ -138,8 +138,8 @@ func TestTimingCacheInflightFill(t *testing.T) {
 	if ready != 12 {
 		t.Fatalf("miss ready = %d, want 12", ready)
 	}
-	if l := l2.arr.lookup(42); l == nil || l.fillReady != 11 {
-		t.Fatalf("installed line should carry fillReady=11, got %+v", l)
+	if i := l2.arr.Find(42, 42); i < 0 || l2.fillReady[i] != 11 {
+		t.Fatalf("line 42 should be installed with fillReady=11 (slot %d)", i)
 	}
 
 	// Re-access at t=5 while the fill is still in flight: this is a tag
@@ -158,8 +158,8 @@ func TestTimingCacheInflightFill(t *testing.T) {
 	if ready != 21 {
 		t.Errorf("post-fill hit ready = %d, want 21", ready)
 	}
-	if l := l2.arr.lookup(42); l == nil || l.fillReady != 0 {
-		t.Errorf("fillReady should clear once the fill lands, got %+v", l)
+	if i := l2.arr.Find(42, 42); i < 0 || l2.fillReady[i] != 0 {
+		t.Errorf("line 42's fillReady should clear once the fill lands (slot %d)", i)
 	}
 	if l2.stats.MSHRMerges != 1 {
 		t.Errorf("post-fill hit counted as merge: MSHRMerges = %d", l2.stats.MSHRMerges)

@@ -1,5 +1,7 @@
 package cache
 
+import "entangling/internal/lru"
+
 // Level is anything that can serve a line request: the L2, the LLC,
 // and DRAM implement it. Access returns the cycle at which the
 // requested line's data is available to the requester.
@@ -18,150 +20,21 @@ type TimingConfig struct {
 	ServiceInterval uint64
 }
 
-// tline is one way of a TimingCache set. The tag and the valid bit
-// live in the tarray's side-array; the struct carries only what the
-// timing model needs per line, so the big L2/LLC arrays cost 16 bytes
-// per way to construct and scan.
-type tline struct {
-	lru uint64
-	// fillReady, when non-zero, is the cycle the line's data arrives
-	// (tags install at access time; the data may still be in flight).
-	// Storing it in the line replaces a lineAddr-keyed map on the
-	// hottest simulation path.
-	fillReady uint64
-}
-
-// tarray is the TimingCache's set-associative LRU array. Unlike the
-// L1I's array, its tags are unique within a set (installs happen only
-// after a failed lookup), which licenses two accelerations that would
-// change first-match semantics on arrays with duplicates:
-//
-//   - a per-set hint remembers the last hit way, skipping the scan
-//     entirely for repeated tags;
-//   - a scan hit transposes the line one way toward the front, so
-//     alternating hot lines cluster in the first ways and the scans
-//     the hint cannot capture stay short.
-//
-// Both are invisible to simulated behaviour: eviction is decided by
-// the unique lru stamps, and installs always take the leftmost free
-// way (valid lines form a contiguous prefix that transposition never
-// breaks).
-type tarray struct {
-	sets, ways int
-	// setMask is sets-1 when sets is a power of two (every shipped
-	// config); index selection is then a mask instead of a divide.
-	setMask uint64
-	lines   []tline
-	// tags[i] is the tag of way i plus one, or 0 while the way is
-	// empty — the zero value works, so a fresh array needs no
-	// initialization pass.
-	tags []uint64
-	tick uint64
-	// hint holds, per set, 1+the way of the last lookupOrVictim hit
-	// (0 = no hint).
-	hint []int32
-}
-
-func newTArray(sets, ways int) *tarray {
-	if sets <= 0 || ways <= 0 {
-		panic("cache: array needs positive sets and ways")
-	}
-	a := &tarray{
-		sets: sets, ways: ways,
-		lines: make([]tline, sets*ways),
-		tags:  make([]uint64, sets*ways),
-		hint:  make([]int32, sets),
-	}
-	if sets&(sets-1) == 0 {
-		a.setMask = uint64(sets - 1)
-	}
-	return a
-}
-
-func (a *tarray) setIndex(lineAddr uint64) int {
-	if a.setMask != 0 || a.sets == 1 {
-		return int(lineAddr & a.setMask)
-	}
-	return int(lineAddr % uint64(a.sets))
-}
-
-// lookup returns the line holding lineAddr, or nil (plain scan; used
-// off the hot path by Contains and tests).
-func (a *tarray) lookup(lineAddr uint64) *tline {
-	base := a.setIndex(lineAddr) * a.ways
-	tags := a.tags[base : base+a.ways]
-	want := lineAddr + 1
-	for i, t := range tags {
-		if t == want {
-			return &a.lines[base+i]
-		}
-	}
-	return nil
-}
-
-// lookupOrVictim resolves a hit line or, on miss, the index of the
-// replacement way (an empty way if any, otherwise the LRU way). The
-// common paths only ever touch the 8-byte tag side-array.
-func (a *tarray) lookupOrVictim(lineAddr uint64) (hit *tline, vidx int) {
-	s := a.setIndex(lineAddr)
-	base := s * a.ways
-	tags := a.tags[base : base+a.ways]
-	want := lineAddr + 1
-	if h := a.hint[s]; h != 0 && tags[h-1] == want {
-		return &a.lines[base+int(h)-1], 0
-	}
-	invalid := -1
-	for i, t := range tags {
-		if t == want {
-			if i > 0 {
-				a.lines[base+i], a.lines[base+i-1] = a.lines[base+i-1], a.lines[base+i]
-				tags[i], tags[i-1] = tags[i-1], tags[i]
-				a.hint[s] = int32(i)
-				return &a.lines[base+i-1], 0
-			}
-			a.hint[s] = 1
-			return &a.lines[base], 0
-		}
-		if t == 0 && invalid < 0 {
-			invalid = i
-		}
-	}
-	if invalid >= 0 {
-		return nil, base + invalid
-	}
-	// Full set: fall back to an LRU scan over the structs.
-	set := a.lines[base : base+a.ways]
-	vi := 0
-	for i := range set {
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	return nil, base + vi
-}
-
-// touch marks a line most-recently used.
-func (a *tarray) touch(l *tline) {
-	a.tick++
-	l.lru = a.tick
-}
-
-// install replaces the way at idx (as reported by lookupOrVictim).
-func (a *tarray) install(idx int, lineAddr, fillReady uint64) {
-	a.tags[idx] = lineAddr + 1
-	a.lines[idx] = tline{fillReady: fillReady}
-}
-
 // TimingCache is a non-L1I cache level (L1D, L2, LLC): it models
 // hit/miss timing, bandwidth contention and in-flight fills, but does
 // not carry prefetcher metadata. State (tags) updates at access time;
 // the per-line fillReady keeps latency honest for accesses that race
 // an ongoing fill.
 type TimingCache struct {
-	cfg   TimingConfig
-	arr   *tarray
-	next  Level
-	stats Stats
+	cfg TimingConfig
+	arr *lru.Sets
+	// fillReady, parallel to arr's slots, is the cycle the slot's data
+	// arrives when non-zero (tags install at access time; the data may
+	// still be in flight). Storing it per slot replaces a
+	// lineAddr-keyed map on the hottest simulation path.
+	fillReady []uint64
+	next      Level
+	stats     Stats
 
 	busyUntil uint64
 }
@@ -171,10 +44,12 @@ func NewTimingCache(cfg TimingConfig, next Level) *TimingCache {
 	if next == nil {
 		panic("cache: TimingCache needs a next level")
 	}
+	arr := lru.New(cfg.Sets, cfg.Ways)
 	return &TimingCache{
-		cfg:  cfg,
-		arr:  newTArray(cfg.Sets, cfg.Ways),
-		next: next,
+		cfg:       cfg,
+		arr:       arr,
+		fillReady: make([]uint64, arr.Len()),
+		next:      next,
 	}
 }
 
@@ -199,21 +74,19 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 	}
 	c.busyUntil = start + c.cfg.ServiceInterval
 
-	l, vidx := c.arr.lookupOrVictim(lineAddr)
-	if l != nil {
-		c.arr.touch(l)
+	if i := c.arr.Lookup(lineAddr, lineAddr); i >= 0 {
 		c.stats.Hits++
 		c.stats.Reads++
 		ready := start + c.cfg.Latency
-		if l.fillReady != 0 {
-			if l.fillReady > now {
+		if f := c.fillReady[i]; f != 0 {
+			if f > now {
 				// Data still in flight from the earlier miss.
 				c.stats.MSHRMerges++
-				if l.fillReady+c.cfg.Latency > ready {
-					ready = l.fillReady + c.cfg.Latency
+				if f+c.cfg.Latency > ready {
+					ready = f + c.cfg.Latency
 				}
 			} else {
-				l.fillReady = 0
+				c.fillReady[i] = 0
 			}
 		}
 		return ready
@@ -223,12 +96,13 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 	fillReady := c.next.Access(start+c.cfg.Latency, lineAddr, prefetch)
 
 	// Install the tag now; remember the true data-arrival time in the
-	// line itself (eviction discards it along with the tag).
-	if c.arr.tags[vidx] != 0 {
+	// slot (eviction discards it along with the tag).
+	v := c.arr.Victim(lineAddr)
+	if c.arr.Valid(v) {
 		c.stats.Evictions++
 	}
-	c.arr.install(vidx, lineAddr, fillReady)
-	c.arr.touch(&c.arr.lines[vidx])
+	c.arr.Install(v, lineAddr)
+	c.fillReady[v] = fillReady
 	c.stats.Fills++
 	c.stats.Writes++
 	return fillReady + c.cfg.Latency
@@ -237,7 +111,7 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 // Contains reports whether lineAddr currently has a tag in the level
 // (used by tests and the Ideal prefetcher's pollution model).
 func (c *TimingCache) Contains(lineAddr uint64) bool {
-	return c.arr.lookup(lineAddr) != nil
+	return c.arr.Find(lineAddr, lineAddr) >= 0
 }
 
 // DRAMConfig sizes the memory model.

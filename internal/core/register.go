@@ -7,9 +7,6 @@ func factory(cfg Config) prefetch.Factory {
 	return func(is prefetch.Issuer) prefetch.Prefetcher { return New(cfg, is) }
 }
 
-// Factory returns a prefetch.Factory for an arbitrary configuration.
-func Factory(cfg Config) prefetch.Factory { return factory(cfg) }
-
 func init() {
 	prefetch.Register("entangling-2k", factory(Config2K(Virtual)))
 	prefetch.Register("entangling-4k", factory(Config4K(Virtual)))

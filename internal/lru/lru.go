@@ -1,0 +1,133 @@
+// Package lru is the set-associative tag store with least-recently-used
+// replacement under every LRU structure of the simulated machine: the
+// L1I, the L1D/L2/LLC timing levels, the BTB and the table-based
+// baseline prefetchers (MANA, RDIP, D-JOLT, FNL+MMA). The paper's
+// baseline (Table III, §IV-A) uses LRU throughout; only the Entangled
+// table keeps its own policy (internal/core).
+package lru
+
+// Sets is a set-associative store of keys and recency stamps. It holds
+// no payload: each caller keeps its per-way data in a slice of Len()
+// elements parallel to the slots, and picks a key's set with its own
+// hash h.
+//
+// A lookup is a first-match scan over the set's ways; a hit gets a new
+// recency stamp, and a miss fills the first empty way, else the first
+// least-recent one. Ways are filled in place, never emptied and never
+// reordered.
+//
+// A set may hold the same key twice. The L1I installs whatever a fill
+// brings, and a fill can bring a line that is already resident: an
+// Ideal-mode install can race an in-flight prefetch fill, and in timing
+// mode a demand miss stalling for a free MSHR can let the prefetch
+// queue issue a second fill for the same line. Find then returns the
+// first copy and Victim takes whichever copy is least recent, so the
+// first-match scan order is part of the simulated behaviour: a per-set
+// hint or a reordering of ways would change it.
+type Sets struct {
+	ways int
+	sets uint64
+	// mask is sets-1 when sets is a power of two (every shipped
+	// config), and pow2 says so; set selection is then a mask instead
+	// of a divide.
+	mask uint64
+	pow2 bool
+	keys []uint64
+	// stamps[i] is the tick of slot i's last touch; 0 marks an empty
+	// way, so a zero value needs no initialization pass.
+	stamps []uint64
+	tick   uint64
+}
+
+// New returns an empty store of sets x ways slots. It panics unless
+// both are positive.
+func New(sets, ways int) *Sets {
+	if sets <= 0 || ways <= 0 {
+		panic("lru: sets and ways must be positive")
+	}
+	return &Sets{
+		ways:   ways,
+		sets:   uint64(sets),
+		mask:   uint64(sets - 1),
+		pow2:   sets&(sets-1) == 0,
+		keys:   make([]uint64, sets*ways),
+		stamps: make([]uint64, sets*ways),
+	}
+}
+
+// Len returns the number of slots, the length of a payload slice.
+func (s *Sets) Len() int { return len(s.keys) }
+
+// base returns the first slot of the set h selects.
+func (s *Sets) base(h uint64) int {
+	if s.pow2 {
+		return int(h&s.mask) * s.ways
+	}
+	return int(h%s.sets) * s.ways
+}
+
+// Find returns the slot of the first way holding key in the set h
+// selects, or -1, without changing recency.
+func (s *Sets) Find(h, key uint64) int {
+	b := s.base(h)
+	for i, k := range s.keys[b : b+s.ways] {
+		// Key 0 is legal (line 0), so the stamp tells a stored 0 from
+		// an empty way; it is read only after a key match.
+		if k == key && s.stamps[b+i] != 0 {
+			return b + i
+		}
+	}
+	return -1
+}
+
+// Lookup is Find that also marks a hit slot most-recently used.
+func (s *Sets) Lookup(h, key uint64) int {
+	i := s.Find(h, key)
+	if i >= 0 {
+		s.tick++
+		s.stamps[i] = s.tick
+	}
+	return i
+}
+
+// Ensure returns key's slot, inserting it on a miss into the Victim
+// way. fresh reports an insertion: the caller must reset that slot's
+// payload.
+func (s *Sets) Ensure(h, key uint64) (slot int, fresh bool) {
+	if i := s.Lookup(h, key); i >= 0 {
+		return i, false
+	}
+	i := s.Victim(h)
+	s.Install(i, key)
+	return i, true
+}
+
+// Victim returns the slot a miss in the set h selects replaces: its
+// first empty way, else its first least-recent way.
+func (s *Sets) Victim(h uint64) int {
+	b := s.base(h)
+	v := b
+	for i, st := range s.stamps[b : b+s.ways] {
+		if st == 0 {
+			return b + i
+		}
+		if st < s.stamps[v] {
+			v = b + i
+		}
+	}
+	return v
+}
+
+// Install writes key into slot (as returned by Victim) and marks it
+// most-recently used.
+func (s *Sets) Install(slot int, key uint64) {
+	s.keys[slot] = key
+	s.tick++
+	s.stamps[slot] = s.tick
+}
+
+// Valid reports whether slot holds a key.
+func (s *Sets) Valid(slot int) bool { return s.stamps[slot] != 0 }
+
+// Key returns the key slot holds; meaningful only when Valid.
+func (s *Sets) Key(slot int) uint64 { return s.keys[slot] }

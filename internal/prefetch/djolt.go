@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"entangling/internal/cache"
+	"entangling/internal/lru"
 	"entangling/internal/trace"
 )
 
@@ -38,7 +39,7 @@ type DJolt struct {
 // RDIP's one. Each signature's entry holds up to six trigger lines,
 // each with an 8-bit footprint of the lines that follow it.
 type sigTable struct {
-	tags     lruTable
+	tags     *lru.Sets
 	entries  []sigEntry // parallel to tags' slots
 	depth    int        // D-JOLT signature depth in call/return events
 	setShift uint       // the set index hashes sig>>setShift
@@ -55,10 +56,10 @@ type sigTrigger struct {
 }
 
 func newSigTable(entriesN, depth int, setShift uint) *sigTable {
-	tags := newLRUTable(entriesN, 4)
+	tags := lru.New(entriesN/4, 4)
 	return &sigTable{
 		tags:     tags,
-		entries:  make([]sigEntry, len(tags.slots)),
+		entries:  make([]sigEntry, tags.Len()),
 		depth:    depth,
 		setShift: setShift,
 	}
@@ -78,7 +79,7 @@ func (t *sigTable) signature(hist []uint64) uint64 {
 // oldest when all six are taken (the entry holds the context's most
 // recent misses).
 func (t *sigTable) train(sig uint64, line uint64) {
-	slot, fresh := t.tags.ensure(sig>>t.setShift, sig)
+	slot, fresh := t.tags.Ensure(sig>>t.setShift, sig)
 	e := &t.entries[slot]
 	if fresh {
 		*e = sigEntry{}
@@ -105,7 +106,7 @@ func (t *sigTable) train(sig uint64, line uint64) {
 // prefetch issues sig's triggers and their footprints. A non-nil seen
 // dedupes lines across calls within one trigger event.
 func (t *sigTable) prefetch(issuer Issuer, cycle uint64, sig uint64, seen map[uint64]bool) {
-	slot := t.tags.lookup(sig>>t.setShift, sig)
+	slot := t.tags.Lookup(sig>>t.setShift, sig)
 	if slot < 0 {
 		return
 	}

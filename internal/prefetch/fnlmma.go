@@ -1,6 +1,9 @@
 package prefetch
 
-import "entangling/internal/cache"
+import (
+	"entangling/internal/cache"
+	"entangling/internal/lru"
+)
 
 // FNLMMA (Seznec [44], §IV-B) combines the Footprint Next Line
 // prefetcher — an enhanced next-line that first estimates whether a
@@ -19,7 +22,7 @@ type FNLMMA struct {
 
 	// missTags and missNext map a miss line to the miss observed
 	// Distance misses later.
-	missTags lruTable
+	missTags *lru.Sets
 	missNext []uint64 // parallel to missTags' slots
 
 	// ring holds the last Distance miss lines.
@@ -39,13 +42,13 @@ const fnlWorthBits = 14
 
 // NewFNLMMA returns the paper's FNL+MMA configuration (97KB).
 func NewFNLMMA(issuer Issuer) *FNLMMA {
-	tags := newLRUTable(8192, 4)
+	tags := lru.New(8192/4, 4)
 	return &FNLMMA{
 		Base:     Base{PfName: "fnl+mma", Bits: uint64(97 * 1024 * 8)},
 		issuer:   issuer,
 		worth:    make([]uint8, 1<<fnlWorthBits),
 		missTags: tags,
-		missNext: make([]uint64, len(tags.slots)),
+		missNext: make([]uint64, tags.Len()),
 		ring:     make([]uint64, 4),
 		Distance: 4,
 	}
@@ -87,7 +90,7 @@ func (p *FNLMMA) OnAccess(ev cache.AccessEvent) {
 	// forward from the current miss.
 	if p.full {
 		prev := p.ring[p.pos]
-		slot, _ := p.missTags.ensure(missHash(prev), prev)
+		slot, _ := p.missTags.Ensure(missHash(prev), prev)
 		p.missNext[slot] = line
 	}
 	p.ring[p.pos] = line
@@ -100,7 +103,7 @@ func (p *FNLMMA) OnAccess(ev cache.AccessEvent) {
 	// worthiness-filtered follower.
 	t := line
 	for hop := 0; hop < 2; hop++ {
-		slot := p.missTags.lookup(missHash(t), t)
+		slot := p.missTags.Lookup(missHash(t), t)
 		if slot < 0 {
 			break
 		}

@@ -1,6 +1,9 @@
 package prefetch
 
-import "entangling/internal/cache"
+import (
+	"entangling/internal/cache"
+	"entangling/internal/lru"
+)
 
 // MANA (Ansari et al. [5], §IV-B) is the representative BTB-directed
 // spatial-region prefetcher: the instruction stream is chopped into
@@ -17,7 +20,7 @@ type MANA struct {
 	Base
 	issuer Issuer
 
-	tags    lruTable     // keyed by trigger line
+	tags    *lru.Sets    // keyed by trigger line
 	regions []manaRegion // parallel to tags' slots
 
 	// Lookahead is how many chained regions are prefetched ahead.
@@ -44,25 +47,25 @@ const regionSpan = 8
 // NewMANA builds a MANA table with the given entry count; storageKB is
 // the paper-quoted budget for the configuration.
 func NewMANA(issuer Issuer, name string, entriesN int, storageKB float64, lookahead int) *MANA {
-	tags := newLRUTable(entriesN, 4)
+	tags := lru.New(entriesN/4, 4)
 	return &MANA{
 		Base:      Base{PfName: name, Bits: uint64(storageKB * 1024 * 8)},
 		issuer:    issuer,
 		tags:      tags,
-		regions:   make([]manaRegion, len(tags.slots)),
+		regions:   make([]manaRegion, tags.Len()),
 		Lookahead: lookahead,
 	}
 }
 
 func (p *MANA) lookup(line uint64) *manaRegion {
-	if i := p.tags.lookup(line^line>>13, line); i >= 0 {
+	if i := p.tags.Lookup(line^line>>13, line); i >= 0 {
 		return &p.regions[i]
 	}
 	return nil
 }
 
 func (p *MANA) ensure(line uint64) *manaRegion {
-	i, fresh := p.tags.ensure(line^line>>13, line)
+	i, fresh := p.tags.Ensure(line^line>>13, line)
 	if fresh {
 		p.regions[i] = manaRegion{}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"entangling/internal/trace"
@@ -295,6 +296,26 @@ func TestTraceSpecOpenerError(t *testing.T) {
 	})
 	if _, err := Materialize(spec, 100); !errors.Is(err, wantErr) {
 		t.Errorf("err = %v, want %v", err, wantErr)
+	}
+}
+
+// TestTraceSpecTooShort: a stored trace that ends before the requested
+// records fails the build instead of handing the simulator a short
+// stream.
+func TestTraceSpecTooShort(t *testing.T) {
+	payload, _ := encodeTestTrace(t, 100)
+	spec := TraceSpec("trace:short", "5407", func() (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(payload)), nil
+	})
+	tr, err := NewTraceCache().Get(spec, 200)
+	if !errors.Is(err, ErrTraceTooShort) || tr != nil {
+		t.Fatalf("Get = %v, %v; want nil and ErrTraceTooShort", tr, err)
+	}
+	if want := "holds 100 records, 200 requested"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
+	}
+	if _, err := NewTraceCache().Get(spec, 100); err != nil {
+		t.Errorf("a window of exactly the stored records failed: %v", err)
 	}
 }
 

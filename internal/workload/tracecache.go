@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -83,14 +84,19 @@ func packSource(name string, src trace.Source, n uint64, pk *trace.Packer) (*Tra
 	return &Trace{Name: name, Packed: pk.Packed()}, nil
 }
 
+// ErrTraceTooShort reports a stored trace that ends before the number
+// of records a run asks of it.
+var ErrTraceTooShort = errors.New("trace shorter than requested")
+
 // materializeTrace packs the first n instructions of a trace-backed
 // spec's stored payload. The decode is capped at n records, so a
 // too-long stored trace costs nothing beyond the requested window; a
 // decode error (the store only holds validated traces, but the opener
-// is caller-supplied) or a record the packed form cannot hold fails
-// the materialization rather than feeding a short stream to the
-// simulator silently. The stored payload does not say how many records
-// it holds, so the stream grows as it is read.
+// is caller-supplied), a record the packed form cannot hold, or a
+// payload of fewer than n records (ErrTraceTooShort) fails the
+// materialization rather than feeding a short stream to the simulator
+// silently. The stored payload does not say how many records it holds,
+// so the stream grows as it is read.
 func materializeTrace(spec Spec, n uint64) (*Trace, error) {
 	if spec.Open == nil {
 		return nil, fmt.Errorf("workload %s: trace %s is not available on this node (no opener)",
@@ -111,6 +117,9 @@ func materializeTrace(spec Spec, n uint64) (*Trace, error) {
 	}
 	if err := rd.Err(); err != nil {
 		return nil, fmt.Errorf("workload %s: decoding trace: %w", spec.Name, err)
+	}
+	if held := uint64(tr.Packed.Len()); held < n {
+		return nil, fmt.Errorf("workload %s: %w: it holds %d records, %d requested", spec.Name, ErrTraceTooShort, held, n)
 	}
 	return tr, nil
 }
