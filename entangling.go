@@ -21,7 +21,6 @@ package entangling
 
 import (
 	"context"
-	"io"
 
 	"entangling/internal/cache"
 	"entangling/internal/core"
@@ -30,7 +29,6 @@ import (
 	"entangling/internal/harness"
 	"entangling/internal/prefetch"
 	"entangling/internal/stats"
-	"entangling/internal/trace"
 	"entangling/internal/workload"
 )
 
@@ -210,23 +208,4 @@ func Fig01(specs []WorkloadSpec, opt Options) (*Table, error) {
 // prefetching.
 func Fig02(specs []WorkloadSpec, opt Options) (*Table, error) {
 	return harness.Fig02(context.Background(), specs, opt)
-}
-
-// TraceSource is a stream of dynamic instructions; trace files opened
-// with OpenTrace and in-memory streams both implement it.
-type TraceSource = trace.Source
-
-// OpenTrace opens a binary trace stream written by the trace Writer
-// (see cmd/tracegen).
-func OpenTrace(r io.Reader) (TraceSource, error) { return trace.NewReader(r) }
-
-// RunSource executes one configuration over an arbitrary instruction
-// source (for example a trace file). The source is consumed once, so
-// baseline comparisons need a second copy of the stream.
-func RunSource(cfg Configuration, src TraceSource, warmup, measure uint64) (Results, error) {
-	r, err := harness.RunSource(cfg, src, warmup, measure)
-	if err != nil {
-		return Results{}, err
-	}
-	return r.R, nil
 }

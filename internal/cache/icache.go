@@ -183,9 +183,6 @@ func (c *ICache) SetListener(l Listener) { c.listener = l }
 // processed up to).
 func (c *ICache) Now() uint64 { return c.now }
 
-// Contains reports whether the line is present (test helper).
-func (c *ICache) Contains(lineAddr uint64) bool { return c.arr.Find(lineAddr, lineAddr) >= 0 }
-
 // AdvanceTo processes fills and prefetch issue up to cycle now.
 func (c *ICache) AdvanceTo(now uint64) {
 	if now < c.now {

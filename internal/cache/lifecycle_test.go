@@ -1,6 +1,12 @@
 package cache
 
-import "testing"
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"entangling/internal/stats"
+)
 
 // feedbackRecorder captures lifecycle feedback for assertions.
 type feedbackRecorder struct {
@@ -87,8 +93,8 @@ func TestLifecycleEvictedSetBounded(t *testing.T) {
 	for i := uint64(0); i < trackedEvictCap+100; i++ {
 		tr.OnEvict(EvictEvent{Cycle: i, LineAddr: i, Prefetched: true, Accessed: false})
 	}
-	if len(tr.evicted) > trackedEvictCap || len(tr.ring) > trackedEvictCap {
-		t.Fatalf("evicted set unbounded: %d / %d", len(tr.evicted), len(tr.ring))
+	if n := countFlag(tr, lineEvicted); n > trackedEvictCap || len(tr.ring) > trackedEvictCap {
+		t.Fatalf("evicted set unbounded: %d / %d", n, len(tr.ring))
 	}
 	// The oldest entries were displaced; a redemand of one of them is
 	// (conservatively) no longer counted as early.
@@ -100,6 +106,155 @@ func TestLifecycleEvictedSetBounded(t *testing.T) {
 	tr.OnAccess(AccessEvent{Cycle: 1 << 20, LineAddr: trackedEvictCap + 99})
 	if tr.Lifecycle().EarlyEvicted != 1 {
 		t.Error("recent entry lost")
+	}
+}
+
+// countFlag returns the number of tracked lines with flag f set.
+func countFlag(tr *LifecycleTracker, f uint8) int {
+	n := 0
+	for _, s := range tr.lines.slots {
+		if s.flags&f != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLifecycleRedemandedLineRingEntries pins the FIFO displacement of
+// a line that is remembered twice. A demand removes a line from the
+// evicted-unused set but not from the ring, so evicting it unused
+// again gives it a second ring entry, and the older entry's
+// displacement removes it from the set while the newer one remains.
+func TestLifecycleRedemandedLineRingEntries(t *testing.T) {
+	evictUnused := func(tr *LifecycleTracker, line uint64) {
+		tr.OnEvict(EvictEvent{LineAddr: line, Prefetched: true})
+	}
+	redemand := func(tr *LifecycleTracker, line uint64) uint64 {
+		before := tr.Lifecycle().EarlyEvicted
+		tr.OnAccess(AccessEvent{LineAddr: line})
+		return tr.Lifecycle().EarlyEvicted - before
+	}
+	const l = 1 << 40 // outside the filler lines 0..trackedEvictCap
+
+	tr := NewLifecycleTracker(nil)
+	evictUnused(tr, l) // ring entry 0
+	if redemand(tr, l) != 1 {
+		t.Fatal("first redemand not counted early")
+	}
+	evictUnused(tr, l) // ring entry 1
+	for i := uint64(0); i < trackedEvictCap-2; i++ {
+		evictUnused(tr, i) // fill the ring
+	}
+	if got := countFlag(tr, lineEvicted); got != trackedEvictCap-1 {
+		t.Fatalf("%d lines tracked before the ring wraps, want %d", got, trackedEvictCap-1)
+	}
+	evictUnused(tr, 1<<41) // displaces entry 0, the older copy of l
+	if got := countFlag(tr, lineEvicted); got != trackedEvictCap-1 {
+		t.Fatalf("%d lines tracked after the wrap, want %d", got, trackedEvictCap-1)
+	}
+	if redemand(tr, l) != 0 {
+		t.Error("line still tracked after its older ring entry was displaced")
+	}
+
+	// Remembered again exactly when its own older entry is displaced,
+	// the line stays tracked under the entry that replaces it.
+	tr = NewLifecycleTracker(nil)
+	evictUnused(tr, l) // ring entry 0
+	redemand(tr, l)
+	for i := uint64(0); i < trackedEvictCap-1; i++ {
+		evictUnused(tr, i)
+	}
+	evictUnused(tr, l) // displaces entry 0 and takes its place
+	if redemand(tr, l) != 1 {
+		t.Error("line remembered over its own ring entry was lost")
+	}
+}
+
+// TestLifecycleMatchesMaps replays a random event stream through the
+// tracker and through the map-based model it replaces, and checks both
+// line sets, the counters and every feedback event agree.
+func TestLifecycleMatchesMaps(t *testing.T) {
+	sink := &feedbackRecorder{}
+	tr := NewLifecycleTracker(sink)
+	var (
+		ref     stats.PrefetchLifecycle
+		refFB   []PrefetchFeedback
+		fills   = map[uint64]uint64{}
+		evicted = map[uint64]bool{}
+		ring    []uint64
+		ringPos int
+	)
+	rng := rand.New(rand.NewPCG(1, 2))
+	const lines = 3 * trackedEvictCap
+	for cycle := uint64(1); cycle < 300_000; cycle++ {
+		line := rng.Uint64N(lines)
+		switch rng.IntN(3) {
+		case 0:
+			tr.OnFill(FillEvent{Cycle: cycle, LineAddr: line, WasPrefetch: true})
+			fills[line] = cycle
+		case 1:
+			e := AccessEvent{Cycle: cycle, LineAddr: line, Hit: true, FirstUse: rng.IntN(2) == 0}
+			tr.OnAccess(e)
+			if evicted[line] {
+				delete(evicted, line)
+				ref.EarlyEvicted++
+			}
+			if e.FirstUse {
+				ref.Timely++
+				if f, ok := fills[line]; ok {
+					ref.LeadCycles += cycle - f
+					delete(fills, line)
+				}
+			}
+		case 2:
+			accessed := rng.IntN(4) == 0
+			tr.OnEvict(EvictEvent{Cycle: cycle, LineAddr: line, Prefetched: true, Accessed: accessed})
+			f, had := fills[line]
+			delete(fills, line)
+			if accessed {
+				continue
+			}
+			ref.EvictedUnused++
+			if !evicted[line] {
+				if len(ring) < trackedEvictCap {
+					ring = append(ring, line)
+				} else {
+					delete(evicted, ring[ringPos])
+					ring[ringPos] = line
+					ringPos = (ringPos + 1) % trackedEvictCap
+				}
+				evicted[line] = true
+			}
+			var resident uint64
+			if had {
+				resident = cycle - f
+			}
+			refFB = append(refFB, PrefetchFeedback{Kind: FeedbackUseless, LineAddr: line, Cycles: resident})
+		}
+	}
+	if got := tr.Lifecycle(); got != ref {
+		t.Errorf("lifecycle %+v, want %+v", got, ref)
+	}
+	if !slices.Equal(sink.events, refFB) {
+		t.Errorf("feedback differs: %d events, want %d", len(sink.events), len(refFB))
+	}
+	if countFlag(tr, lineFilled) != len(fills) || countFlag(tr, lineEvicted) != len(evicted) {
+		t.Fatalf("tracked %d filled / %d evicted lines, want %d / %d",
+			countFlag(tr, lineFilled), countFlag(tr, lineEvicted), len(fills), len(evicted))
+	}
+	for line := uint64(0); line < lines; line++ {
+		i := tr.lines.get(line, lineFilled|lineEvicted)
+		var flags uint8
+		if i >= 0 {
+			flags = tr.lines.slots[i].flags
+		}
+		_, filled := fills[line]
+		if (flags&lineFilled != 0) != filled || (flags&lineEvicted != 0) != evicted[line] || (i >= 0) != (flags != 0) {
+			t.Fatalf("line %d: flags %b, want filled %v evicted %v", line, flags, filled, evicted[line])
+		}
+		if filled && tr.lines.slots[i].fill != fills[line] {
+			t.Fatalf("line %d: fill cycle %d, want %d", line, tr.lines.slots[i].fill, fills[line])
+		}
 	}
 }
 

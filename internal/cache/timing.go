@@ -74,7 +74,11 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 	}
 	c.busyUntil = start + c.cfg.ServiceInterval
 
-	if i := c.arr.Lookup(lineAddr, lineAddr); i >= 0 {
+	// One pass finds the hit way or, on a miss, installs the tag now
+	// into the victim way; the slot then remembers the true
+	// data-arrival time (eviction discards it along with the tag).
+	i, miss, evicted := c.arr.Ensure(lineAddr, lineAddr)
+	if !miss {
 		c.stats.Hits++
 		c.stats.Reads++
 		ready := start + c.cfg.Latency
@@ -93,16 +97,11 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 	}
 
 	c.stats.Misses++
-	fillReady := c.next.Access(start+c.cfg.Latency, lineAddr, prefetch)
-
-	// Install the tag now; remember the true data-arrival time in the
-	// slot (eviction discards it along with the tag).
-	v := c.arr.Victim(lineAddr)
-	if c.arr.Valid(v) {
+	if evicted {
 		c.stats.Evictions++
 	}
-	c.arr.Install(v, lineAddr)
-	c.fillReady[v] = fillReady
+	fillReady := c.next.Access(start+c.cfg.Latency, lineAddr, prefetch)
+	c.fillReady[i] = fillReady
 	c.stats.Fills++
 	c.stats.Writes++
 	return fillReady + c.cfg.Latency

@@ -492,10 +492,10 @@ func (e *Entangling) trigger(cycle uint64, line uint64) {
 		return
 	}
 	e.stats.TableHits++
-	if entry.debugLine != key {
+	if e.table.lines[set*e.table.ways+way] != key {
 		e.table.aliasHits++
 	}
-	meta := prefetchMeta(set, way, entry.tag)
+	meta := prefetchMeta(set, way, e.table.tag(key))
 	if e.cfg.Variant == VariantBB {
 		return
 	}
@@ -628,8 +628,8 @@ func (e *Entangling) updateConfidence(meta uint64, dst uint64, delta int) {
 	if !ok {
 		return
 	}
-	entry := e.table.entryAt(set, way)
-	if entry == nil || !entry.valid || entry.tag != tag {
+	entry := e.table.entryAt(set, way, tag)
+	if entry == nil {
 		return
 	}
 	for i := 0; i < entry.ndst; i++ {

@@ -107,7 +107,7 @@ func TestTriggerPrefetchesBlockAndDestinations(t *testing.T) {
 	for i := range e.table.entries {
 		for _, d := range e.table.entries[i].dstSlots() {
 			if d.line == 300 {
-				src = e.table.entries[i].debugLine
+				src = e.table.lines[i]
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func TestConfidenceLifecycle(t *testing.T) {
 	if entry.dsts[0].conf != maxConf {
 		t.Fatalf("initial conf = %d, want %d", entry.dsts[0].conf, maxConf)
 	}
-	meta := prefetchMeta(set, way, entry.tag)
+	meta := prefetchMeta(set, way, e.table.tag(100))
 
 	// Wrong prefetch: eviction unaccessed decrements.
 	e.OnEvict(cache.EvictEvent{LineAddr: 300, Prefetched: true, Accessed: false, Meta: meta})
@@ -211,7 +211,7 @@ func TestLatePrefetchDecrementsConfidence(t *testing.T) {
 	access(e, 100, 300, false)
 	fill(e, 100, 160, 300)
 	entry, set, way := e.table.lookupPos(100)
-	meta := prefetchMeta(set, way, entry.tag)
+	meta := prefetchMeta(set, way, e.table.tag(100))
 	e.OnAccess(cache.AccessEvent{Cycle: 1, LineAddr: 300, LatePrefetch: true, MSHRHit: true, Meta: meta})
 	if entry.dsts[0].conf != maxConf-1 {
 		t.Errorf("conf after late = %d", entry.dsts[0].conf)
@@ -226,7 +226,7 @@ func TestStaleMetaIgnored(t *testing.T) {
 	fill(e, 100, 160, 300)
 	entry, set, way := e.table.lookupPos(100)
 	// Forge metadata with a wrong tag: must be ignored.
-	bad := prefetchMeta(set, way, entry.tag^1)
+	bad := prefetchMeta(set, way, e.table.tag(100)^1)
 	e.OnEvict(cache.EvictEvent{LineAddr: 300, Prefetched: true, Accessed: false, Meta: bad})
 	if entry.dsts[0].conf != maxConf {
 		t.Error("stale metadata mutated confidence")

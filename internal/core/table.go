@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // entangledTable is the paper's Entangled table (§III-A, Figure 4): a
 // set-associative structure whose entries pair a source line (10-bit
 // tag) with its maximum basic-block size and a mode-compressed array of
@@ -14,7 +16,20 @@ type entangledTable struct {
 	sets    int
 	ways    int
 	tagBits int
+	// With a power-of-two set count (every shipped config), pow2 is
+	// set, and the set index and the bits above it are a mask and a
+	// shift instead of a divide.
+	pow2  bool
+	mask  uint64
+	shift int
 
+	// tags, parallel to entries, holds each way's folded tag with
+	// tagValid set, or 0 for an empty way: a lookup scans this dense
+	// array and touches only the matching entry. lines holds each
+	// way's full source line address, used only for alias
+	// diagnostics (hardware stores just the folded tag).
+	tags    []uint32
+	lines   []uint64
 	entries []tableEntry
 	fifoPtr []int
 
@@ -36,14 +51,14 @@ type entangledTable struct {
 // whole table allocation-free after construction.
 const maxDstSlots = 6
 
+// tagValid marks a used way in entangledTable.tags.
+const tagValid = 1 << 16
+
+// tableEntry is one way's payload; its tag and validity live in
+// entangledTable.tags.
 type tableEntry struct {
-	tag uint16 // 10-bit tag
-	// debugLine is the full source line address, used only for alias
-	// diagnostics (hardware stores just the folded tag).
-	debugLine uint64
-	valid     bool
-	bbSize    uint8 // 6-bit max basic-block size
-	mode      uint8 // current compression mode (1-based); 0 = none yet
+	bbSize uint8 // 6-bit max basic-block size
+	mode   uint8 // current compression mode (1-based); 0 = none yet
 	// dsts[:ndst] holds the destinations semantically (full line
 	// addresses plus the bit budget each needs); the mode bounds ndst
 	// and every needed-bit count, exactly as the packed hardware
@@ -86,6 +101,11 @@ func newTable(space AddressSpace, sets, ways, tagBits int) *entangledTable {
 		sets:    sets,
 		ways:    ways,
 		tagBits: tagBits,
+		pow2:    sets&(sets-1) == 0,
+		mask:    uint64(sets - 1),
+		shift:   bits.TrailingZeros(uint(sets)),
+		tags:    make([]uint32, sets*ways),
+		lines:   make([]uint64, sets*ways),
 		entries: make([]tableEntry, sets*ways),
 		fifoPtr: make([]int, sets),
 	}
@@ -112,31 +132,41 @@ func (t *entangledTable) index(line uint64) int {
 	h ^= h >> 9
 	h ^= h >> 18
 	h ^= h >> 36
+	if t.pow2 {
+		return int(h & t.mask)
+	}
 	return int(h % uint64(t.sets))
 }
 
 // tag folds the bits above the set index into the stored tag width.
 func (t *entangledTable) tag(line uint64) uint16 {
-	h := line / uint64(t.sets)
+	h := line >> t.shift
+	if !t.pow2 {
+		h = line / uint64(t.sets)
+	}
 	h ^= h >> t.tagBits
 	h ^= h >> (2 * t.tagBits)
 	return uint16(h & (1<<t.tagBits - 1))
 }
 
-// set returns the ways of the set holding line.
-func (t *entangledTable) set(line uint64) []tableEntry {
-	s := t.index(line)
-	return t.entries[s*t.ways : (s+1)*t.ways]
+// find returns the set holding line and the slot of the first way
+// whose tag matches, or slot -1.
+func (t *entangledTable) find(line uint64) (set, slot int) {
+	set = t.index(line)
+	want := uint32(t.tag(line)) | tagValid
+	b := set * t.ways
+	for i, g := range t.tags[b : b+t.ways] {
+		if g == want {
+			return set, b + i
+		}
+	}
+	return set, -1
 }
 
 // lookup returns the entry matching line, or nil.
 func (t *entangledTable) lookup(line uint64) *tableEntry {
-	set := t.set(line)
-	tag := t.tag(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
-		}
+	if _, i := t.find(line); i >= 0 {
+		return &t.entries[i]
 	}
 	return nil
 }
@@ -144,23 +174,24 @@ func (t *entangledTable) lookup(line uint64) *tableEntry {
 // lookupPos returns the entry matching line along with its set and
 // way, or (nil, -1, -1).
 func (t *entangledTable) lookupPos(line uint64) (*tableEntry, int, int) {
-	s := t.index(line)
-	set := t.entries[s*t.ways : (s+1)*t.ways]
-	tag := t.tag(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i], s, i
-		}
+	s, i := t.find(line)
+	if i < 0 {
+		return nil, -1, -1
 	}
-	return nil, -1, -1
+	return &t.entries[i], s, i - s*t.ways
 }
 
-// entryAt returns the entry at (set, way), or nil when out of range.
-func (t *entangledTable) entryAt(set, way int) *tableEntry {
+// entryAt returns the entry at (set, way) if it is valid and holds
+// tag, or nil.
+func (t *entangledTable) entryAt(set, way int, tag uint16) *tableEntry {
 	if set < 0 || set >= t.sets || way < 0 || way >= t.ways {
 		return nil
 	}
-	return &t.entries[set*t.ways+way]
+	i := set*t.ways + way
+	if t.tags[i] != uint32(tag)|tagValid {
+		return nil
+	}
+	return &t.entries[i]
 }
 
 // recordBlock records (or refreshes) a source's basic-block size,
@@ -282,32 +313,39 @@ func (t *entangledTable) dropDst(e *tableEntry, dst uint64) {
 // allocate claims a way for line using enhanced FIFO replacement.
 func (t *entangledTable) allocate(line uint64) *tableEntry {
 	s := t.index(line)
-	set := t.entries[s*t.ways : (s+1)*t.ways]
+	b := s * t.ways
+	set := t.entries[b : b+t.ways]
+	tags := t.tags[b : b+t.ways]
 
 	// Free way first.
-	for i := range set {
-		if !set[i].valid {
-			set[i] = tableEntry{tag: t.tag(line), debugLine: line, valid: true}
-			return &set[i]
+	way := -1
+	for i, g := range tags {
+		if g == 0 {
+			way = i
+			break
 		}
 	}
+	if way < 0 {
+		way = t.fifoPtr[s]
+		t.fifoPtr[s] = (t.fifoPtr[s] + 1) % t.ways
 
-	victim := t.fifoPtr[s]
-	t.fifoPtr[s] = (t.fifoPtr[s] + 1) % t.ways
-
-	// Enhanced FIFO: if the victim holds entangled pairs, relocate its
-	// payload into a way that holds none (evicting that one instead).
-	if set[victim].ndst > 0 {
-		for i := range set {
-			if i != victim && set[i].ndst == 0 {
-				set[i] = set[victim]
-				t.relocations++
-				break
+		// Enhanced FIFO: if the victim holds entangled pairs, relocate
+		// its payload into a way that holds none (evicting that one
+		// instead).
+		if set[way].ndst > 0 {
+			for i := range set {
+				if i != way && set[i].ndst == 0 {
+					set[i], tags[i], t.lines[b+i] = set[way], tags[way], t.lines[b+way]
+					t.relocations++
+					break
+				}
 			}
 		}
 	}
-	set[victim] = tableEntry{tag: t.tag(line), debugLine: line, valid: true}
-	return &set[victim]
+	set[way] = tableEntry{}
+	tags[way] = uint32(t.tag(line)) | tagValid
+	t.lines[b+way] = line
+	return &set[way]
 }
 
 // sigBucket maps a needed-bit count to its storage-format bucket (the

@@ -156,22 +156,32 @@ func TestTablePanics(t *testing.T) {
 }
 
 func TestTableLookupPosConsistent(t *testing.T) {
-	tb := newTable(Virtual, 64, 16, 10)
-	f := func(line uint64) bool {
-		line &= lineMask(Virtual)
-		tb.recordBlock(line, 1)
-		e, s, w := tb.lookupPos(line)
-		if e == nil {
-			return false
+	// 48 sets is not a power of two: index and tag take the divide path.
+	for _, sets := range []int{64, 48} {
+		tb := newTable(Virtual, sets, 16, 10)
+		f := func(line uint64) bool {
+			line &= lineMask(Virtual)
+			tb.recordBlock(line, 1)
+			e, s, w := tb.lookupPos(line)
+			if e == nil || tb.tag(line) != tagOf(line/uint64(sets), 10) {
+				return false
+			}
+			return tb.entryAt(s, w, tb.tag(line)) == e
 		}
-		return tb.entryAt(s, w) == e
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%d sets: %v", sets, err)
+		}
+		if tb.entryAt(-1, 0, 0) != nil || tb.entryAt(0, 99, 0) != nil {
+			t.Error("entryAt out of range should be nil")
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	if tb.entryAt(-1, 0) != nil || tb.entryAt(0, 99) != nil {
-		t.Error("entryAt out of range should be nil")
-	}
+}
+
+// tagOf folds h, the line bits above the set index, as the table does.
+func tagOf(h uint64, bits int) uint16 {
+	h ^= h >> bits
+	h ^= h >> (2 * bits)
+	return uint16(h & (1<<bits - 1))
 }
 
 func TestSigBucket(t *testing.T) {

@@ -251,13 +251,6 @@ func New(cfg Config) *Machine {
 // such as Entangling's compression histograms).
 func (m *Machine) Prefetcher() prefetch.Prefetcher { return m.pf }
 
-// LeadHistogram exposes the fill-to-first-use lead distribution of
-// timely prefetches accumulated since construction (an observability
-// hook). Windowed results do not read it directly: resultsSince
-// snapshots and diffs the histogram like every other counter, so the
-// quantiles in Results cover the measurement window only.
-func (m *Machine) LeadHistogram() *stats.Histogram { return m.tracker.LeadHistogram() }
-
 // fetchLine maps an instruction byte address to the line address the
 // hierarchy operates on.
 func (m *Machine) fetchLine(pc uint64) uint64 {

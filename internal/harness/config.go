@@ -13,7 +13,6 @@ import (
 	"entangling/internal/oracle"
 	"entangling/internal/prefetch"
 	"entangling/internal/stats"
-	"entangling/internal/trace"
 	"entangling/internal/workload"
 )
 
@@ -210,22 +209,6 @@ func RunTraceCtx(ctx context.Context, cfg Configuration, spec workload.Spec, tr 
 		return RunResult{}, err
 	}
 	return runResultFrom(cfg, spec, m, r), nil
-}
-
-// RunSource executes one configuration over an arbitrary instruction
-// source (e.g. a trace file). The source is consumed once; a record the
-// simulator cannot represent (see cpu.Machine.RunWindowsCtx) fails the
-// run.
-func RunSource(cfg Configuration, src trace.Source, warmup, measure uint64) (RunResult, error) {
-	m, err := machineFor(cfg, 0)
-	if err != nil {
-		return RunResult{}, err
-	}
-	r, err := m.RunWindowsCtx(context.Background(), src, warmup, measure)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return runResultFrom(cfg, workload.Spec{Name: "trace"}, m, r), nil
 }
 
 // runResultFrom packages a finished machine's results as the cell's

@@ -11,7 +11,7 @@ package lru
 // elements parallel to the slots, and picks a key's set with its own
 // hash h.
 //
-// A lookup is a first-match scan over the set's ways; a hit gets a new
+// A lookup returns the first way holding the key; a hit gets a new
 // recency stamp, and a miss fills the first empty way, else the first
 // least-recent one. Ways are filled in place, never emptied and never
 // reordered.
@@ -21,9 +21,16 @@ package lru
 // Ideal-mode install can race an in-flight prefetch fill, and in timing
 // mode a demand miss stalling for a free MSHR can let the prefetch
 // queue issue a second fill for the same line. Find then returns the
-// first copy and Victim takes whichever copy is least recent, so the
-// first-match scan order is part of the simulated behaviour: a per-set
-// hint or a reordering of ways would change it.
+// first copy and Victim takes whichever copy is least recent, so which
+// copy a lookup returns is part of the simulated behaviour.
+//
+// Each set keeps a hint, the way of its last hit, which lookups try
+// before scanning. Its invariant: if the hinted way holds the key
+// looked up, it is that key's first copy in the set. A scan hit is the
+// first copy, and Install resets the hint to way 0 (trivially a first
+// copy) when it overwrites the hinted way or writes the hinted way's
+// key into an earlier way, so a hinted hit is the slot the first-match
+// scan would return.
 type Sets struct {
 	ways int
 	sets uint64
@@ -36,7 +43,9 @@ type Sets struct {
 	// stamps[i] is the tick of slot i's last touch; 0 marks an empty
 	// way, so a zero value needs no initialization pass.
 	stamps []uint64
-	tick   uint64
+	// hint[s] is set s's hinted way (see the type comment).
+	hint []uint32
+	tick uint64
 }
 
 // New returns an empty store of sets x ways slots. It panics unless
@@ -52,28 +61,43 @@ func New(sets, ways int) *Sets {
 		pow2:   sets&(sets-1) == 0,
 		keys:   make([]uint64, sets*ways),
 		stamps: make([]uint64, sets*ways),
+		hint:   make([]uint32, sets),
 	}
 }
 
 // Len returns the number of slots, the length of a payload slice.
 func (s *Sets) Len() int { return len(s.keys) }
 
-// base returns the first slot of the set h selects.
-func (s *Sets) base(h uint64) int {
+// set returns the index of the set h selects.
+func (s *Sets) set(h uint64) int {
 	if s.pow2 {
-		return int(h&s.mask) * s.ways
+		return int(h & s.mask)
 	}
-	return int(h%s.sets) * s.ways
+	return int(h % s.sets)
+}
+
+// hinted returns set's hinted slot if it holds key, else -1.
+func (s *Sets) hinted(set int, key uint64) int {
+	i := set*s.ways + int(s.hint[set])
+	// Key 0 is legal (line 0), so the stamp tells a stored 0 from an
+	// empty way; it is read only after a key match.
+	if s.keys[i] == key && s.stamps[i] != 0 {
+		return i
+	}
+	return -1
 }
 
 // Find returns the slot of the first way holding key in the set h
 // selects, or -1, without changing recency.
 func (s *Sets) Find(h, key uint64) int {
-	b := s.base(h)
+	set := s.set(h)
+	if i := s.hinted(set, key); i >= 0 {
+		return i
+	}
+	b := set * s.ways
 	for i, k := range s.keys[b : b+s.ways] {
-		// Key 0 is legal (line 0), so the stamp tells a stored 0 from
-		// an empty way; it is read only after a key match.
 		if k == key && s.stamps[b+i] != 0 {
+			s.hint[set] = uint32(i)
 			return b + i
 		}
 	}
@@ -84,28 +108,48 @@ func (s *Sets) Find(h, key uint64) int {
 func (s *Sets) Lookup(h, key uint64) int {
 	i := s.Find(h, key)
 	if i >= 0 {
-		s.tick++
-		s.stamps[i] = s.tick
+		s.touch(i)
 	}
 	return i
 }
 
 // Ensure returns key's slot, inserting it on a miss into the Victim
-// way. fresh reports an insertion: the caller must reset that slot's
-// payload.
-func (s *Sets) Ensure(h, key uint64) (slot int, fresh bool) {
-	if i := s.Lookup(h, key); i >= 0 {
-		return i, false
+// way, in one pass over the set. fresh reports an insertion: the
+// caller must reset that slot's payload. evicted reports that the
+// insertion replaced a valid way.
+func (s *Sets) Ensure(h, key uint64) (slot int, fresh, evicted bool) {
+	set := s.set(h)
+	if i := s.hinted(set, key); i >= 0 {
+		s.touch(i)
+		return i, false, false
 	}
-	i := s.Victim(h)
-	s.Install(i, key)
-	return i, true
+	b := set * s.ways
+	// The victim is the first way with the smallest stamp: the first
+	// empty way (stamp 0), else the first least-recent one.
+	v := b
+	for i, k := range s.keys[b : b+s.ways] {
+		st := s.stamps[b+i]
+		if k == key && st != 0 {
+			s.hint[set] = uint32(i)
+			s.touch(b + i)
+			return b + i, false, false
+		}
+		if st < s.stamps[v] {
+			v = b + i
+		}
+	}
+	evicted = s.stamps[v] != 0
+	s.keys[v] = key
+	s.touch(v)
+	// key was absent, so v now holds its only copy.
+	s.hint[set] = uint32(v - b)
+	return v, true, evicted
 }
 
 // Victim returns the slot a miss in the set h selects replaces: its
 // first empty way, else its first least-recent way.
 func (s *Sets) Victim(h uint64) int {
-	b := s.base(h)
+	b := s.set(h) * s.ways
 	v := b
 	for i, st := range s.stamps[b : b+s.ways] {
 		if st == 0 {
@@ -119,9 +163,18 @@ func (s *Sets) Victim(h uint64) int {
 }
 
 // Install writes key into slot (as returned by Victim) and marks it
-// most-recently used.
+// most-recently used. key may already be resident in another way.
 func (s *Sets) Install(slot int, key uint64) {
+	set := slot / s.ways
+	if h := set*s.ways + int(s.hint[set]); slot == h || slot < h && s.keys[h] == key {
+		s.hint[set] = 0
+	}
 	s.keys[slot] = key
+	s.touch(slot)
+}
+
+// touch marks slot most-recently used.
+func (s *Sets) touch(slot int) {
 	s.tick++
 	s.stamps[slot] = s.tick
 }

@@ -101,7 +101,7 @@ func TestSets(t *testing.T) {
 				case lookup:
 					slot = s.Lookup(1, st.key)
 				case ensure:
-					slot, fresh = s.Ensure(1, st.key)
+					slot, fresh, _ = s.Ensure(1, st.key)
 				}
 				if slot != st.wantSlot || fresh != st.wantFresh {
 					t.Errorf("step %d (op %d, key %d): slot %d fresh %v, want %d %v", i, st.op, st.key, slot, fresh, st.wantSlot, st.wantFresh)
@@ -123,7 +123,7 @@ func TestSets(t *testing.T) {
 
 	t.Run("a set count that is not a power of two selects by modulo", func(t *testing.T) {
 		s := New(3, 1)
-		if slot, _ := s.Ensure(7, 1); slot != 1 {
+		if slot, _, _ := s.Ensure(7, 1); slot != 1 {
 			t.Errorf("h=7 over 3 sets: slot %d, want 1", slot)
 		}
 	})
@@ -146,4 +146,113 @@ func ways(s *Sets, from, to int) []way {
 		w = append(w, way{s.keys[i], s.stamps[i]})
 	}
 	return w
+}
+
+// scanSets is the hint-free reference for Sets: every lookup is a
+// first-match scan over the set's ways.
+type scanSets struct {
+	sets, ways   int
+	keys, stamps []uint64
+	tick         uint64
+}
+
+func (r *scanSets) find(h, key uint64) int {
+	b := int(h%uint64(r.sets)) * r.ways
+	for i := b; i < b+r.ways; i++ {
+		if r.keys[i] == key && r.stamps[i] != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *scanSets) victim(h uint64) int {
+	b := int(h%uint64(r.sets)) * r.ways
+	v := b
+	for i := b; i < b+r.ways; i++ {
+		if r.stamps[i] == 0 {
+			return i
+		}
+		if r.stamps[i] < r.stamps[v] {
+			v = i
+		}
+	}
+	return v
+}
+
+func (r *scanSets) touch(i int) {
+	r.tick++
+	r.stamps[i] = r.tick
+}
+
+// FuzzSetsMatchesScan applies random Find, Lookup, Ensure, Victim and
+// Install sequences to Sets and to the hint-free reference, and checks
+// every returned slot and the whole store after each step. Installs
+// may write a resident key into another way, earlier ones included, as
+// the L1I can; the hint must still return the first copy.
+func FuzzSetsMatchesScan(f *testing.F) {
+	// One set of four ways: fill keys 1 and 2, hit 2 (hint on way 1),
+	// write 2 into way 0, then look 2 up; way 0 must win.
+	f.Add([]byte{3 << 2, 2, 0, 1, 2, 0, 2, 1, 0, 2, 5, 0, 2, 0, 0, 2, 1, 0, 2})
+	// One set of two ways: keys 2 and 1, hint on 1's way; write 2 over
+	// it, then look 2 up; way 0 must win.
+	f.Add([]byte{1 << 2, 2, 0, 2, 2, 0, 1, 1, 0, 1, 5, 0, 2 | 1<<3, 0, 0, 2})
+	// Two sets of two ways: duplicates through Victim+Install.
+	f.Add([]byte{1 | 1<<2, 2, 1, 3, 2, 1, 4, 1, 1, 3, 4, 1, 4, 0, 1, 4, 1, 1, 4, 2, 1, 4})
+	f.Add([]byte{2 | 4<<2, 2, 5, 0, 5, 5, 7<<3 | 0, 0, 5, 0, 2, 5, 1, 3, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sets, ways := 1+int(data[0]%3), 1+int(data[0]>>2)%5
+		s := New(sets, ways)
+		ref := &scanSets{sets: sets, ways: ways, keys: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
+		for step, ops := 0, data[1:]; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			kind, h, arg := ops[0]%6, uint64(ops[1]), ops[2]
+			key := uint64(arg % 8)
+			var got, want int
+			switch kind {
+			case 0:
+				got, want = s.Find(h, key), ref.find(h, key)
+			case 1:
+				got, want = s.Lookup(h, key), ref.find(h, key)
+				if want >= 0 {
+					ref.touch(want)
+				}
+			case 2:
+				var fresh, evicted bool
+				got, fresh, evicted = s.Ensure(h, key)
+				want = ref.find(h, key)
+				wantFresh, wantEvicted := want < 0, false
+				if wantFresh {
+					want = ref.victim(h)
+					wantEvicted = ref.stamps[want] != 0
+					ref.keys[want] = key
+				}
+				ref.touch(want)
+				if fresh != wantFresh || evicted != wantEvicted {
+					t.Fatalf("step %d: Ensure(%d, %d) fresh %v evicted %v, want %v %v", step, h, key, fresh, evicted, wantFresh, wantEvicted)
+				}
+			case 3:
+				got, want = s.Victim(h), ref.victim(h)
+			case 4, 5:
+				// 4 installs into the victim way, as every user does;
+				// 5 into any way of the set.
+				want = ref.victim(h)
+				if kind == 5 {
+					want = int(h%uint64(sets))*ways + int(arg>>3)%ways
+				}
+				got = want
+				s.Install(want, key)
+				ref.keys[want] = key
+				ref.touch(want)
+			}
+			if got != want {
+				t.Fatalf("step %d: op %d (h %d, key %d) returned slot %d, want %d", step, kind, h, key, got, want)
+			}
+			if !slices.Equal(s.keys, ref.keys) || !slices.Equal(s.stamps, ref.stamps) {
+				t.Fatalf("step %d: store %v/%v, want %v/%v", step, s.keys, s.stamps, ref.keys, ref.stamps)
+			}
+		}
+	})
 }

@@ -79,7 +79,7 @@ func (t *sigTable) signature(hist []uint64) uint64 {
 // oldest when all six are taken (the entry holds the context's most
 // recent misses).
 func (t *sigTable) train(sig uint64, line uint64) {
-	slot, fresh := t.tags.Ensure(sig>>t.setShift, sig)
+	slot, fresh, _ := t.tags.Ensure(sig>>t.setShift, sig)
 	e := &t.entries[slot]
 	if fresh {
 		*e = sigEntry{}

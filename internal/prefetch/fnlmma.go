@@ -90,7 +90,7 @@ func (p *FNLMMA) OnAccess(ev cache.AccessEvent) {
 	// forward from the current miss.
 	if p.full {
 		prev := p.ring[p.pos]
-		slot, _ := p.missTags.Ensure(missHash(prev), prev)
+		slot, _, _ := p.missTags.Ensure(missHash(prev), prev)
 		p.missNext[slot] = line
 	}
 	p.ring[p.pos] = line

@@ -65,7 +65,7 @@ func (p *MANA) lookup(line uint64) *manaRegion {
 }
 
 func (p *MANA) ensure(line uint64) *manaRegion {
-	i, fresh := p.tags.Ensure(line^line>>13, line)
+	i, fresh, _ := p.tags.Ensure(line^line>>13, line)
 	if fresh {
 		p.regions[i] = manaRegion{}
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"entangling/internal/trace"
@@ -15,7 +16,7 @@ import (
 // makes per-workload comparisons between prefetchers meaningful.
 type Walker struct {
 	prog *Program
-	rng  *rand.Rand
+	rng  pcg
 	data *dataGen
 
 	fn, blk, idx int
@@ -67,11 +68,11 @@ type frame struct {
 func NewWalker(prog *Program) *Walker {
 	w := &Walker{
 		prog:  prog,
-		rng:   rand.New(rand.NewPCG(prog.Params.Seed, 0x57A1C)),
 		data:  newDataGen(prog.Params),
 		stack: make([]frame, 0, prog.Params.MaxCallDepth+1),
 		perm:  make([]int, len(prog.Funcs)),
 	}
+	w.rng.Seed(prog.Params.Seed, 0x57A1C)
 	for i := range w.perm {
 		w.perm[i] = i
 	}
@@ -358,10 +359,10 @@ func (w *Walker) decorateMemOp(in *trace.Instruction) {
 	switch {
 	case u < p.LoadFrac:
 		in.IsLoad = true
-		in.DataAddr = w.data.next(w.rng, len(w.stack))
+		in.DataAddr = w.data.next(&w.rng, len(w.stack))
 	case u < p.LoadFrac+p.StoreFrac:
 		in.IsStore = true
-		in.DataAddr = w.data.next(w.rng, len(w.stack))
+		in.DataAddr = w.data.next(&w.rng, len(w.stack))
 	}
 }
 
@@ -421,7 +422,7 @@ func newDataGen(p Params) *dataGen {
 	}
 }
 
-func (d *dataGen) next(rng *rand.Rand, depth int) uint64 {
+func (d *dataGen) next(rng *pcg, depth int) uint64 {
 	u := rng.Float64()
 	switch {
 	case u < 0.60:
@@ -436,4 +437,33 @@ func (d *dataGen) next(rng *rand.Rand, depth int) uint64 {
 		// Occasional pointer chase over the footprint.
 		return d.heapBase + uint64(rng.Uint64()%d.heapSize)&^7
 	}
+}
+
+// pcg is the walker's random source: a concrete PCG whose Float64 and
+// IntN derive each value exactly as math/rand/v2's Rand does from the
+// same source, so the stream matches a rand.New(rand.NewPCG(...))
+// draw for draw, without an interface call per draw.
+type pcg struct{ rand.PCG }
+
+// Float64 returns a value in [0,1), as rand.(*Rand).Float64.
+func (p *pcg) Float64() float64 { return float64(p.Uint64()<<11>>11) / (1 << 53) }
+
+// IntN returns a value in [0,n), as rand.(*Rand).IntN: a mask for a
+// power of two, else Lemire's multiply with the same rejection rule.
+func (p *pcg) IntN(n int) int {
+	if n <= 0 {
+		panic("workload: IntN needs n > 0")
+	}
+	u := uint64(n)
+	if u&(u-1) == 0 {
+		return int(p.Uint64() & (u - 1))
+	}
+	hi, lo := bits.Mul64(p.Uint64(), u)
+	if lo < u {
+		thresh := -u % u
+		for lo < thresh {
+			hi, lo = bits.Mul64(p.Uint64(), u)
+		}
+	}
+	return int(hi)
 }
