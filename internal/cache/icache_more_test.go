@@ -138,7 +138,7 @@ func TestTimingCacheInflightFill(t *testing.T) {
 	if ready != 12 {
 		t.Fatalf("miss ready = %d, want 12", ready)
 	}
-	if i := l2.arr.Find(42, 42); i < 0 || l2.fillReady[i] != 11 {
+	if i := l2.tags.arr.Find(42, 42); i < 0 || l2.fillReady[i] != 11 {
 		t.Fatalf("line 42 should be installed with fillReady=11 (slot %d)", i)
 	}
 
@@ -158,7 +158,7 @@ func TestTimingCacheInflightFill(t *testing.T) {
 	if ready != 21 {
 		t.Errorf("post-fill hit ready = %d, want 21", ready)
 	}
-	if i := l2.arr.Find(42, 42); i < 0 || l2.fillReady[i] != 0 {
+	if i := l2.tags.arr.Find(42, 42); i < 0 || l2.fillReady[i] != 0 {
 		t.Errorf("line 42's fillReady should clear once the fill lands (slot %d)", i)
 	}
 	if l2.stats.MSHRMerges != 1 {

@@ -25,12 +25,19 @@ type TimingConfig struct {
 // not carry prefetcher metadata. State (tags) updates at access time;
 // the per-line fillReady keeps latency honest for accesses that race
 // an ongoing fill.
+//
+// An access is two steps. The tag step (Tags) finds the line's way or
+// installs it, and depends only on the order of the addresses. The
+// timing step (Timed) applies bandwidth, the fill-ready cycle, the
+// counters and the next level's latency. Access runs both; a level
+// built by NewTimingStage holds no tag array and runs only the timing
+// step, with a tag outcome computed ahead of it.
 type TimingCache struct {
-	cfg TimingConfig
-	arr *lru.Sets
-	// fillReady, parallel to arr's slots, is the cycle the slot's data
-	// arrives when non-zero (tags install at access time; the data may
-	// still be in flight). Storing it per slot replaces a
+	cfg  TimingConfig
+	tags Tags
+	// fillReady, parallel to the tag slots, is the cycle the slot's
+	// data arrives when non-zero (tags install at access time; the data
+	// may still be in flight). Storing it per slot replaces a
 	// lineAddr-keyed map on the hottest simulation path.
 	fillReady []uint64
 	next      Level
@@ -39,16 +46,63 @@ type TimingCache struct {
 	busyUntil uint64
 }
 
+// Tag is the tag step's outcome for one access: the way that holds
+// the line afterwards, whether the access missed (and installed the
+// line there), and whether that install replaced a valid line.
+type Tag struct {
+	Way           int
+	Miss, Evicted bool
+}
+
+// Tags is a timing level's tag array on its own. Its Ensure is the tag
+// step TimingCache.Access runs, for a caller that runs the tag step
+// over a whole address sequence ahead of the timing step.
+type Tags struct {
+	// arr is nil in a timing stage (NewTimingStage).
+	arr  *lru.Sets
+	idx  lru.Index
+	ways int
+}
+
+// NewTags returns an empty tag array of cfg's shape. It panics unless
+// cfg.Sets and cfg.Ways are positive.
+func NewTags(cfg TimingConfig) *Tags {
+	return &Tags{arr: lru.New(cfg.Sets, cfg.Ways), idx: lru.NewIndex(cfg.Sets), ways: cfg.Ways}
+}
+
+// Ensure runs the tag step of an access to lineAddr.
+func (t *Tags) Ensure(lineAddr uint64) Tag {
+	slot, miss, evicted := t.ensure(lineAddr)
+	return Tag{Way: slot - t.idx.Set(lineAddr)*t.ways, Miss: miss, Evicted: evicted}
+}
+
+// ensure finds the line's slot or, on a miss, installs the tag now
+// into the victim way, in one pass over the set.
+func (t *Tags) ensure(lineAddr uint64) (slot int, miss, evicted bool) {
+	return t.arr.Ensure(lineAddr, lineAddr)
+}
+
 // NewTimingCache builds a level backed by next.
 func NewTimingCache(cfg TimingConfig, next Level) *TimingCache {
+	c := NewTimingStage(cfg, next)
+	c.tags = *NewTags(cfg)
+	return c
+}
+
+// NewTimingStage builds a level without a tag array, for a caller
+// that runs the tag step itself (see Tags): it serves Timed, and
+// Access panics. It panics unless cfg.Sets and cfg.Ways are positive.
+func NewTimingStage(cfg TimingConfig, next Level) *TimingCache {
 	if next == nil {
 		panic("cache: TimingCache needs a next level")
 	}
-	arr := lru.New(cfg.Sets, cfg.Ways)
+	if cfg.Sets <= 0 || cfg.Ways <= 0 {
+		panic("cache: sets and ways must be positive")
+	}
 	return &TimingCache{
 		cfg:       cfg,
-		arr:       arr,
-		fillReady: make([]uint64, arr.Len()),
+		tags:      Tags{idx: lru.NewIndex(cfg.Sets), ways: cfg.Ways},
+		fillReady: make([]uint64, cfg.Sets*cfg.Ways),
 		next:      next,
 	}
 }
@@ -59,8 +113,23 @@ func (c *TimingCache) Stats() *Stats { return &c.stats }
 // Name returns the configured level name.
 func (c *TimingCache) Name() string { return c.cfg.Name }
 
-// Access implements Level.
+// Access implements Level: the tag step, then the timing step.
 func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 {
+	slot, miss, evicted := c.tags.ensure(lineAddr)
+	return c.timed(now, lineAddr, prefetch, slot, miss, evicted)
+}
+
+// Timed is the timing step alone of a demand access to lineAddr whose
+// tag step, run elsewhere over the same address sequence, gave t.
+func (c *TimingCache) Timed(now, lineAddr uint64, t Tag) uint64 {
+	slot := c.tags.idx.Set(lineAddr)*c.tags.ways + t.Way
+	return c.timed(now, lineAddr, false, slot, t.Miss, t.Evicted)
+}
+
+// timed is the timing step of an access whose tag step left the line
+// in slot. On a miss the slot remembers the true data-arrival time
+// (eviction discards it along with the tag).
+func (c *TimingCache) timed(now, lineAddr uint64, prefetch bool, slot int, miss, evicted bool) uint64 {
 	c.stats.Accesses++
 	c.stats.TagProbes++
 	if prefetch {
@@ -74,15 +143,11 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 	}
 	c.busyUntil = start + c.cfg.ServiceInterval
 
-	// One pass finds the hit way or, on a miss, installs the tag now
-	// into the victim way; the slot then remembers the true
-	// data-arrival time (eviction discards it along with the tag).
-	i, miss, evicted := c.arr.Ensure(lineAddr, lineAddr)
 	if !miss {
 		c.stats.Hits++
 		c.stats.Reads++
 		ready := start + c.cfg.Latency
-		if f := c.fillReady[i]; f != 0 {
+		if f := c.fillReady[slot]; f != 0 {
 			if f > now {
 				// Data still in flight from the earlier miss.
 				c.stats.MSHRMerges++
@@ -90,7 +155,7 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 					ready = f + c.cfg.Latency
 				}
 			} else {
-				c.fillReady[i] = 0
+				c.fillReady[slot] = 0
 			}
 		}
 		return ready
@@ -101,16 +166,10 @@ func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 
 		c.stats.Evictions++
 	}
 	fillReady := c.next.Access(start+c.cfg.Latency, lineAddr, prefetch)
-	c.fillReady[i] = fillReady
+	c.fillReady[slot] = fillReady
 	c.stats.Fills++
 	c.stats.Writes++
 	return fillReady + c.cfg.Latency
-}
-
-// Contains reports whether lineAddr currently has a tag in the level
-// (used by tests and the Ideal prefetcher's pollution model).
-func (c *TimingCache) Contains(lineAddr uint64) bool {
-	return c.arr.Find(lineAddr, lineAddr) >= 0
 }
 
 // DRAMConfig sizes the memory model.

@@ -200,15 +200,35 @@ func RunTrace(cfg Configuration, spec workload.Spec, tr *workload.Trace, warmup,
 // simulation loop polls ctx and abandons the run with ctx's error when
 // it fires. context.Background() keeps the uncancellable fast path.
 func RunTraceCtx(ctx context.Context, cfg Configuration, spec workload.Spec, tr *workload.Trace, warmup, measure uint64) (RunResult, error) {
-	m, err := machineFor(cfg, spec.Params.Seed)
+	mc, err := machineConfig(cfg, spec.Params.Seed)
 	if err != nil {
 		return RunResult{}, err
 	}
-	r, err := m.RunWindowsCtx(ctx, tr.Source(), warmup, measure)
+	m, r, err := runMachine(ctx, mc, tr, warmup, measure)
 	if err != nil {
 		return RunResult{}, err
 	}
 	return runResultFrom(cfg, spec, m, r), nil
+}
+
+// runMachine runs a new machine of mc over tr. The machine replays
+// the trace's presolved branch and L1D outcomes for mc, which the
+// first run over the trace that needs them builds and every later one
+// shares (see cpu.Presolve and workload.Trace.Derive).
+func runMachine(ctx context.Context, mc cpu.Config, tr *workload.Trace, warmup, measure uint64) (*cpu.Machine, cpu.Results, error) {
+	d, err := tr.Derive(mc.PresolveKey(), func() (workload.Derived, error) {
+		pre, err := cpu.Presolve(tr.Packed, mc)
+		if err != nil {
+			return nil, err
+		}
+		return pre, nil
+	})
+	if err != nil {
+		return nil, cpu.Results{}, err
+	}
+	m := cpu.New(mc)
+	r, err := m.RunPresolvedCtx(ctx, d.(*cpu.Presolved), warmup, measure)
+	return m, r, err
 }
 
 // runResultFrom packages a finished machine's results as the cell's
@@ -225,8 +245,8 @@ func runResultFrom(cfg Configuration, spec workload.Spec, m *cpu.Machine, r cpu.
 	return out
 }
 
-// machineFor assembles the simulated machine for a configuration.
-func machineFor(cfg Configuration, salt uint64) (*cpu.Machine, error) {
+// machineConfig assembles the simulated machine for a configuration.
+func machineConfig(cfg Configuration, salt uint64) (cpu.Config, error) {
 	mc := cpu.DefaultConfig()
 	if cfg.IdealL1I {
 		mc.L1I.Ideal = true
@@ -241,9 +261,9 @@ func machineFor(cfg Configuration, salt uint64) (*cpu.Machine, error) {
 	if cfg.Prefetcher != "" && cfg.Prefetcher != "no" {
 		f, err := prefetch.Lookup(cfg.Prefetcher)
 		if err != nil {
-			return nil, err
+			return cpu.Config{}, err
 		}
 		mc.Prefetcher = f
 	}
-	return cpu.New(mc), nil
+	return mc, nil
 }

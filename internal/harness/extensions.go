@@ -73,8 +73,9 @@ func ExtContextTable(s *SuiteResults) *Table {
 
 // ExtPQSweep runs the prefetch-queue sensitivity study on one srv
 // workload with the entangling-4k configuration: the trace is built
-// once and replayed for each queue size. Canceling ctx stops it, before
-// the trace is built or mid-run, with ErrCellCanceled.
+// once, with its presolved outcomes, and replayed for each queue size.
+// Canceling ctx stops it, before the trace is built or mid-run, with
+// ErrCellCanceled.
 func ExtPQSweep(ctx context.Context, warmup, measure uint64) (*Table, error) {
 	p := workload.Preset(workload.Srv)
 	p.Seed = 1
@@ -99,7 +100,7 @@ func ExtPQSweep(ctx context.Context, warmup, measure uint64) (*Table, error) {
 		cfg := cpu.DefaultConfig()
 		cfg.L1I.PQSize = pq
 		cfg.Prefetcher = pf
-		r, err := cpu.New(cfg).RunWindowsCtx(ctx, tr.Source(), warmup, measure)
+		_, r, err := runMachine(ctx, cfg, tr, warmup, measure)
 		if err != nil {
 			if cerr := canceled(ctx); cerr != nil {
 				return nil, cerr

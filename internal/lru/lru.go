@@ -33,12 +33,7 @@ package lru
 // scan would return.
 type Sets struct {
 	ways int
-	sets uint64
-	// mask is sets-1 when sets is a power of two (every shipped
-	// config), and pow2 says so; set selection is then a mask instead
-	// of a divide.
-	mask uint64
-	pow2 bool
+	idx  Index
 	keys []uint64
 	// stamps[i] is the tick of slot i's last touch; 0 marks an empty
 	// way, so a zero value needs no initialization pass.
@@ -46,6 +41,28 @@ type Sets struct {
 	// hint[s] is set s's hinted way (see the type comment).
 	hint []uint32
 	tick uint64
+}
+
+// Index selects a set from a hash h: h & (sets-1) when the set count
+// is a power of two (every shipped config), else h % sets. A caller
+// that keeps per-way data for a Sets it does not hold uses the same
+// Index to find the set.
+type Index struct {
+	sets, mask uint64
+	pow2       bool
+}
+
+// NewIndex returns the Index of sets sets.
+func NewIndex(sets int) Index {
+	return Index{sets: uint64(sets), mask: uint64(sets - 1), pow2: sets&(sets-1) == 0}
+}
+
+// Set returns the index of the set h selects.
+func (x Index) Set(h uint64) int {
+	if x.pow2 {
+		return int(h & x.mask)
+	}
+	return int(h % x.sets)
 }
 
 // New returns an empty store of sets x ways slots. It panics unless
@@ -56,9 +73,7 @@ func New(sets, ways int) *Sets {
 	}
 	return &Sets{
 		ways:   ways,
-		sets:   uint64(sets),
-		mask:   uint64(sets - 1),
-		pow2:   sets&(sets-1) == 0,
+		idx:    NewIndex(sets),
 		keys:   make([]uint64, sets*ways),
 		stamps: make([]uint64, sets*ways),
 		hint:   make([]uint32, sets),
@@ -67,14 +82,6 @@ func New(sets, ways int) *Sets {
 
 // Len returns the number of slots, the length of a payload slice.
 func (s *Sets) Len() int { return len(s.keys) }
-
-// set returns the index of the set h selects.
-func (s *Sets) set(h uint64) int {
-	if s.pow2 {
-		return int(h & s.mask)
-	}
-	return int(h % s.sets)
-}
 
 // hinted returns set's hinted slot if it holds key, else -1.
 func (s *Sets) hinted(set int, key uint64) int {
@@ -90,7 +97,7 @@ func (s *Sets) hinted(set int, key uint64) int {
 // Find returns the slot of the first way holding key in the set h
 // selects, or -1, without changing recency.
 func (s *Sets) Find(h, key uint64) int {
-	set := s.set(h)
+	set := s.idx.Set(h)
 	if i := s.hinted(set, key); i >= 0 {
 		return i
 	}
@@ -118,7 +125,7 @@ func (s *Sets) Lookup(h, key uint64) int {
 // caller must reset that slot's payload. evicted reports that the
 // insertion replaced a valid way.
 func (s *Sets) Ensure(h, key uint64) (slot int, fresh, evicted bool) {
-	set := s.set(h)
+	set := s.idx.Set(h)
 	if i := s.hinted(set, key); i >= 0 {
 		s.touch(i)
 		return i, false, false
@@ -149,7 +156,7 @@ func (s *Sets) Ensure(h, key uint64) (slot int, fresh, evicted bool) {
 // Victim returns the slot a miss in the set h selects replaces: its
 // first empty way, else its first least-recent way.
 func (s *Sets) Victim(h uint64) int {
-	b := s.set(h) * s.ways
+	b := s.idx.Set(h) * s.ways
 	v := b
 	for i, st := range s.stamps[b : b+s.ways] {
 		if st == 0 {
