@@ -145,7 +145,7 @@ func BenchmarkFig01Timeliness(b *testing.B) {
 	opt := benchOptions()
 	specs := benchSpecs()
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig01(context.Background(), specs, opt)
+		t, err := harness.Fig01(context.Background(), harness.NewResolver(opt), specs, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func BenchmarkFig02LookaheadAccuracy(b *testing.B) {
 	opt.Measure /= 2
 	specs := benchSpecs()
 	for i := 0; i < b.N; i++ {
-		t, err := harness.Fig02(context.Background(), specs, opt)
+		t, err := harness.Fig02(context.Background(), harness.NewResolver(opt), specs, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the main sweep's per-run metrics to this file (.csv for CSV, JSON otherwise)")
 
 		checkpoint = flag.String("checkpoint", "", "persist every completed sweep cell into this directory (crash-safe)")
-		resume     = flag.Bool("resume", false, "reuse valid records from -checkpoint instead of re-running their cells")
+		resume     = flag.Bool("resume", false, "read valid records from -checkpoint instead of re-running their cells")
 		progress   = flag.Bool("progress", false, "log each sweep cell's lifecycle (restore/start/finish/fail) to stderr")
 	)
 	flag.Parse()
@@ -70,6 +70,16 @@ func main() {
 		opt.Checkpoint = store
 	}
 	specs := workload.CVPSuite(*perCat)
+	// One resolver, and so one trace cache, for every sweep: a cell an
+	// earlier sweep already resolved is served from memory, not rerun.
+	res := harness.NewResolver(opt)
+	sweep := func(specs []workload.Spec, cfgs []harness.Configuration) *harness.SuiteResults {
+		s, err := res.RunSuite(ctx, specs, cfgs, opt)
+		if err != nil {
+			fatal(err)
+		}
+		return s
+	}
 
 	emit := func(t *harness.Table, key string) {
 		fmt.Println(t.String())
@@ -97,14 +107,14 @@ func main() {
 
 	// Figures 1-2: the motivation study.
 	if all || want["1"] {
-		t, err := harness.Fig01(ctx, specs, opt)
+		t, err := harness.Fig01(ctx, res, specs, opt)
 		if err != nil {
 			fatal(err)
 		}
 		emit(t, "01")
 	}
 	if all || want["2"] {
-		t, err := harness.Fig02(ctx, specs, opt)
+		t, err := harness.Fig02(ctx, res, specs, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -118,10 +128,7 @@ func main() {
 	if needMain {
 		fmt.Fprintf(os.Stderr, "running main sweep: %d workloads x %d configurations...\n",
 			len(specs), len(harness.StandardConfigurations()))
-		suite, err := harness.RunSuiteCtx(ctx, specs, harness.StandardConfigurations(), opt)
-		if err != nil {
-			fatal(err)
-		}
+		suite := sweep(specs, harness.StandardConfigurations())
 		if all || want["6"] {
 			emit(harness.Fig06(suite), "06")
 		}
@@ -157,26 +164,13 @@ func main() {
 	// Figure 11: ablation sweep.
 	if all || want["11"] {
 		fmt.Fprintln(os.Stderr, "running ablation sweep (Figure 11)...")
-		suite, err := harness.RunSuiteCtx(ctx, specs, harness.AblationConfigurations(), opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit(harness.Fig11(suite), "11")
+		emit(harness.Fig11(sweep(specs, harness.AblationConfigurations())), "11")
 	}
 
 	// Figures 12-15: Entangling-internal statistics.
 	if all || want["12"] || want["13"] || want["14"] || want["15"] {
 		fmt.Fprintln(os.Stderr, "running Entangling statistics sweep (Figures 12-15)...")
-		cfgs := []harness.Configuration{
-			harness.Baseline,
-			{Name: "entangling-2k", Prefetcher: "entangling-2k"},
-			{Name: "entangling-4k", Prefetcher: "entangling-4k"},
-			{Name: "entangling-8k", Prefetcher: "entangling-8k"},
-		}
-		suite, err := harness.RunSuiteCtx(ctx, specs, cfgs, opt)
-		if err != nil {
-			fatal(err)
-		}
+		suite := sweep(specs, harness.StatsConfigurations())
 		sizes := []string{"entangling-2k", "entangling-4k", "entangling-8k"}
 		if all || want["12"] {
 			emit(harness.Fig12(suite, "entangling-4k"), "12")
@@ -195,36 +189,20 @@ func main() {
 	// §IV-E: physical-address training.
 	if all || want["physical"] {
 		fmt.Fprintln(os.Stderr, "running physical-address sweep (Section IV-E)...")
-		suite, err := harness.RunSuiteCtx(ctx, specs, harness.PhysicalConfigurations(), opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit(harness.PhysicalTable(suite), "physical")
+		emit(harness.PhysicalTable(sweep(specs, harness.PhysicalConfigurations())), "physical")
 	}
 
 	// Extensions: split/context/PQ studies beyond the paper's figures.
 	if all || want["ext"] {
 		fmt.Fprintln(os.Stderr, "running extension sweeps (split / context / PQ)...")
-		split, err := harness.RunSuiteCtx(ctx, specs, harness.SplitConfigurations(), opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit(harness.ExtSplitTable(split), "ext-split")
-		ctxSweep, err := harness.RunSuiteCtx(ctx, specs, harness.ContextConfigurations(), opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit(harness.ExtContextTable(ctxSweep), "ext-context")
+		emit(harness.ExtSplitTable(sweep(specs, harness.SplitConfigurations())), "ext-split")
+		emit(harness.ExtContextTable(sweep(specs, harness.ContextConfigurations())), "ext-context")
 		pq, err := harness.ExtPQSweep(ctx, *warmup, *measure)
 		if err != nil {
 			fatal(err)
 		}
 		emit(pq, "ext-pq")
-		retire, err := harness.RunSuiteCtx(ctx, specs, harness.RetireConfigurations(), opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit(harness.ExtRetireTable(retire), "ext-retire")
+		emit(harness.ExtRetireTable(sweep(specs, harness.RetireConfigurations())), "ext-retire")
 	}
 
 	// Figure 16: CloudSuite.
@@ -241,11 +219,7 @@ func main() {
 			{Name: "entangling-4k", Prefetcher: "entangling-4k"},
 			{Name: "ideal", IdealL1I: true},
 		}
-		suite, err := harness.RunSuiteCtx(ctx, cloud, cfgs, opt)
-		if err != nil {
-			fatal(err)
-		}
-		emit(harness.Fig16(suite), "16")
+		emit(harness.Fig16(sweep(cloud, cfgs)), "16")
 	}
 }
 
@@ -283,6 +257,9 @@ func logProgress(ev harness.CellEvent) {
 		line = fmt.Sprintf("cell %s: FAILED: %v", cell, ev.Err)
 	case harness.CellRestored:
 		line = fmt.Sprintf("cell %s: restored from checkpoint", cell)
+		if ev.Source == harness.SourceCacheMemory {
+			line = fmt.Sprintf("cell %s: reused from an earlier sweep", cell)
+		}
 	default:
 		return
 	}

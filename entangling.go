@@ -201,11 +201,11 @@ var (
 
 // Fig01 runs its own sweep of the look-ahead oracle.
 func Fig01(specs []WorkloadSpec, opt Options) (*Table, error) {
-	return harness.Fig01(context.Background(), specs, opt)
+	return harness.Fig01(context.Background(), harness.NewResolver(opt), specs, opt)
 }
 
 // Fig02 runs its own sweep measuring the accuracy of fixed look-ahead
 // prefetching.
 func Fig02(specs []WorkloadSpec, opt Options) (*Table, error) {
-	return harness.Fig02(context.Background(), specs, opt)
+	return harness.Fig02(context.Background(), harness.NewResolver(opt), specs, opt)
 }

@@ -85,6 +85,17 @@ func PhysicalConfigurations() []Configuration {
 	}
 }
 
+// StatsConfigurations returns the Figures 12-15 lineup: the baseline
+// and the three Entangling sizes, all also in the Figure 6 lineup.
+func StatsConfigurations() []Configuration {
+	return []Configuration{
+		Baseline,
+		{Name: "entangling-2k", Prefetcher: "entangling-2k"},
+		{Name: "entangling-4k", Prefetcher: "entangling-4k"},
+		{Name: "entangling-8k", Prefetcher: "entangling-8k"},
+	}
+}
+
 // AblationConfigurations returns the Figure 11 variant matrix.
 func AblationConfigurations() []Configuration {
 	out := []Configuration{Baseline}
@@ -135,8 +146,8 @@ type Options struct {
 	// Parallelism bounds concurrent runs; below 1 it means
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// Traces, when non-nil, is a shared trace cache RunSuite draws from
-	// instead of building a private one. Drivers that run several
+	// Traces, when non-nil, is a shared trace cache the resolver draws
+	// from instead of building a private one. Drivers that run several
 	// sweeps over the same specs (benchmark iterations) pin the specs
 	// in a shared cache once so repeat sweeps skip generation.
 	Traces *workload.TraceCache
@@ -154,9 +165,10 @@ type Options struct {
 	// Checkpoint, when non-nil, persists every completed cell to the
 	// store so an interrupted sweep can be resumed.
 	Checkpoint *CheckpointStore
-	// Resume makes RunSuite consult Checkpoint before running a cell
-	// and reuse any valid record with a matching fingerprint. Corrupt
-	// records are quarantined and their cells re-run.
+	// Resume turns on the resolver's store tier: a cell whose valid
+	// record in Checkpoint matches its fingerprint is read, not run.
+	// Corrupt records are quarantined and their cells re-run; a record
+	// that cannot be read fails its cell.
 	Resume bool
 }
 

@@ -40,33 +40,33 @@ func ContextConfigurations() []Configuration {
 // ExtSplitTable renders the future-work split study from a sweep over
 // SplitConfigurations.
 func ExtSplitTable(s *SuiteResults) *Table {
-	t := &Table{
-		Title:  "Extension (§III-C3 future work): split size/pair structures",
-		Header: []string{"configuration", "storage (KB)", "geomean speedup"},
-		Note:   "split = block sizes in a dedicated table, entangled pairs in a halved table",
-	}
-	for _, cfg := range s.ConfigOrder {
-		if cfg == "no" {
-			continue
-		}
-		t.AddRow(cfg, f2(s.StorageKB(cfg)), fmt.Sprintf("%+.2f%%", (s.GeomeanSpeedup(cfg)-1)*100))
-	}
-	return t
+	return speedupTable(s, "Extension (§III-C3 future work): split size/pair structures",
+		"split = block sizes in a dedicated table, entangled pairs in a halved table", true)
 }
 
 // ExtContextTable renders the rejected context variant from a sweep
 // over ContextConfigurations.
 func ExtContextTable(s *SuiteResults) *Table {
-	t := &Table{
-		Title:  "Extension (§III-B1 rejected variant): context-replicated sources",
-		Header: []string{"configuration", "geomean speedup"},
-		Note:   "the paper reports this variant overloads the Entangled table and loses performance",
+	return speedupTable(s, "Extension (§III-B1 rejected variant): context-replicated sources",
+		"the paper reports this variant overloads the Entangled table and loses performance", false)
+}
+
+// speedupTable renders one row per configuration but the baseline:
+// its storage when storage is set, then its geomean speedup.
+func speedupTable(s *SuiteResults, title, note string, storage bool) *Table {
+	t := &Table{Title: title, Header: []string{"configuration", "geomean speedup"}, Note: note}
+	if storage {
+		t.Header = []string{"configuration", "storage (KB)", "geomean speedup"}
 	}
 	for _, cfg := range s.ConfigOrder {
 		if cfg == "no" {
 			continue
 		}
-		t.AddRow(cfg, fmt.Sprintf("%+.2f%%", (s.GeomeanSpeedup(cfg)-1)*100))
+		row := []string{cfg}
+		if storage {
+			row = append(row, f2(s.StorageKB(cfg)))
+		}
+		t.AddRow(append(row, fmt.Sprintf("%+.2f%%", (s.GeomeanSpeedup(cfg)-1)*100))...)
 	}
 	return t
 }
@@ -127,16 +127,6 @@ func RetireConfigurations() []Configuration {
 
 // ExtRetireTable renders the prefetch-on-retire study.
 func ExtRetireTable(s *SuiteResults) *Table {
-	t := &Table{
-		Title:  "Extension (§III-C1): prefetch-on-retire trigger",
-		Header: []string{"configuration", "geomean speedup"},
-		Note:   "retire-triggered prefetches can never be wrong-path; the delay costs timeliness",
-	}
-	for _, cfg := range s.ConfigOrder {
-		if cfg == "no" {
-			continue
-		}
-		t.AddRow(cfg, fmt.Sprintf("%+.2f%%", (s.GeomeanSpeedup(cfg)-1)*100))
-	}
-	return t
+	return speedupTable(s, "Extension (§III-C1): prefetch-on-retire trigger",
+		"retire-triggered prefetches can never be wrong-path; the delay costs timeliness", false)
 }

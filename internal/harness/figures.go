@@ -13,10 +13,10 @@ import (
 // Fig01 reproduces Figure 1: the fraction of L1I misses a fixed
 // look-ahead distance (in taken-branch discontinuities) would serve
 // timely, measured with the oracle on the no-prefetch baseline: one
-// sweep of the "oracle" prefetcher, which issues nothing.
-func Fig01(ctx context.Context, specs []workload.Spec, opt Options) (*Table, error) {
+// sweep of the "oracle" prefetcher, which issues nothing, through r.
+func Fig01(ctx context.Context, r *Resolver, specs []workload.Spec, opt Options) (*Table, error) {
 	cfg := Configuration{Name: "oracle", Prefetcher: "oracle"}
-	s, err := RunSuiteCtx(ctx, specs, []Configuration{cfg}, opt)
+	s, err := r.RunSuite(ctx, specs, []Configuration{cfg}, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -49,14 +49,14 @@ func Fig01(ctx context.Context, specs []workload.Spec, opt Options) (*Table, err
 
 // Fig02 reproduces Figure 2: prefetcher accuracy as the fixed
 // look-ahead distance grows, using the Markov look-ahead-d prefetcher:
-// one sweep over lookahead-1 ... lookahead-10.
-func Fig02(ctx context.Context, specs []workload.Spec, opt Options) (*Table, error) {
+// one sweep over lookahead-1 ... lookahead-10, through r.
+func Fig02(ctx context.Context, r *Resolver, specs []workload.Spec, opt Options) (*Table, error) {
 	cfgs := make([]Configuration, 10)
 	for d := range cfgs {
 		name := fmt.Sprintf("lookahead-%d", d+1)
 		cfgs[d] = Configuration{Name: name, Prefetcher: name}
 	}
-	s, err := RunSuiteCtx(ctx, specs, cfgs, opt)
+	s, err := r.RunSuite(ctx, specs, cfgs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -330,17 +330,7 @@ func entCategoryTable(s *SuiteResults, cfgs []string, title string, metric func(
 // PhysicalTable reproduces §IV-E: geomean speedup of the Entangling
 // configurations trained on physical addresses.
 func PhysicalTable(s *SuiteResults) *Table {
-	t := &Table{
-		Title:  "Section IV-E: physical-address training (geomean speedup vs physical baseline)",
-		Header: []string{"configuration", "geomean speedup"},
-	}
-	for _, cfg := range s.ConfigOrder {
-		if cfg == "no" {
-			continue
-		}
-		t.AddRow(cfg, fmt.Sprintf("%+.2f%%", (s.GeomeanSpeedup(cfg)-1)*100))
-	}
-	return t
+	return speedupTable(s, "Section IV-E: physical-address training (geomean speedup vs physical baseline)", "", false)
 }
 
 // Fig16 reproduces Figure 16: normalized IPC on the CloudSuite-like

@@ -29,7 +29,7 @@ func TestFig02ResumesFromCheckpoint(t *testing.T) {
 		mu.Unlock()
 	}
 
-	first, err := Fig02(context.Background(), specs, opt)
+	first, err := Fig02(context.Background(), NewResolver(opt), specs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFig02ResumesFromCheckpoint(t *testing.T) {
 
 	counts = map[CellEventType]int{}
 	opt.Resume = true
-	second, err := Fig02(context.Background(), specs, opt)
+	second, err := Fig02(context.Background(), NewResolver(opt), specs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFig02BuildsEachTraceOnce(t *testing.T) {
 	specs := workload.CVPSuite(1)
 	opt := metamorphicOptions()
 	opt.Traces = workload.NewTraceCache()
-	if _, err := Fig02(context.Background(), specs, opt); err != nil {
+	if _, err := Fig02(context.Background(), NewResolver(opt), specs, opt); err != nil {
 		t.Fatal(err)
 	}
 	if builds, _, resident := opt.Traces.CacheStats(); builds != uint64(len(specs)) || resident != 0 {

@@ -140,7 +140,7 @@ func TestFiguresRender(t *testing.T) {
 func TestFig01And02(t *testing.T) {
 	specs := workload.CVPSuite(1)[3:4] // one srv workload for speed
 	opt := tinyOptions()
-	f1, err := Fig01(context.Background(), specs, opt)
+	f1, err := Fig01(context.Background(), NewResolver(opt), specs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,8 @@ func TestFig01And02(t *testing.T) {
 		prev = v
 	}
 
-	f2t, err := Fig02(context.Background(), specs, Options{Warmup: 100_000, Measure: 80_000})
+	f2opt := Options{Warmup: 100_000, Measure: 80_000}
+	f2t, err := Fig02(context.Background(), NewResolver(f2opt), specs, f2opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +183,8 @@ func TestFiguresStopOnCanceledContext(t *testing.T) {
 	const warmup, measure = 1 << 40, 1 << 40
 	opt := Options{Warmup: warmup, Measure: measure}
 	for name, run := range map[string]func() error{
-		"Fig01":      func() error { _, err := Fig01(ctx, specs, opt); return err },
-		"Fig02":      func() error { _, err := Fig02(ctx, specs, opt); return err },
+		"Fig01":      func() error { _, err := Fig01(ctx, NewResolver(opt), specs, opt); return err },
+		"Fig02":      func() error { _, err := Fig02(ctx, NewResolver(opt), specs, opt); return err },
 		"ExtPQSweep": func() error { _, err := ExtPQSweep(ctx, warmup, measure); return err },
 	} {
 		done := make(chan error, 1)

@@ -14,7 +14,8 @@ import (
 // virtual-address configuration must report the same L1D hits, misses,
 // evictions and fills, the same BTB misses and the same conditional
 // accuracy, and so must every physical-address one. The L1D's counter
-// laws are checked on every cell.
+// laws, the L1I's access law and the agreement of the lifecycle
+// tracker with the L1I's prefetch counters are checked on every cell.
 func TestTraceDeterminedModelsAgree(t *testing.T) {
 	specs := []workload.Spec{
 		{Name: "srv-inv", Params: withSeed(workload.Preset(workload.Srv), 3)},
@@ -44,6 +45,18 @@ func TestTraceDeterminedModelsAgree(t *testing.T) {
 			if d.Accesses != d.Hits+d.Misses || d.Fills != d.Misses ||
 				d.TagProbes != d.Accesses || d.MSHRMerges > d.Hits {
 				t.Errorf("%s/%s: L1D counters break a law: %+v", c.Name, s.Name, d)
+			}
+			if i := r.L1I; i.Accesses != i.Hits+i.Misses {
+				t.Errorf("%s/%s: L1I accesses %d != hits %d + misses %d",
+					c.Name, s.Name, i.Accesses, i.Hits, i.Misses)
+			}
+			// The lifecycle tracker and the L1I count each prefetch
+			// outcome on their own; they must agree.
+			if l, i := r.Lifecycle, r.L1I; l.Timely != i.TimelyPrefetchHits ||
+				l.Late != i.LatePrefetches || l.EvictedUnused != i.WrongPrefetches {
+				t.Errorf("%s/%s: lifecycle timely/late/evicted-unused %d/%d/%d, L1I %d/%d/%d",
+					c.Name, s.Name, l.Timely, l.Late, l.EvictedUnused,
+					i.TimelyPrefetchHits, i.LatePrefetches, i.WrongPrefetches)
 			}
 			if d.Accesses == 0 || r.BTBMisses == 0 {
 				t.Errorf("%s/%s: the window exercised nothing: L1D %d accesses, %d BTB misses",

@@ -3,18 +3,22 @@ package harness
 import "time"
 
 // This file defines the sweep progress hook: a per-cell lifecycle
-// event stream emitted by RunSuiteCtx. cmd/paperfigs -progress and
-// the benchmark's per-cell timings consume it, so long sweeps are
-// observable while they run instead of only after they finish. Every
-// cell ends in exactly one restored, finished or failed event.
+// event stream emitted by Resolver.Resolve, and so by every sweep.
+// cmd/paperfigs -progress and the benchmark's per-cell timings consume
+// it, so long sweeps are observable while they run instead of only
+// after they finish. A cell a cache tier serves emits one
+// CellRestored carrying its Source; a cell that runs emits CellStarted,
+// then one CellFinished or CellFailed; a cell that fails before it
+// starts (canceled, or its checkpoint record unreadable) emits only
+// CellFailed.
 
 // CellEventType labels a cell lifecycle transition.
 type CellEventType string
 
 // Cell lifecycle transitions, in the order a cell can traverse them.
 const (
-	// CellRestored: the cell was served from the checkpoint store and
-	// never ran (Options.Resume).
+	// CellRestored: a cache tier served the cell (Source says which)
+	// and it never ran.
 	CellRestored CellEventType = "restored"
 	// CellStarted: the cell began running.
 	CellStarted CellEventType = "started"
@@ -36,10 +40,12 @@ type CellEvent struct {
 	Duration time.Duration
 	// Err is the *CellError of a failed event, nil otherwise.
 	Err error
+	// Source is the Source* tier of a restored or finished cell.
+	Source string
 }
 
-// ProgressFunc observes cell lifecycle transitions. RunSuiteCtx calls
-// it from its worker goroutines, so implementations must be safe for
+// ProgressFunc observes cell lifecycle transitions. A sweep calls it
+// from its worker goroutines, so implementations must be safe for
 // concurrent use and should return quickly — a slow observer stalls
 // the sweep.
 type ProgressFunc func(CellEvent)

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"entangling/internal/stats"
 	"entangling/internal/workload"
@@ -27,8 +26,10 @@ type SuiteResults struct {
 	// the sweep degraded to these named holes instead of throwing away
 	// its completed cells.
 	Failed []*CellError
-	// Restored counts cells taken from the checkpoint store instead of
-	// being re-run (0 without Options.Resume).
+	// Restored counts cells a cache tier of the resolver served
+	// instead of running them: checkpoint records under
+	// Options.Resume, and results an earlier sweep over the same
+	// Resolver produced.
 	Restored int
 }
 
@@ -73,34 +74,41 @@ func (e *CellError) Unwrap() error { return e.Err }
 func (e *CellError) Canceled() bool { return errors.Is(e.Err, ErrCellCanceled) }
 
 // RunSuite executes every configuration over every workload. See
-// RunSuiteCtx for the execution model.
+// Resolver.RunSuite for the execution model.
 func RunSuite(specs []workload.Spec, cfgs []Configuration, opt Options) (*SuiteResults, error) {
 	return RunSuiteCtx(context.Background(), specs, cfgs, opt)
 }
 
 // RunSuiteCtx executes every configuration over every workload with
-// cooperative cancellation and per-cell fault isolation.
+// cooperative cancellation and per-cell fault isolation, through a
+// resolver of its own: NewResolver(opt).RunSuite(ctx, specs, cfgs, opt).
+func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuration, opt Options) (*SuiteResults, error) {
+	return NewResolver(opt).RunSuite(ctx, specs, cfgs, opt)
+}
+
+// RunSuite resolves every configuration over every workload, with
+// opt's windows, Parallelism and Progress; the resolver's own options
+// decide the trace cache, the checkpoint store and the cell hook.
 //
-// Each workload's instruction stream is materialized once in a shared
-// trace cache and reused read-only by every configuration: the sweep
-// pays N_specs generations instead of N_cfgs x N_specs. Jobs are
-// ordered workload-major so the cells sharing a trace run close
-// together: the sweep reserves one trace use per cell to run and
-// releases it as the cell finishes, so each trace is evicted as soon
-// as its last configuration finishes and resident traces stay
-// proportional to the worker count, not the suite size.
+// Each workload's instruction stream is materialized once in the
+// resolver's trace cache and reused read-only by every configuration:
+// the sweep pays N_specs generations instead of N_cfgs x N_specs.
+// Cells are issued workload-major so the cells sharing a trace run
+// close together: the sweep reserves one trace use per cell and
+// releases it as the cell resolves, so each trace is evicted as soon
+// as its last configuration finishes, resident traces stay
+// proportional to the worker count, and a trace whose cells a cache
+// tier serves is never built.
 //
-// Every cell runs exactly once. A cell that panics or errors degrades
-// to a named *CellError in the returned partial SuiteResults — one bad
-// cell does not throw away every completed cell. Canceling ctx
-// abandons the remaining cells with ErrCellCanceled, which is
-// distinguishable from genuine failures. With Options.Checkpoint every completed cell is persisted
-// crash-safely, and Options.Resume reuses valid records so an
-// interrupted sweep re-runs only its missing cells.
+// Every cell resolves exactly once. A cell that panics or errors
+// degrades to a named *CellError in the returned partial SuiteResults
+// — one bad cell does not throw away every completed cell. Canceling
+// ctx abandons the remaining cells with ErrCellCanceled, which is
+// distinguishable from genuine failures.
 //
 // On any failure the error is non-nil and SuiteResults.Failed names
 // every unfinished cell; the completed cells in Runs remain usable.
-func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuration, opt Options) (*SuiteResults, error) {
+func (r *Resolver) RunSuite(ctx context.Context, specs []workload.Spec, cfgs []Configuration, opt Options) (*SuiteResults, error) {
 	out := &SuiteResults{Runs: make(map[string]map[string]RunResult)}
 	for _, c := range cfgs {
 		out.ConfigOrder = append(out.ConfigOrder, c.Name)
@@ -109,64 +117,18 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 	for _, s := range specs {
 		out.WorkloadOrder = append(out.WorkloadOrder, s.Name)
 	}
-
-	// Resume: restore checkpointed cells before scheduling any work, so
-	// the trace reservations below only cover cells that run.
-	restored := make(map[string]bool)
-	if opt.Checkpoint != nil && opt.Resume {
-		for _, s := range specs {
-			for _, c := range cfgs {
-				fp := CellFingerprint(c, s, opt.Warmup, opt.Measure)
-				res, ok, err := opt.Checkpoint.Load(fp, c.Name, s.Name)
-				if err != nil {
-					return out, err
-				}
-				if ok {
-					out.Runs[c.Name][s.Name] = res
-					restored[c.Name+"/"+s.Name] = true
-					out.Restored++
-					opt.Progress.emit(CellEvent{
-						Type: CellRestored, Config: c.Name, Workload: s.Name,
-					})
-				}
-			}
-		}
+	if len(cfgs) == 0 {
+		return out, nil
 	}
 
-	type job struct {
-		cfg  Configuration
-		spec workload.Spec
-	}
-	jobs := make(chan job)
-	results := make(chan RunResult, 8)
-
-	if opt.Traces == nil {
-		opt.Traces = workload.NewTraceCache()
-	}
-	// One reserved trace use per cell that will run (restored cells
-	// never touch the trace), released as each cell finishes: every
-	// trace is built once and evicted after its last cell.
+	traces := r.base.Traces
 	traceLen := opt.Warmup + opt.Measure
 	for _, s := range specs {
-		n := 0
-		for _, c := range cfgs {
-			if !restored[c.Name+"/"+s.Name] {
-				n++
-			}
-		}
-		if n > 0 {
-			opt.Traces.Reserve(s, traceLen, n)
-		}
+		traces.Reserve(s, traceLen, len(cfgs))
 	}
 
-	// Every cell failure is collected (not just the first), each as a
-	// *CellError naming its (configuration, workload) cell, so a
-	// multi-failure sweep report says exactly which cells died and why.
-	var (
-		errMu    sync.Mutex
-		cellErrs []*CellError
-	)
-
+	cells := make(chan Cell)
+	results := make(chan Resolved, 8)
 	workers := opt.Parallelism
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -176,34 +138,37 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				r, err := RunCell(ctx, j.cfg, j.spec, opt)
-				opt.Traces.Release(j.spec, traceLen)
-				if err != nil {
-					errMu.Lock()
-					cellErrs = append(cellErrs, err)
-					errMu.Unlock()
-					continue
-				}
-				results <- r
+			for c := range cells {
+				res := r.Resolve(ctx, c, opt.Progress)
+				traces.Release(c.Workload, traceLen)
+				results <- res
 			}
 		}()
 	}
 	go func() {
 		for _, s := range specs {
 			for _, c := range cfgs {
-				if restored[c.Name+"/"+s.Name] {
-					continue
-				}
-				jobs <- job{cfg: c, spec: s}
+				cells <- Cell{Config: c, Workload: s, Warmup: opt.Warmup, Measure: opt.Measure}
 			}
 		}
-		close(jobs)
+		close(cells)
 		wg.Wait()
 		close(results)
 	}()
-	for r := range results {
-		out.Runs[r.Config][r.Workload] = r
+
+	// Every cell failure is collected (not just the first), each as a
+	// *CellError naming its (configuration, workload) cell, so a
+	// multi-failure sweep report says exactly which cells died and why.
+	var cellErrs []*CellError
+	for res := range results {
+		if res.Err != nil {
+			cellErrs = append(cellErrs, res.Err)
+			continue
+		}
+		if res.Source == SourceCacheMemory || res.Source == SourceCacheStore {
+			out.Restored++
+		}
+		out.Runs[res.Result.Config][res.Result.Workload] = res.Result
 	}
 	if len(cellErrs) > 0 {
 		// Worker scheduling is nondeterministic; sort so the combined
@@ -226,24 +191,18 @@ func RunSuiteCtx(ctx context.Context, specs []workload.Spec, cfgs []Configuratio
 // from opt.Traces (with panic recovery), then checkpointing of its
 // result. The returned *CellError (nil on success) carries the cell
 // name and the cause. A failed cell is not re-run: the simulation is
-// deterministic, so it would fail again the same way. RunCell takes no
-// trace reference; a caller running several cells over one trace
-// Reserves them in opt.Traces first (see workload.TraceCache). With a
-// nil opt.Traces the trace is built for this cell alone.
+// deterministic, so it would fail again the same way. RunCell emits
+// no progress events (Resolver.Resolve does) and takes no trace
+// reference; a caller running several cells over one trace Reserves
+// them in opt.Traces first (see workload.TraceCache). With a nil
+// opt.Traces the trace is built for this cell alone.
 func RunCell(ctx context.Context, cfg Configuration, spec workload.Spec, opt Options) (RunResult, *CellError) {
-	start := time.Now()
 	fail := func(err error) (RunResult, *CellError) {
-		cerr := &CellError{Config: cfg.Name, Workload: spec.Name, Err: err}
-		opt.Progress.emit(CellEvent{
-			Type: CellFailed, Config: cfg.Name, Workload: spec.Name,
-			Duration: time.Since(start), Err: cerr,
-		})
-		return RunResult{}, cerr
+		return RunResult{}, &CellError{Config: cfg.Name, Workload: spec.Name, Err: err}
 	}
 	if err := canceled(ctx); err != nil {
 		return fail(err)
 	}
-	opt.Progress.emit(CellEvent{Type: CellStarted, Config: cfg.Name, Workload: spec.Name})
 	res, err := execCell(ctx, cfg, spec, opt)
 	if err != nil {
 		return fail(err)
@@ -262,10 +221,6 @@ func RunCell(ctx context.Context, cfg Configuration, spec workload.Spec, opt Opt
 			return fail(fmt.Errorf("checkpointing result: %w", serr))
 		}
 	}
-	opt.Progress.emit(CellEvent{
-		Type: CellFinished, Config: cfg.Name, Workload: spec.Name,
-		Duration: time.Since(start),
-	})
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -212,17 +213,49 @@ func TestFig11RowShape(t *testing.T) {
 	}
 }
 
+// TestPhysicalTableSkipsBaseline holds the four speedup renderers
+// (the §IV-E table and the three extension tables) to their rows over
+// one hand-built sweep: the baseline row is skipped, and the geomean
+// speedup is signed.
 func TestPhysicalTableSkipsBaseline(t *testing.T) {
 	s := &SuiteResults{
-		Runs: map[string]map[string]RunResult{
-			"no": {"w": {}}, "p": {"w": {}},
-		},
-		ConfigOrder:   []string{"no", "p"},
-		WorkloadOrder: []string{"w"},
+		Runs:          map[string]map[string]RunResult{},
+		ConfigOrder:   []string{"no", "up", "down"},
+		WorkloadOrder: []string{"a", "b"},
 	}
-	tab := PhysicalTable(s)
-	if len(tab.Rows) != 1 || tab.Rows[0][0] != "p" {
-		t.Errorf("PhysicalTable rows: %v", tab.Rows)
+	for cfg, ipc := range map[string][2]float64{"no": {1, 2}, "up": {1.21, 2}, "down": {0.81, 2}} {
+		s.Runs[cfg] = map[string]RunResult{}
+		for i, wl := range s.WorkloadOrder {
+			r := RunResult{Config: cfg, Workload: wl}
+			r.R.IPC = ipc[i]
+			if cfg == "up" {
+				r.R.StorageBits = 8 * 1024 * 16 // 16 KB
+			}
+			s.Runs[cfg][wl] = r
+		}
+	}
+	// Geomeans of (1.21, 1) and (0.81, 1): 1.1 and 0.9.
+	speedups := [][]string{{"up", "+10.00%"}, {"down", "-10.00%"}}
+	withStorage := [][]string{{"up", "16.00", "+10.00%"}, {"down", "0.00", "-10.00%"}}
+	for _, tc := range []struct {
+		name   string
+		render func(*SuiteResults) *Table
+		rows   [][]string
+	}{
+		{"PhysicalTable", PhysicalTable, speedups},
+		{"ExtSplitTable", ExtSplitTable, withStorage},
+		{"ExtContextTable", ExtContextTable, speedups},
+		{"ExtRetireTable", ExtRetireTable, speedups},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := tc.render(s)
+			if !reflect.DeepEqual(tab.Rows, tc.rows) {
+				t.Errorf("rows %v, want %v", tab.Rows, tc.rows)
+			}
+			if len(tab.Header) != len(tc.rows[0]) {
+				t.Errorf("header %v does not fit rows of %d cells", tab.Header, len(tc.rows[0]))
+			}
+		})
 	}
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"sync"
+
+	"entangling/internal/harness"
 )
 
 // This file implements the per-job progress log behind the SSE
@@ -23,12 +25,13 @@ const (
 	EventJobDone      = "job.done"
 )
 
-// Cell result sources: how a finished cell's result was obtained.
+// Cell result sources: which tier of the server's harness.Resolver
+// produced a finished cell's result.
 const (
-	SourceSimulated   = "simulated"    // this server ran the simulation
-	SourceCacheMemory = "cache-memory" // in-process result cache hit
-	SourceCacheStore  = "cache-store"  // restored from the checkpoint store
-	SourceShared      = "shared"       // joined another job's in-flight resolution
+	SourceSimulated   = harness.SourceSimulated   // this server ran the simulation
+	SourceCacheMemory = harness.SourceCacheMemory // in-process result cache hit
+	SourceCacheStore  = harness.SourceCacheStore  // restored from the checkpoint store
+	SourceShared      = harness.SourceShared      // joined another job's in-flight resolution
 )
 
 // Event is one progress record of a job, serialized as the SSE data

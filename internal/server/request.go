@@ -41,8 +41,6 @@ type jobSpec struct {
 	specs   []workload.Spec
 	warmup  uint64
 	measure uint64
-	// fingerprints[cfg.Name][spec.Name], precomputed once.
-	fingerprints map[string]map[string]string
 }
 
 func (j *jobSpec) cellCount() int { return len(j.cfgs) * len(j.specs) }
@@ -125,12 +123,7 @@ func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells in
 		return nil, fmt.Errorf("job request: %d cells exceed the per-job limit of %d", cells, maxCells)
 	}
 
-	js := &jobSpec{
-		req:          req,
-		warmup:       req.Warmup,
-		measure:      req.Measure,
-		fingerprints: make(map[string]map[string]string, len(req.Configurations)),
-	}
+	js := &jobSpec{req: req, warmup: req.Warmup, measure: req.Measure}
 	seenCfg := make(map[string]bool, len(req.Configurations))
 	for _, name := range req.Configurations {
 		if seenCfg[name] {
@@ -169,13 +162,6 @@ func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells in
 		}
 		js.specs = append(js.specs, s)
 	}
-	for _, c := range js.cfgs {
-		per := make(map[string]string, len(js.specs))
-		for _, s := range js.specs {
-			per[s.Name] = harness.CellFingerprint(c, s, js.warmup, js.measure)
-		}
-		js.fingerprints[c.Name] = per
-	}
 	js.id = js.computeID()
 	return js, nil
 }
@@ -194,7 +180,7 @@ func (j *jobSpec) computeID() string {
 	h.Write(w[:])
 	for _, c := range j.cfgs {
 		for _, s := range j.specs {
-			io.WriteString(h, j.fingerprints[c.Name][s.Name])
+			io.WriteString(h, harness.CellFingerprint(c, s, j.warmup, j.measure))
 			h.Write([]byte{0})
 		}
 	}

@@ -1,10 +1,10 @@
 // Package server turns the batch evaluation harness into a long-lived
 // simulation service: an HTTP/JSON API that accepts {configurations x
-// workloads x windows} sweep jobs, executes their cells through
-// harness.RunCell on a bounded worker pool, streams per-cell
-// progress over SSE, and answers repeat work from a content-addressed
-// result cache (in-process + the durable checkpoint store) with
-// singleflight deduplication — identical cells submitted by any
+// workloads x windows} sweep jobs, resolves their cells through one
+// harness.Resolver on a bounded worker pool, and streams per-cell
+// progress over SSE. The resolver answers repeat work from its
+// content-addressed tiers (in-process + the durable checkpoint store)
+// with singleflight deduplication — identical cells submitted by any
 // number of concurrent clients simulate exactly once. Admission is
 // bounded (429 + Retry-After when the queue is full) and shutdown is
 // a graceful drain: stop admitting, let in-flight cells finish and
@@ -158,7 +158,7 @@ type Server struct {
 	reg      *registries
 	traces   *workload.TraceCache
 	tstore   *trace.Store // uploaded traces; nil when TraceDir unset
-	resolver *resolver
+	resolver *harness.Resolver
 	stats    counters
 
 	// tenants is the auth/quota table; nil means the server runs
@@ -185,6 +185,12 @@ type Server struct {
 // New builds a Server (opening the checkpoint store when configured)
 // without starting its workers; call Start, or let Run do it.
 func New(cfg Config) (*Server, error) {
+	return newServer(cfg, nil)
+}
+
+// newServer is New with hook as the CellHook of every cell the server
+// simulates (fault injection in tests: no job request can carry one).
+func newServer(cfg Config, hook func(config, workload string) error) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
@@ -215,7 +221,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
-	s.resolver = newResolver(harness.Options{Traces: s.traces, Checkpoint: store})
+	s.resolver = harness.NewResolver(harness.Options{
+		Traces: s.traces, Checkpoint: store, Resume: true, CellHook: hook,
+	})
 	return s, nil
 }
 
@@ -314,13 +322,9 @@ func (s *Server) runJob(j *job) {
 func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec) {
 	j.log.append(Event{Type: EventCellStarted, Config: cfg.Name, Workload: spec.Name})
 	start := time.Now()
-	out := s.resolver.resolve(j.ctx, cellSpec{
-		Config:      cfg,
-		Workload:    spec,
-		Warmup:      j.spec.warmup,
-		Measure:     j.spec.measure,
-		Fingerprint: j.spec.fingerprints[cfg.Name][spec.Name],
-	})
+	out := s.resolver.Resolve(j.ctx, harness.Cell{
+		Config: cfg, Workload: spec, Warmup: j.spec.warmup, Measure: j.spec.measure,
+	}, nil)
 	elapsed := time.Since(start).Milliseconds()
 	if out.Err != nil {
 		s.stats.inc(&s.stats.cellsFailed)

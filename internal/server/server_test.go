@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -59,12 +60,10 @@ func startHookedTestServer(t *testing.T, cfg Config, hook func(config, workload 
 	t.Helper()
 	leakcheck.Check(t)
 	cfg.Logf = t.Logf
-	s, err := New(cfg)
+	s, err := newServer(cfg, hook)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	// Set before Start, so no worker can observe the write.
-	s.resolver.base.CellHook = hook
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -780,6 +779,48 @@ func TestServerWarmRestartServesFromCheckpoints(t *testing.T) {
 	if doc2.MetricsSHA256 != doc1.MetricsSHA256 {
 		t.Fatalf("restart changed the metrics fingerprint: %s vs %s",
 			doc2.MetricsSHA256, doc1.MetricsSHA256)
+	}
+}
+
+// TestServerUnreadableRecordFailsItsCell: a checkpoint record that
+// cannot be read (a directory sitting at <fp>.ckpt) fails its cell
+// without simulating it, naming the read; the job's other cell
+// completes, so the job ends degraded.
+func TestServerUnreadableRecordFailsItsCell(t *testing.T) {
+	cfg := testConfig()
+	cfg.CheckpointDir = t.TempDir()
+	var mu sync.Mutex
+	ran := map[string]int{}
+	s, ts := startHookedTestServer(t, cfg, func(config, wl string) error {
+		mu.Lock()
+		ran[config+"/"+wl]++
+		mu.Unlock()
+		return nil
+	})
+	fp := harness.CellFingerprint(s.reg.cfgs["nextline"], s.reg.specs["crypto-00"], testWarmup, testMeasure)
+	if err := os.Mkdir(filepath.Join(cfg.CheckpointDir, fp+".ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	sr := submitOK(t, ts, JobRequest{
+		Configurations: []string{"no", "nextline"},
+		Workloads:      []string{"crypto-00"},
+		Warmup:         testWarmup,
+		Measure:        testMeasure,
+	})
+	doc, _ := waitResult(t, ts, sr.ID)
+	if doc.State != StateDegraded || doc.Cells.Simulated != 1 || len(doc.FailedCells) != 1 {
+		t.Fatalf("job ended %q with cells %+v, failed %+v; want degraded, 1 simulated, 1 failed",
+			doc.State, doc.Cells, doc.FailedCells)
+	}
+	if f := doc.FailedCells[0]; f.Config != "nextline" || f.Workload != "crypto-00" ||
+		f.Canceled || !strings.Contains(f.Error, "loading checkpoint") {
+		t.Errorf("failed cell %+v, want nextline/crypto-00 failing on its record's read", f)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ran["nextline/crypto-00"] != 0 || ran["no/crypto-00"] != 1 {
+		t.Errorf("cells ran %v, want only no/crypto-00, once", ran)
 	}
 }
 
