@@ -4,9 +4,10 @@ import "time"
 
 // This file defines the sweep progress hook: a per-cell lifecycle
 // event stream emitted by Resolver.Resolve, and so by every sweep.
-// cmd/paperfigs -progress and the benchmark's per-cell timings consume
-// it, so long sweeps are observable while they run instead of only
-// after they finish. A cell a cache tier serves emits one
+// cmd/paperfigs -progress, the benchmark's per-cell timings and the job
+// server (each job's SSE events and cell counts) consume it, so long
+// sweeps are observable while they run instead of only after they
+// finish. A cell a cache tier serves emits one
 // CellRestored carrying its Source; a cell that runs emits CellStarted,
 // then one CellFinished or CellFailed; a cell that fails before it
 // starts (canceled, or its checkpoint record unreadable) emits only

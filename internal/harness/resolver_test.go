@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"entangling/internal/workload"
 )
@@ -153,5 +155,205 @@ func TestUnreadableRecordFailsItsCell(t *testing.T) {
 				t.Errorf("cell %s/%s: has result %v", c.Name, sp.Name, ok)
 			}
 		}
+	}
+}
+
+// cellLog records one sweep's progress events.
+type cellLog struct {
+	mu  sync.Mutex
+	evs []CellEvent
+}
+
+func (l *cellLog) observe(ev CellEvent) {
+	l.mu.Lock()
+	l.evs = append(l.evs, ev)
+	l.mu.Unlock()
+}
+
+// startedBoth reports whether both sweeps have started the same cell.
+func startedBoth(a, b *cellLog) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, ea := range a.evs {
+		for _, eb := range b.evs {
+			if ea.Type == CellStarted && eb.Type == CellStarted &&
+				ea.Config == eb.Config && ea.Workload == eb.Workload {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// tally checks the property a progress consumer counts cells by (the
+// job server's SSE stream and cell counts): each of the sweep's cells
+// gets exactly one CellRestored, CellFinished or CellFailed, and at
+// most one CellStarted, before it. It returns the events counted by
+// type and source, as "type" or "type/source".
+func (l *cellLog) tally(t *testing.T, cells int) map[string]int {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := map[string]int{}
+	started := map[[2]string]int{}
+	ended := map[[2]string]int{}
+	for _, ev := range l.evs {
+		key := string(ev.Type)
+		if ev.Source != "" {
+			key += "/" + ev.Source
+		}
+		out[key]++
+		cell := [2]string{ev.Config, ev.Workload}
+		if ended[cell] > 0 {
+			t.Errorf("cell %v: %s after its terminal event", cell, ev.Type)
+		}
+		if ev.Type == CellStarted {
+			if started[cell]++; started[cell] > 1 {
+				t.Errorf("cell %v started twice", cell)
+			}
+		} else {
+			ended[cell]++
+		}
+	}
+	if len(ended) != cells || out["restored/"+SourceCacheMemory]+out["restored/"+SourceCacheStore]+
+		out["finished/"+SourceSimulated]+out["finished/"+SourceShared]+out["failed"] != cells {
+		t.Errorf("terminal events %v over %d cells, want one for each of %d cells", out, len(ended), cells)
+	}
+	return out
+}
+
+// TestRunSuiteEventsAccountForEveryCell: however a cell resolves, a
+// sweep's terminal events number its cells and no cell starts twice.
+func TestRunSuiteEventsAccountForEveryCell(t *testing.T) {
+	specs := workload.CVPSuite(1)[:2]
+	cfgs := []Configuration{Baseline, {Name: "nextline", Prefetcher: "nextline"}}
+	n := len(specs) * len(cfgs)
+	opt := Options{Warmup: 20_000, Measure: 10_000, Parallelism: 2}
+	sweep := func(r *Resolver, ctx context.Context) *cellLog {
+		l := &cellLog{}
+		o := opt
+		o.Progress = l.observe
+		r.RunSuite(ctx, specs, cfgs, o)
+		return l
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cases := []struct {
+		name string
+		// run runs the case's sweeps and returns their logs.
+		run func(t *testing.T) []*cellLog
+		// want holds each sweep's tally; nil skips the comparison.
+		want []map[string]int
+		// wantShared asks for a cell that joined another's flight.
+		wantShared bool
+	}{
+		{
+			name: "fresh",
+			run: func(t *testing.T) []*cellLog {
+				return []*cellLog{sweep(NewResolver(opt), context.Background())}
+			},
+			want: []map[string]int{{"started": n, "finished/simulated": n}},
+		},
+		{
+			name: "memory tier",
+			run: func(t *testing.T) []*cellLog {
+				r := NewResolver(opt)
+				return []*cellLog{sweep(r, context.Background()), sweep(r, context.Background())}
+			},
+			want: []map[string]int{
+				{"started": n, "finished/simulated": n},
+				{"restored/cache-memory": n},
+			},
+		},
+		{
+			name: "store tier",
+			run: func(t *testing.T) []*cellLog {
+				store, err := OpenCheckpointStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := opt
+				o.Checkpoint = store
+				first := sweep(NewResolver(o), context.Background())
+				o.Resume = true
+				return []*cellLog{first, sweep(NewResolver(o), context.Background())}
+			},
+			want: []map[string]int{
+				{"started": n, "finished/simulated": n},
+				{"restored/cache-store": n},
+			},
+		},
+		{
+			name: "pre-canceled",
+			run: func(t *testing.T) []*cellLog {
+				return []*cellLog{sweep(NewResolver(opt), canceled)}
+			},
+			want: []map[string]int{{"failed": n}},
+		},
+		{
+			name: "hook-failed cell",
+			run: func(t *testing.T) []*cellLog {
+				o := opt
+				o.CellHook = func(config, wl string) error {
+					if config == "nextline" && wl == specs[0].Name {
+						return errors.New("injected")
+					}
+					return nil
+				}
+				return []*cellLog{sweep(NewResolver(o), context.Background())}
+			},
+			want: []map[string]int{{"started": n, "finished/simulated": n - 1, "failed": 1}},
+		},
+		{
+			// Every run waits in its hook until both sweeps started
+			// one cell, so the second of them joins the first's flight.
+			name: "shared flights",
+			run: func(t *testing.T) []*cellLog {
+				release := make(chan struct{})
+				o := opt
+				o.CellHook = func(string, string) error { <-release; return nil }
+				r := NewResolver(o)
+				a, b := &cellLog{}, &cellLog{}
+				var wg sync.WaitGroup
+				for _, l := range []*cellLog{a, b} {
+					wg.Add(1)
+					go func(l *cellLog) {
+						defer wg.Done()
+						o := opt
+						o.Progress = l.observe
+						r.RunSuite(context.Background(), specs, cfgs, o)
+					}(l)
+				}
+				for deadline := time.Now().Add(10 * time.Second); !startedBoth(a, b); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						close(release)
+						wg.Wait()
+						t.Fatal("the two sweeps never started one cell together")
+					}
+				}
+				close(release)
+				wg.Wait()
+				return []*cellLog{a, b}
+			},
+			wantShared: true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			shared := 0
+			for i, l := range tc.run(t) {
+				got := l.tally(t, n)
+				shared += got["finished/"+SourceShared]
+				if tc.want != nil && !maps.Equal(got, tc.want[i]) {
+					t.Errorf("sweep %d: events %v, want %v", i, got, tc.want[i])
+				}
+			}
+			if tc.wantShared && shared == 0 {
+				t.Error("no cell joined another sweep's flight")
+			}
+		})
 	}
 }

@@ -103,11 +103,9 @@ type job struct {
 	// countTerminal.
 	payer *tenantState
 
-	mu      sync.Mutex
-	state   string
-	counts  CellCounts
-	results map[string]map[string]harness.RunResult
-	failed  []FailedCell
+	mu     sync.Mutex
+	state  string
+	counts CellCounts
 	// owners are the tenants allowed to read and cancel this job: the
 	// submitter plus every tenant whose identical submission deduped
 	// onto it. Empty in open mode.
@@ -121,18 +119,14 @@ type job struct {
 func newJob(spec *jobSpec) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
-		spec:    spec,
-		log:     newEventLog(),
-		ctx:     ctx,
-		cancel:  cancel,
-		state:   StateQueued,
-		results: make(map[string]map[string]harness.RunResult, len(spec.cfgs)),
-		done:    make(chan struct{}),
+		spec:   spec,
+		log:    newEventLog(),
+		ctx:    ctx,
+		cancel: cancel,
+		state:  StateQueued,
+		done:   make(chan struct{}),
 	}
 	j.counts.Total = spec.cellCount()
-	for _, c := range spec.cfgs {
-		j.results[c.Name] = make(map[string]harness.RunResult, len(spec.specs))
-	}
 	j.log.append(Event{Type: EventJobQueued, Total: j.counts.Total})
 	return j
 }
@@ -197,54 +191,27 @@ func (j *job) start() bool {
 	return true
 }
 
-// recordResult stores one completed cell and emits its event.
-func (j *job) recordResult(r harness.RunResult, source string, elapsedMS int64) {
-	j.mu.Lock()
-	j.results[r.Config][r.Workload] = r
-	j.counts.Done++
-	switch source {
-	case SourceSimulated:
-		j.counts.Simulated++
-	case SourceCacheMemory:
-		j.counts.CacheMemory++
-	case SourceCacheStore:
-		j.counts.CacheStore++
-	case SourceShared:
-		j.counts.Shared++
-	}
-	done, total := j.counts.Done, j.counts.Total
-	j.mu.Unlock()
-	j.log.append(Event{
-		Type: EventCellFinished, Config: r.Config, Workload: r.Workload,
-		Source: source, ElapsedMS: elapsedMS, Done: done, Total: total,
-	})
-}
-
-// recordFailure stores one failed cell and emits its event.
-func (j *job) recordFailure(cerr *harness.CellError, elapsedMS int64) {
-	fc := FailedCell{
-		Config:   cerr.Config,
-		Workload: cerr.Workload,
-		Error:    cerr.Error(),
-		Canceled: cerr.Canceled(),
-	}
-	j.mu.Lock()
-	j.failed = append(j.failed, fc)
-	j.counts.Done++
-	j.counts.Failed++
-	done, total := j.counts.Done, j.counts.Total
-	j.mu.Unlock()
-	j.log.append(Event{
-		Type: EventCellFailed, Config: fc.Config, Workload: fc.Workload,
-		Error: fc.Error, ElapsedMS: elapsedMS,
-		Done: done, Total: total,
-	})
-}
-
-// finalize computes the terminal state, renders the result document,
+// finalize computes the terminal state, renders the result document
+// from the job's sweep (nil for a job that never ran: an empty sweep),
 // and closes the event log. Idempotent: only the first call decides
 // (and reports true); racing calls are no-ops.
-func (j *job) finalize() bool {
+func (j *job) finalize(res *harness.SuiteResults) bool {
+	if res == nil {
+		res = &harness.SuiteResults{}
+	}
+	// SuiteResults.Failed is sorted, so a degraded job renders the
+	// same bytes whatever order its cells failed in.
+	var failed []FailedCell
+	allCanceled := len(res.Failed) > 0
+	for _, cerr := range res.Failed {
+		failed = append(failed, FailedCell{
+			Config: cerr.Config, Workload: cerr.Workload,
+			Error: cerr.Error(), Canceled: cerr.Canceled(),
+		})
+		allCanceled = allCanceled && cerr.Canceled()
+	}
+	metrics, sha := harness.MetricsFingerprint(res.Metrics())
+
 	j.mu.Lock()
 	if terminalState(j.state) {
 		j.mu.Unlock()
@@ -256,7 +223,7 @@ func (j *job) finalize() bool {
 		// Canceled with cells never attempted (queued jobs, drain).
 		state = StateCanceled
 	case j.counts.Failed == 0:
-	case j.allFailuresCanceled():
+	case allCanceled:
 		state = StateCanceled
 	case j.counts.Failed == j.counts.Total:
 		state = StateFailed
@@ -265,12 +232,11 @@ func (j *job) finalize() bool {
 	}
 	j.state = state
 
-	metrics, sha := j.metricsLocked()
 	doc := ResultDoc{
 		ID:            j.spec.id,
 		State:         state,
 		Cells:         j.counts,
-		FailedCells:   j.failed,
+		FailedCells:   failed,
 		MetricsSHA256: sha,
 		Metrics:       json.RawMessage(metrics),
 	}
@@ -287,30 +253,6 @@ func (j *job) finalize() bool {
 	close(j.done)
 	j.cancel()
 	return true
-}
-
-func (j *job) allFailuresCanceled() bool {
-	for _, f := range j.failed {
-		if !f.Canceled {
-			return false
-		}
-	}
-	return len(j.failed) > 0
-}
-
-// metricsLocked renders the completed cells exactly as a locally-run
-// sweep of the same cells exports: same SuiteResults assembly, same
-// deterministic ordering, so the bytes (and their SHA-256) are
-// comparable across transports.
-func (j *job) metricsLocked() (export []byte, sha string) {
-	s := &harness.SuiteResults{Runs: j.results}
-	for _, c := range j.spec.cfgs {
-		s.ConfigOrder = append(s.ConfigOrder, c.Name)
-	}
-	for _, w := range j.spec.specs {
-		s.WorkloadOrder = append(s.WorkloadOrder, w.Name)
-	}
-	return harness.MetricsFingerprint(s.Metrics())
 }
 
 // status snapshots the job for GET /v1/jobs/{id}.

@@ -1,14 +1,14 @@
 // Package server turns the batch evaluation harness into a long-lived
 // simulation service: an HTTP/JSON API that accepts {configurations x
-// workloads x windows} sweep jobs, resolves their cells through one
-// harness.Resolver on a bounded worker pool, and streams per-cell
-// progress over SSE. The resolver answers repeat work from its
-// content-addressed tiers (in-process + the durable checkpoint store)
-// with singleflight deduplication — identical cells submitted by any
-// number of concurrent clients simulate exactly once. Admission is
-// bounded (429 + Retry-After when the queue is full) and shutdown is
-// a graceful drain: stop admitting, let in-flight cells finish and
-// checkpoint, then exit cleanly.
+// workloads x windows} sweep jobs, runs each job on a bounded worker
+// pool as one RunSuite of a harness.Resolver shared by every job, and
+// streams per-cell progress over SSE. The resolver answers repeat
+// work from its content-addressed tiers (in-process + the durable
+// checkpoint store) with singleflight deduplication — identical cells
+// submitted by any number of concurrent clients simulate exactly
+// once. Admission is bounded (429 + Retry-After when the queue is
+// full) and shutdown is a graceful drain: stop admitting, let
+// in-flight cells finish and checkpoint, then exit cleanly.
 package server
 
 import (
@@ -250,7 +250,7 @@ func (s *Server) worker() {
 			// Drain: jobs still queued are finalized as canceled
 			// rather than silently forgotten.
 			j.cancel()
-			if j.finalize() {
+			if j.finalize(nil) {
 				s.countTerminal(j)
 			}
 			continue
@@ -267,47 +267,20 @@ func (s *Server) setRunning(d int) {
 	s.mu.Unlock()
 }
 
-// runJob resolves every cell of the job — workload-major, so cells
-// sharing a trace run close together — with bounded parallelism. The
-// job reserves one trace use per cell up front and releases one as
-// each cell finishes, so it pays one materialization per workload no
-// matter how its cells interleave or where their results come from.
+// runJob resolves the job's cells as one Resolver.RunSuite, which
+// holds the trace-lifetime rule (one reserved trace use per cell,
+// released as the cell resolves) and the cell order. Its error only
+// restates SuiteResults.Failed, which finalize renders.
 func (s *Server) runJob(j *job) {
 	if !j.start() {
 		// Canceled while queued; already finalized by the cancel path.
 		return
 	}
-
-	type cellJob struct {
-		cfg  harness.Configuration
-		spec workload.Spec
-	}
-	var cells []cellJob
-	for _, spec := range j.spec.specs {
-		for _, cfg := range j.spec.cfgs {
-			cells = append(cells, cellJob{cfg: cfg, spec: spec})
-		}
-	}
-
-	traceLen := j.spec.traceLen()
-	for _, spec := range j.spec.specs {
-		s.traces.Reserve(spec, traceLen, len(j.spec.cfgs))
-	}
-
-	sem := make(chan struct{}, s.cfg.CellParallelism)
-	var wg sync.WaitGroup
-	for _, c := range cells {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(c cellJob) {
-			defer func() { <-sem; wg.Done() }()
-			s.runCell(j, c.cfg, c.spec)
-			s.traces.Release(c.spec, traceLen)
-		}(c)
-	}
-	wg.Wait()
-
-	if j.finalize() {
+	res, _ := s.resolver.RunSuite(j.ctx, j.spec.specs, j.spec.cfgs, harness.Options{
+		Warmup: j.spec.warmup, Measure: j.spec.measure,
+		Parallelism: s.cfg.CellParallelism, Progress: s.observe(j),
+	})
+	if j.finalize(res) {
 		s.countTerminal(j)
 	}
 	doc := j.status()
@@ -317,35 +290,50 @@ func (s *Server) runJob(j *job) {
 		doc.Cells.Shared, doc.Cells.Failed)
 }
 
-// runCell resolves one cell through the resolver and records the
-// outcome on the job.
-func (s *Server) runCell(j *job, cfg harness.Configuration, spec workload.Spec) {
-	j.log.append(Event{Type: EventCellStarted, Config: cfg.Name, Workload: spec.Name})
-	start := time.Now()
-	out := s.resolver.Resolve(j.ctx, harness.Cell{
-		Config: cfg, Workload: spec, Warmup: j.spec.warmup, Measure: j.spec.measure,
-	}, nil)
-	elapsed := time.Since(start).Milliseconds()
-	if out.Err != nil {
-		s.stats.inc(&s.stats.cellsFailed)
-		j.recordFailure(out.Err, elapsed)
-		return
-	}
-	s.countSource(out.Source)
-	j.recordResult(out.Result, out.Source, elapsed)
-}
-
-// countSource bumps the provenance counter for a resolved cell.
-func (s *Server) countSource(source string) {
-	switch source {
-	case SourceSimulated:
-		s.stats.inc(&s.stats.cellsSimulated)
-	case SourceCacheMemory:
-		s.stats.inc(&s.stats.cellsCacheMemory)
-	case SourceCacheStore:
-		s.stats.inc(&s.stats.cellsCacheStore)
-	case SourceShared:
-		s.stats.inc(&s.stats.cellsShared)
+// observe returns the progress callback of j's RunSuite: it turns each
+// harness.CellEvent into the job's SSE event, its CellCounts and the
+// server's cells_* counters. The harness reports a cell a cache tier
+// served, or one that failed before it started, without CellStarted;
+// every cell's SSE stream opens with cell.started, so observe emits
+// the missing one.
+func (s *Server) observe(j *job) harness.ProgressFunc {
+	started := make(map[[2]string]bool, j.counts.Total)
+	return func(ev harness.CellEvent) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if cell := [2]string{ev.Config, ev.Workload}; !started[cell] {
+			started[cell] = true
+			j.log.append(Event{Type: EventCellStarted, Config: ev.Config, Workload: ev.Workload})
+		}
+		if ev.Type == harness.CellStarted {
+			return
+		}
+		c := &j.counts
+		c.Done++
+		out := Event{
+			Type: EventCellFinished, Config: ev.Config, Workload: ev.Workload,
+			Source: ev.Source, ElapsedMS: ev.Duration.Milliseconds(),
+			Done: c.Done, Total: c.Total,
+		}
+		switch {
+		case ev.Type == harness.CellFailed:
+			c.Failed++
+			s.stats.inc(&s.stats.cellsFailed)
+			out.Type, out.Error = EventCellFailed, ev.Err.Error()
+		case ev.Source == SourceSimulated:
+			c.Simulated++
+			s.stats.inc(&s.stats.cellsSimulated)
+		case ev.Source == SourceCacheMemory:
+			c.CacheMemory++
+			s.stats.inc(&s.stats.cellsCacheMemory)
+		case ev.Source == SourceCacheStore:
+			c.CacheStore++
+			s.stats.inc(&s.stats.cellsCacheStore)
+		case ev.Source == SourceShared:
+			c.Shared++
+			s.stats.inc(&s.stats.cellsShared)
+		}
+		j.log.append(out)
 	}
 }
 
@@ -504,7 +492,7 @@ func (s *Server) cancelJob(j *job) {
 	j.mu.Lock()
 	queued := j.state == StateQueued
 	j.mu.Unlock()
-	if queued && j.finalize() {
+	if queued && j.finalize(nil) {
 		s.countTerminal(j)
 	}
 }

@@ -726,6 +726,125 @@ func TestServerFaultPlanDegradedResult(t *testing.T) {
 	}
 }
 
+// TestServerDegradedFailedCellsSorted: a degraded job lists its
+// failed_cells in a fixed (sorted) order, not in the order its cells
+// failed, so every run of the job renders the same result bytes. Here
+// the failing cell that sorts first fails last.
+func TestServerDegradedFailedCellsSorted(t *testing.T) {
+	_, ts := startHookedTestServer(t, testConfig(), func(config, wl string) error {
+		if config == "entangling-2k" {
+			return nil
+		}
+		if config == "nextline" {
+			time.Sleep(200 * time.Millisecond)
+		}
+		return fmt.Errorf("injected failure")
+	})
+	sr := submitOK(t, ts, JobRequest{
+		Configurations: []string{"no", "nextline", "entangling-2k"},
+		Workloads:      []string{"crypto-00"},
+		Warmup:         testWarmup,
+		Measure:        testMeasure,
+	})
+	doc, _ := waitResult(t, ts, sr.ID)
+	if doc.State != StateDegraded || len(doc.FailedCells) != 2 {
+		t.Fatalf("job ended %q with failed cells %+v; want degraded with 2", doc.State, doc.FailedCells)
+	}
+	if got := doc.FailedCells[0].Config + "," + doc.FailedCells[1].Config; got != "nextline,no" {
+		t.Errorf("failed_cells in order %s, want nextline,no (sorted)", got)
+	}
+}
+
+// TestServerSSEOpensEveryCell: the cells the harness reports without a
+// CellStarted, one a cache tier serves and those of a canceled job
+// that never start, still stream cell.started and then exactly one
+// terminal event, and job.done counts every cell.
+func TestServerSSEOpensEveryCell(t *testing.T) {
+	cfg := testConfig()
+	cfg.CellParallelism = 1
+	entered := make(chan struct{}, 1)
+	var ran atomic.Int32
+	_, ts := startHookedTestServer(t, cfg, func(config, wl string) error {
+		if wl == "int-00" {
+			ran.Add(1)
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			time.Sleep(300 * time.Millisecond)
+		}
+		return nil
+	})
+	wantStream := func(events []Event, cells map[string]string, state string) {
+		t.Helper()
+		byCell := make(map[string][]Event)
+		for _, ev := range events {
+			if strings.HasPrefix(ev.Type, "cell.") {
+				byCell[ev.Config+"/"+ev.Workload] = append(byCell[ev.Config+"/"+ev.Workload], ev)
+			}
+		}
+		if len(byCell) != len(cells) {
+			t.Errorf("cell events for %d cells, want %d: %+v", len(byCell), len(cells), byCell)
+		}
+		for cell, want := range cells {
+			evs := byCell[cell]
+			if len(evs) != 2 || evs[0].Type != EventCellStarted {
+				t.Errorf("cell %s streamed %+v, want cell.started then one terminal event", cell, evs)
+				continue
+			}
+			got := evs[1].Type
+			if evs[1].Type == EventCellFinished {
+				got += " " + evs[1].Source
+			}
+			if got != want {
+				t.Errorf("cell %s ended with %q, want %q", cell, got, want)
+			}
+		}
+		last := events[len(events)-1]
+		if last.Type != EventJobDone || last.State != state || last.Done != len(cells) || last.Total != len(cells) {
+			t.Errorf("terminal event %+v, want job.done %s with done = total = %d", last, state, len(cells))
+		}
+	}
+
+	first := submitOK(t, ts, JobRequest{
+		Configurations: []string{"no"}, Workloads: []string{"crypto-00"},
+		Warmup: testWarmup, Measure: testMeasure,
+	})
+	waitResult(t, ts, first.ID)
+	second := submitOK(t, ts, JobRequest{
+		Configurations: []string{"no", "nextline"}, Workloads: []string{"crypto-00"},
+		Warmup: testWarmup, Measure: testMeasure,
+	})
+	wantStream(readSSE(t, ts, second.ID, ""), map[string]string{
+		"no/crypto-00":       EventCellFinished + " " + SourceCacheMemory,
+		"nextline/crypto-00": EventCellFinished + " " + SourceSimulated,
+	}, StateCompleted)
+
+	// The first cell stalls in its hook; canceling then fails it, and
+	// the job's other cells fail without starting.
+	third := submitOK(t, ts, JobRequest{
+		Configurations: []string{"no", "nextline"}, Workloads: []string{"int-00", "fp-00"},
+		Warmup: testWarmup, Measure: testMeasure,
+	})
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the canceled job's first cell never ran")
+	}
+	if status, _ := doAs(t, ts, "", "DELETE", "/v1/jobs/"+third.ID, nil); status != http.StatusOK {
+		t.Fatalf("DELETE status %d", status)
+	}
+	wantStream(readSSE(t, ts, third.ID, ""), map[string]string{
+		"no/int-00":       EventCellFailed,
+		"nextline/int-00": EventCellFailed,
+		"no/fp-00":        EventCellFailed,
+		"nextline/fp-00":  EventCellFailed,
+	}, StateCanceled)
+	if n := ran.Load(); n != 1 {
+		t.Errorf("%d cells of the canceled job ran, want 1", n)
+	}
+}
+
 func TestServerWarmRestartServesFromCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	req := JobRequest{
