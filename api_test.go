@@ -1,10 +1,12 @@
 package entangling_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"entangling"
+	"entangling/internal/harness"
 )
 
 func TestWorkloadBuilders(t *testing.T) {
@@ -45,6 +47,26 @@ func TestPublicRun(t *testing.T) {
 	}
 	if r.StorageBits == 0 {
 		t.Error("storage not reported")
+	}
+}
+
+// TestRunRejectsInvalidWorkload: a workload whose parameters fail
+// validation comes back from Run as that validation error, not as a
+// panic inside the cell.
+func TestRunRejectsInvalidWorkload(t *testing.T) {
+	p := entangling.WorkloadPreset(entangling.Int)
+	p.Name = "one"
+	p.Functions = 1
+	want := p.Validate()
+	if want == nil {
+		t.Fatal("a one-function workload validates")
+	}
+	_, err := entangling.Run(entangling.Baseline, entangling.WorkloadSpec{Name: p.Name, Params: p}, 1000, 1000)
+	if err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("Run = %v, want the validation error %q", err, want)
+	}
+	if errors.Is(err, harness.ErrCellPanic) {
+		t.Errorf("Run reported a panicked cell: %v", err)
 	}
 }
 

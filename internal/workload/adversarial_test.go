@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -208,6 +209,53 @@ func TestValidateRejectsBadAdversarialParams(t *testing.T) {
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid adversarial params accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsBadShapeParams: a program the walker cannot run
+// (one function leaves the driver nothing to dispatch to) or a memory
+// mix that is not a probability split fails validation instead of
+// panicking or skewing the walk.
+func TestValidateRejectsBadShapeParams(t *testing.T) {
+	cases := map[string]func(*Params){
+		"one function":      func(p *Params) { p.Functions = 1 },
+		"load above 1":      func(p *Params) { p.LoadFrac = 1.2 },
+		"negative load":     func(p *Params) { p.LoadFrac = -0.5 },
+		"negative store":    func(p *Params) { p.StoreFrac = -0.01 },
+		"NaN store":         func(p *Params) { p.StoreFrac = math.NaN() },
+		"load+store over 1": func(p *Params) { p.LoadFrac, p.StoreFrac = 0.9, 0.9 },
+		"bias above 1":      func(p *Params) { p.CondTakenBias = 1.01 },
+		"negative bias":     func(p *Params) { p.CondTakenBias = -0.2 },
+	}
+	for name, mutate := range cases {
+		p := Preset(Int)
+		p.Name = "case"
+		mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := BuildProgram(p); err == nil {
+			t.Errorf("%s: BuildProgram accepted", name)
+		}
+	}
+	p := Preset(Int)
+	p.Functions, p.LoadFrac, p.StoreFrac, p.CondTakenBias = 2, 0.5, 0.5, 1
+	if err := p.Validate(); err != nil {
+		t.Errorf("boundary params rejected: %v", err)
+	}
+}
+
+// TestShippedSpecsValidate: every spec the suites ship passes
+// validation, so tightening it changed no workload.
+func TestShippedSpecsValidate(t *testing.T) {
+	var specs []Spec
+	specs = append(specs, CVPSuite(12)...)
+	specs = append(specs, CloudSuite()...)
+	specs = append(specs, AdversarialSuite()...)
+	for _, spec := range specs {
+		if err := spec.Params.Validate(); err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
 		}
 	}
 }

@@ -177,8 +177,9 @@ func (p *Params) Validate() error {
 		return nil
 	}
 	switch {
-	case p.Functions < 1:
-		return fmt.Errorf("workload %s: Functions must be >= 1", p.Name)
+	case p.Functions < 2:
+		// The driver dispatches to the other functions; it needs one.
+		return fmt.Errorf("workload %s: Functions must be >= 2", p.Name)
 	case p.MeanBlocks < 1:
 		return fmt.Errorf("workload %s: MeanBlocks must be >= 1", p.Name)
 	case p.MeanBlockInstrs < 1:
@@ -189,13 +190,19 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("workload %s: terminator fractions exceed 1", p.Name)
 	case p.LoopIterMean < 0:
 		return fmt.Errorf("workload %s: LoopIterMean must be >= 0", p.Name)
+	case !in01(p.CondTakenBias):
+		return fmt.Errorf("workload %s: CondTakenBias must be in [0,1]", p.Name)
+	case !in01(p.LoadFrac) || !in01(p.StoreFrac):
+		return fmt.Errorf("workload %s: LoadFrac and StoreFrac must be in [0,1]", p.Name)
+	case p.LoadFrac+p.StoreFrac > 1:
+		return fmt.Errorf("workload %s: LoadFrac + StoreFrac exceeds 1", p.Name)
 	case p.DriverFanout < 1:
 		return fmt.Errorf("workload %s: DriverFanout must be >= 1", p.Name)
 	case p.PathFlavors < 1:
 		return fmt.Errorf("workload %s: PathFlavors must be >= 1", p.Name)
-	case p.PathNoise < 0 || p.PathNoise > 1:
+	case !in01(p.PathNoise):
 		return fmt.Errorf("workload %s: PathNoise must be in [0,1]", p.Name)
-	case p.CodeRelocFrac < 0 || p.CodeRelocFrac > 1:
+	case !in01(p.CodeRelocFrac):
 		return fmt.Errorf("workload %s: CodeRelocFrac must be in [0,1]", p.Name)
 	case p.InterruptEvery > 0 && p.InterruptFns < 1:
 		return fmt.Errorf("workload %s: InterruptEvery needs InterruptFns >= 1", p.Name)
@@ -207,6 +214,9 @@ func (p *Params) Validate() error {
 	}
 	return nil
 }
+
+// in01 reports whether x is a fraction in [0,1]; NaN is not.
+func in01(x float64) bool { return x >= 0 && x <= 1 }
 
 // Preset returns the base parameters for a category. The footprints are
 // chosen relative to the 32KB L1I so baseline MPKI falls in the ranges
