@@ -146,14 +146,24 @@ func pack(spec Spec, n uint64, trim bool) (*Trace, error) {
 	}
 	// A word per branch and per memory op: the shipped specs need 0.36
 	// to 0.48 per instruction, so the presized stream does not grow.
+	// The loop calls the walker directly, not through packSource's
+	// Source interface; the walker's stream is unbounded.
+	pk := trace.NewPacker(int(n), int(n/2))
+	var in trace.Instruction
+	for range n {
+		w.Next(&in)
+		if err := pk.Append(&in); err != nil {
+			return nil, fmt.Errorf("workload %s: %w", spec.Name, err)
+		}
+	}
+	tr := &Trace{Name: spec.Name, Packed: pk.Packed()}
 	// A pinned trace lives as long as its cache, so its unused tail is
 	// trimmed; the copy costs far less than the walk, but more than a
 	// trace released after a cell or two gets back.
-	tr, err := packSource(spec.Name, w, n, trace.NewPacker(int(n), int(n/2)))
-	if err == nil && trim {
+	if trim {
 		tr.Packed.Words = slices.Clip(append([]uint64(nil), tr.Packed.Words...))
 	}
-	return tr, err
+	return tr, nil
 }
 
 // packSource packs the first n records of src into pk. A record the

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"entangling/internal/trace"
@@ -136,4 +137,45 @@ func TestVarySeedZeroStillValid(t *testing.T) {
 	if !w.Next(&in) {
 		t.Fatal("empty stream for seed 0")
 	}
+}
+
+// FuzzThresholdMatchesFloat: deciding a draw k on the integer test
+// k < threshold(x) agrees with the float test float64(k)/2^53 < x it
+// replaces, for every 53-bit k and every float64 x: NaN, infinities,
+// negatives, values above 1, subnormals, and fractions whose x·2^53 is
+// or is not an integer. Besides the fuzzed k it checks the draws
+// either side of the threshold, where a rounding slip would show.
+func FuzzThresholdMatchesFloat(f *testing.F) {
+	fracs := []float64{
+		0, 1, 0.5, 0.25, 0.375, 0.03, 0.97, 0.60, 0.96, 0.05,
+		math.NaN(), math.Inf(1), math.Inf(-1), -0.5, -0.0, 1.8, 2,
+		math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-53, 0x1p-54, 3 * 0x1p-54,
+		math.Nextafter(1, 0), math.Nextafter(0.6, 1), math.Nextafter(0.6, 0),
+	}
+	var specs []Spec
+	specs = append(specs, CVPSuite(2)...)
+	specs = append(specs, CloudSuite()...)
+	specs = append(specs, AdversarialSuite()...)
+	for _, s := range specs {
+		p := s.Params
+		fracs = append(fracs, p.PathNoise, p.LoadFrac, p.LoadFrac+p.StoreFrac,
+			p.CondTakenBias, p.CodeRelocFrac, p.LoopIterMean/(p.LoopIterMean+1))
+	}
+	for i, x := range fracs {
+		f.Add(uint64(i)*0x9e3779b97f4a7c15, x)
+	}
+	f.Fuzz(func(t *testing.T, k uint64, x float64) {
+		th := threshold(x)
+		if th > 1<<53 {
+			t.Fatalf("threshold(%v) = %d, above 2^53", x, th)
+		}
+		for _, k := range []uint64{k & (1<<53 - 1), th - 1, th, th + 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if got, want := k < th, float64(k)/(1<<53) < x; got != want {
+				t.Fatalf("x=%v (%b) k=%d: integer test %v, float test %v", x, math.Float64bits(x), k, got, want)
+			}
+		}
+	})
 }
