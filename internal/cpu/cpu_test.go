@@ -155,22 +155,43 @@ func TestResultsHelpers(t *testing.T) {
 	}
 }
 
+// TestLimitedRunStopsEarly: a source that ends before the windows do
+// ends the run at its last record.
 func TestLimitedRunStopsEarly(t *testing.T) {
 	p := workload.Preset(workload.Crypto)
 	p.Seed = 9
 	prog, _ := workload.BuildProgram(p)
+	w := workload.NewWalker(prog)
+	ins := make([]trace.Instruction, 1234)
+	for i := range ins {
+		w.Next(&ins[i])
+	}
 	m := New(DefaultConfig())
-	src := &trace.LimitSource{Src: workload.NewWalker(prog), N: 1234}
-	r := m.RunWindows(src, 0, 1_000_000)
+	r := m.RunWindows(&trace.SliceSource{Instrs: ins}, 0, 1_000_000)
 	if r.Instructions != 1234 {
 		t.Errorf("Instructions = %d, want 1234 (source-limited)", r.Instructions)
 	}
+}
+
+// presolvedSource packs src's records and presolves them under cfg.
+func presolvedSource(t *testing.T, src *trace.SliceSource, cfg Config) *Presolved {
+	t.Helper()
+	p, err := trace.Pack(src.Instrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := Presolve(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pre
 }
 
 // TestMachineSingleUse holds the "a Machine must not be reused across
 // runs" contract: every second use of a consumed machine fails loudly.
 func TestMachineSingleUse(t *testing.T) {
 	src := func() trace.Source { return loopSource(0x1000, 30, 2000) }
+	pre := presolvedSource(t, loopSource(0x1000, 30, 2000), DefaultConfig())
 
 	t.Run("second RunWindows panics", func(t *testing.T) {
 		m := New(DefaultConfig())
@@ -186,11 +207,11 @@ func TestMachineSingleUse(t *testing.T) {
 
 	t.Run("ctx entry points return typed errors", func(t *testing.T) {
 		m := New(DefaultConfig())
-		if _, err := m.RunWindowsCtx(context.Background(), src(), 20_000, 20_000); err != nil {
+		if _, err := m.RunPresolvedCtx(context.Background(), pre, 20_000, 20_000); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.RunWindowsCtx(context.Background(), src(), 20_000, 20_000); !errors.Is(err, ErrMachineUsed) {
-			t.Errorf("RunWindowsCtx on consumed machine: %v, want ErrMachineUsed", err)
+		if _, err := m.RunPresolvedCtx(context.Background(), pre, 20_000, 20_000); !errors.Is(err, ErrMachineUsed) {
+			t.Errorf("RunPresolvedCtx on consumed machine: %v, want ErrMachineUsed", err)
 		}
 	})
 
@@ -198,11 +219,11 @@ func TestMachineSingleUse(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		m := New(DefaultConfig())
-		if _, err := m.RunWindowsCtx(ctx, src(), 20_000, 20_000); !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunWindowsCtx under canceled ctx: %v", err)
+		if _, err := m.RunPresolvedCtx(ctx, pre, 20_000, 20_000); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunPresolvedCtx under canceled ctx: %v", err)
 		}
-		if _, err := m.RunWindowsCtx(context.Background(), src(), 20_000, 20_000); !errors.Is(err, ErrMachineUsed) {
-			t.Errorf("RunWindowsCtx after canceled run: %v, want ErrMachineUsed", err)
+		if _, err := m.RunPresolvedCtx(context.Background(), pre, 20_000, 20_000); !errors.Is(err, ErrMachineUsed) {
+			t.Errorf("RunPresolvedCtx after canceled run: %v, want ErrMachineUsed", err)
 		}
 	})
 }

@@ -62,23 +62,45 @@ func recordBranches(evs *[]prefetch.BranchEvent) prefetch.Factory {
 	}
 }
 
+// runWindowsErr is RunWindows that returns the error it panics with.
+func runWindowsErr(m *Machine, src trace.Source, warmup, measure uint64) (res Results, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err, _ = r.(error)
+			if err == nil {
+				panic(r)
+			}
+		}
+	}()
+	return m.RunWindows(src, warmup, measure), nil
+}
+
 // TestPackedCursorResumes: the machine resumes its read position
-// exactly across the warmup/measure boundary, across the
-// cancelCheckInterval chunks of a cancellable run, and across the
-// windows a repacked record source is read in. Every way of feeding the
-// same stream must give the same results and the same branch events,
-// and those events must be the stream's branches in order.
+// exactly across the warmup/measure boundary and across the
+// cancelCheckInterval chunks of a cancellable run, and RunWindows packs
+// a record source into the same stream. Every way of feeding the same
+// stream must give the same results and the same branch events, and
+// those events must be the stream's branches in order.
 func TestPackedCursorResumes(t *testing.T) {
 	ins := mixedStream(3*cancelCheckInterval + 1234)
 	p, err := trace.Pack(ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The boundary falls inside a chunk and inside a repack window.
+	pre, err := Presolve(p, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The boundary falls inside a chunk.
 	const warmup = cancelCheckInterval + 777
 	measure := uint64(len(ins)) - warmup - 100
 
-	run := func(src trace.Source, cancellable bool) (Results, []prefetch.BranchEvent) {
+	machine := func(evs *[]prefetch.BranchEvent) *Machine {
+		cfg := DefaultConfig()
+		cfg.Prefetcher = recordBranches(evs)
+		return New(cfg)
+	}
+	replay := func(cancellable bool) (Results, []prefetch.BranchEvent) {
 		ctx := context.Background()
 		if cancellable {
 			var cancel context.CancelFunc
@@ -86,16 +108,14 @@ func TestPackedCursorResumes(t *testing.T) {
 			defer cancel()
 		}
 		var evs []prefetch.BranchEvent
-		cfg := DefaultConfig()
-		cfg.Prefetcher = recordBranches(&evs)
-		res, err := New(cfg).RunWindowsCtx(ctx, src, warmup, measure)
+		res, err := machine(&evs).RunPresolvedCtx(ctx, pre, warmup, measure)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, evs
 	}
 
-	want, wantEvs := run(trace.NewPackedSource(p), false)
+	want, wantEvs := replay(false)
 	if want.Instructions != measure {
 		t.Fatalf("measured %d instructions, want %d", want.Instructions, measure)
 	}
@@ -115,34 +135,49 @@ func TestPackedCursorResumes(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		name        string
-		src         trace.Source
-		cancellable bool
-	}{
-		{"packed, chunked", trace.NewPackedSource(p), true},
-		{"repacked", &trace.SliceSource{Instrs: ins}, false},
-		{"repacked, chunked", &trace.SliceSource{Instrs: ins}, true},
-	} {
-		got, evs := run(tc.src, tc.cancellable)
+	got, evs := replay(true)
+	check := func(name string) {
+		t.Helper()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: results diverged:\ngot  %+v\nwant %+v", tc.name, got, want)
+			t.Errorf("%s: results diverged:\ngot  %+v\nwant %+v", name, got, want)
 		}
 		if !reflect.DeepEqual(evs, wantEvs) {
-			t.Errorf("%s: branch events diverged", tc.name)
+			t.Errorf("%s: branch events diverged", name)
 		}
 	}
+	check("packed, chunked")
+	evs = nil
+	got = machine(&evs).RunWindows(&trace.SliceSource{Instrs: ins}, warmup, measure)
+	check("record source")
 }
 
 // TestRunWindowsRefusesUnpackableRecord: a record source that yields a
 // branch type the packed form cannot hold fails the run with the
-// packer's error instead of simulating a corrupted record.
+// packer's error instead of simulating a corrupted record, while a
+// target on a non-branch and a data address on a non-memory op, which
+// a simulator ignores, are cleared rather than refused.
 func TestRunWindowsRefusesUnpackableRecord(t *testing.T) {
 	src := &trace.SliceSource{Instrs: []trace.Instruction{
 		{PC: 0x1000, Size: 4},
 		{PC: 0x1004, Size: 4, Branch: trace.Return + 1, Taken: true, Target: 0x2000},
 	}}
-	if _, err := New(DefaultConfig()).RunWindowsCtx(context.Background(), src, 0, 10); !errors.Is(err, trace.ErrBadBranch) {
+	if _, err := runWindowsErr(New(DefaultConfig()), src, 0, 10); !errors.Is(err, trace.ErrBadBranch) {
 		t.Fatalf("err = %v, want ErrBadBranch", err)
+	}
+
+	stray := []trace.Instruction{
+		{PC: 0x100, Size: 4, Target: 0x200, DataAddr: 0x300},
+		{PC: 0x104, Size: 4, IsLoad: true, DataAddr: 0x7f00},
+		{PC: 0x108, Size: 4, Branch: trace.DirectJump, Taken: true, Target: 0x400},
+		{PC: 0x400, Size: 4, DataAddr: 0x500},
+	}
+	clean := append([]trace.Instruction(nil), stray...)
+	clean[0].Target, clean[0].DataAddr, clean[3].DataAddr = 0, 0, 0
+	got, err := runWindowsErr(New(DefaultConfig()), &trace.SliceSource{Instrs: stray}, 0, 10)
+	if err != nil {
+		t.Fatalf("stray fields refused: %v", err)
+	}
+	if want := New(DefaultConfig()).RunWindows(&trace.SliceSource{Instrs: clean}, 0, 10); !reflect.DeepEqual(got, want) {
+		t.Errorf("stray fields changed the run:\ngot  %+v\nwant %+v", got, want)
 	}
 }

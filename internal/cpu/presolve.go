@@ -87,17 +87,23 @@ type Presolved struct {
 // over every record of p. It fails on an L1D of more ways than an
 // outcome byte can name.
 func Presolve(p *trace.Packed, cfg Config) (*Presolved, error) {
-	s, err := newPresolver(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.L1D.Ways > maxPresolvedWays {
+		return nil, fmt.Errorf("cpu: an L1D of %d ways exceeds the %d a presolved outcome can name", cfg.L1D.Ways, maxPresolvedWays)
+	}
+	s := presolver{
+		pred:     bpred.New(cfg.Pred),
+		l1d:      cache.NewTags(cfg.L1D),
+		physical: cfg.PhysicalAddresses,
+		trans:    cache.Translator{Salt: cfg.TranslatorSalt},
 	}
 	ps := &Presolved{key: cfg.PresolveKey(), p: p}
+	// A block's records hold at most 4 words each (an escape's 2, a
+	// data address and a target).
+	buf := make([]byte, min(len(p.Words), 4*cancelCheckInterval))
 	var c trace.Cursor
 	for c.Op < p.Len() {
-		n := min(cancelCheckInterval, p.Len()-c.Op)
-		s.buf = growOut(s.buf, p, c, n)
-		next := s.run(p, c, n, s.buf)
-		ps.blocks = append(ps.blocks, append([]byte(nil), s.buf[:next.Word-c.Word]...))
+		next := s.run(p, c, min(cancelCheckInterval, p.Len()-c.Op), buf)
+		ps.blocks = append(ps.blocks, append([]byte(nil), buf[:next.Word-c.Word]...))
 		ps.words = append(ps.words, c.Word)
 		c = next
 	}
@@ -127,30 +133,6 @@ type presolver struct {
 	l1d      *cache.Tags
 	physical bool
 	trans    cache.Translator
-	// buf receives the outcomes of one chunk.
-	buf []byte
-}
-
-// growOut returns buf grown to hold the outcomes of the n records of p
-// from c on: at most 4 words each (an escape's 2, a data address and a
-// target).
-func growOut(buf []byte, p *trace.Packed, c trace.Cursor, n int) []byte {
-	if need := min(len(p.Words)-c.Word, 4*n); cap(buf) < need {
-		return make([]byte, need)
-	}
-	return buf[:cap(buf)]
-}
-
-func newPresolver(cfg Config) (*presolver, error) {
-	if cfg.L1D.Ways > maxPresolvedWays {
-		return nil, fmt.Errorf("cpu: an L1D of %d ways exceeds the %d a presolved outcome can name", cfg.L1D.Ways, maxPresolvedWays)
-	}
-	return &presolver{
-		pred:     bpred.New(cfg.Pred),
-		l1d:      cache.NewTags(cfg.L1D),
-		physical: cfg.PhysicalAddresses,
-		trans:    cache.Translator{Salt: cfg.TranslatorSalt},
-	}, nil
 }
 
 // run presolves the n records of p from c on into out, which is

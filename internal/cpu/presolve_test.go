@@ -62,13 +62,12 @@ func fuzzStream(data []byte, n int) []trace.Instruction {
 	return ins
 }
 
-// FuzzPresolvedMatchesChunked: a machine replaying a whole trace's
-// presolved outcomes (the path every sweep cell takes) must produce
-// exactly the results of a machine that presolves as it goes over a
-// record source of the same records, at windows that straddle
-// cancelCheckInterval, with physical addresses on and off. A
-// cancellable replay, which takes the trace in chunks, must too.
-func FuzzPresolvedMatchesChunked(f *testing.F) {
+// FuzzCancellableReplayMatches: a cancellable replay, which polls its
+// context between cancelCheckInterval chunks, must produce exactly the
+// results of an uncancellable one over the same presolved trace, at
+// windows that straddle chunk boundaries, with physical addresses on
+// and off.
+func FuzzCancellableReplayMatches(f *testing.F) {
 	f.Add([]byte{0x01, 0x08, 0x00, 0x13, 0x02, 0x16, 0x04, 0x55, 0x06, 0x0f, 0x07, 0x00})
 	f.Add([]byte{0xff, 0x03, 0x21, 0x42, 0x0d, 0x05})
 	f.Add([]byte{0x00, 0x80})
@@ -77,8 +76,7 @@ func FuzzPresolvedMatchesChunked(f *testing.F) {
 			return
 		}
 		n := cancelCheckInterval + 8192
-		ins := fuzzStream(data, n)
-		p, err := trace.Pack(ins)
+		p, err := trace.Pack(fuzzStream(data, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,16 +97,9 @@ func FuzzPresolvedMatchesChunked(f *testing.F) {
 		if want.Instructions != measure {
 			t.Fatalf("measured %d instructions, want %d", want.Instructions, measure)
 		}
-		got, err := New(cfg).RunWindowsCtx(context.Background(), &trace.SliceSource{Instrs: ins}, warmup, measure)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("presolving as it goes diverged from the presolved trace:\ngot  %+v\nwant %+v", got, want)
-		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		got, err = New(cfg).RunPresolvedCtx(ctx, pre, warmup, measure)
+		got, err := New(cfg).RunPresolvedCtx(ctx, pre, warmup, measure)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +137,11 @@ func TestPresolvedKeyMismatch(t *testing.T) {
 		if _, err := m.RunPresolvedCtx(context.Background(), pre, 1000, 1000); !errors.Is(err, ErrPresolvedMismatch) {
 			t.Errorf("%s: err = %v, want ErrPresolvedMismatch", name, err)
 		}
-		if _, err := m.RunWindowsCtx(context.Background(), trace.NewPackedSource(p), 1000, 1000); err != nil {
+		own, err := Presolve(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RunPresolvedCtx(context.Background(), own, 1000, 1000); err != nil {
 			t.Errorf("%s: the refused machine does not run: %v", name, err)
 		}
 	}
@@ -175,11 +170,11 @@ func TestPresolveRefusesWideL1D(t *testing.T) {
 	if _, err := Presolve(p, cfg); err == nil {
 		t.Error("Presolve accepted an L1D of too many ways")
 	}
-	if _, err := New(cfg).RunWindowsCtx(context.Background(), trace.NewPackedSource(p), 0, 100); err == nil {
-		t.Error("RunWindowsCtx accepted an L1D of too many ways")
+	if _, err := runWindowsErr(New(cfg), trace.NewPackedSource(p), 0, 100); err == nil {
+		t.Error("RunWindows accepted an L1D of too many ways")
 	}
 	cfg.L1D.Ways = maxPresolvedWays
-	if _, err := New(cfg).RunWindowsCtx(context.Background(), trace.NewPackedSource(p), 0, 100); err != nil {
+	if _, err := runWindowsErr(New(cfg), trace.NewPackedSource(p), 0, 100); err != nil {
 		t.Errorf("an L1D of %d ways: %v", maxPresolvedWays, err)
 	}
 }

@@ -230,19 +230,6 @@ func TestNextPC(t *testing.T) {
 	}
 }
 
-func TestLimitSource(t *testing.T) {
-	src := &SliceSource{Instrs: genStream(1, 50)}
-	lim := &LimitSource{Src: src, N: 10}
-	var in Instruction
-	n := 0
-	for lim.Next(&in) {
-		n++
-	}
-	if n != 10 {
-		t.Errorf("LimitSource yielded %d, want 10", n)
-	}
-}
-
 func TestSliceSourceReset(t *testing.T) {
 	src := &SliceSource{Instrs: genStream(1, 5)}
 	var in Instruction

@@ -106,25 +106,6 @@ type Source interface {
 	Next(in *Instruction) bool
 }
 
-// LimitSource wraps a Source and stops after n instructions.
-type LimitSource struct {
-	Src  Source
-	N    uint64
-	done uint64
-}
-
-// Next implements Source.
-func (l *LimitSource) Next(in *Instruction) bool {
-	if l.done >= l.N {
-		return false
-	}
-	if !l.Src.Next(in) {
-		return false
-	}
-	l.done++
-	return true
-}
-
 // SliceSource serves instructions from an in-memory slice; it is used
 // heavily by tests and by the trace round-trip tooling.
 type SliceSource struct {

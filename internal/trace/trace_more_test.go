@@ -94,16 +94,3 @@ func TestNewWriterPropagatesHeaderError(t *testing.T) {
 		t.Error("reserved-bytes write error swallowed")
 	}
 }
-
-func TestLimitSourceShortSource(t *testing.T) {
-	src := &SliceSource{Instrs: genStream(2, 5)}
-	lim := &LimitSource{Src: src, N: 100}
-	var in Instruction
-	n := 0
-	for lim.Next(&in) {
-		n++
-	}
-	if n != 5 {
-		t.Errorf("LimitSource yielded %d from a 5-record source", n)
-	}
-}

@@ -186,10 +186,14 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("workload %s: MeanBlockInstrs must be >= 1", p.Name)
 	case p.MaxCallDepth < 1:
 		return fmt.Errorf("workload %s: MaxCallDepth must be >= 1", p.Name)
+	case !in01(p.CallFrac) || !in01(p.IndirectFrac) || !in01(p.JumpFrac) || !in01(p.CondFrac):
+		return fmt.Errorf("workload %s: CallFrac, IndirectFrac, JumpFrac and CondFrac must be in [0,1]", p.Name)
 	case p.CallFrac+p.IndirectFrac+p.JumpFrac+p.CondFrac > 1.0:
 		return fmt.Errorf("workload %s: terminator fractions exceed 1", p.Name)
 	case p.LoopIterMean < 0:
 		return fmt.Errorf("workload %s: LoopIterMean must be >= 0", p.Name)
+	case !in01(p.LoopBackProb):
+		return fmt.Errorf("workload %s: LoopBackProb must be in [0,1]", p.Name)
 	case !in01(p.CondTakenBias):
 		return fmt.Errorf("workload %s: CondTakenBias must be in [0,1]", p.Name)
 	case !in01(p.LoadFrac) || !in01(p.StoreFrac):

@@ -171,8 +171,9 @@ func (w *Walker) Count() uint64 { return w.count }
 // Depth returns the current call-stack depth.
 func (w *Walker) Depth() int { return len(w.stack) }
 
-// Next implements trace.Source. The stream is unbounded; wrap the
-// walker in a trace.LimitSource to bound a run.
+// Next implements trace.Source. The stream is unbounded: a reader
+// takes the records it needs and stops, as pack and cpu's RunWindows
+// do.
 func (w *Walker) Next(in *trace.Instruction) bool {
 	if w.count >= w.nextEvent && w.runEvents(in) {
 		return true

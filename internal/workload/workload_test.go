@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"entangling/internal/trace"
@@ -34,6 +35,15 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.MaxCallDepth = 0 },
 		func(p *Params) { p.CallFrac = 0.9; p.CondFrac = 0.9 },
 		func(p *Params) { p.LoopIterMean = -1 },
+		// Fractions out of [0,1]; the terminator ones sum to at most 1.
+		func(p *Params) { p.CondFrac = -0.5; p.CallFrac = 1.2 },
+		func(p *Params) { p.LoopBackProb = -0.1 },
+		func(p *Params) { p.LoopBackProb = 1.1 },
+		func(p *Params) { p.CallFrac = -0.1 },
+		func(p *Params) { p.IndirectFrac = -0.1 },
+		func(p *Params) { p.JumpFrac = -0.1 },
+		func(p *Params) { p.CondFrac = -0.1 },
+		func(p *Params) { p.LoopBackProb = math.NaN() },
 	}
 	for i, mutate := range cases {
 		p := base
