@@ -11,13 +11,11 @@ package entangling_test
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"testing"
 
 	"entangling"
-	"entangling/internal/core"
 	"entangling/internal/harness"
 	"entangling/internal/workload"
 )
@@ -270,37 +268,6 @@ func BenchmarkFig16CloudSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		printTable(harness.Fig16(getCloudSuite(b)))
 	}
-}
-
-// BenchmarkTable01VirtualCompression exercises the Table I compression
-// path (encode + decode of a destination under every virtual mode).
-func BenchmarkTable01VirtualCompression(b *testing.B) {
-	benchCompression(b, core.Virtual)
-}
-
-// BenchmarkTable02PhysicalCompression exercises the Table II
-// compression path.
-func BenchmarkTable02PhysicalCompression(b *testing.B) {
-	benchCompression(b, core.Physical)
-}
-
-func benchCompression(b *testing.B, space core.AddressSpace) {
-	rng := rand.New(rand.NewSource(1))
-	srcs := make([]uint64, 1024)
-	dsts := make([]uint64, 1024)
-	for i := range srcs {
-		srcs[i] = rng.Uint64()
-		dsts[i] = srcs[i] ^ uint64(rng.Intn(1<<uint(rng.Intn(40)+1)))
-	}
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		k := i % len(srcs)
-		for mode := 1; mode <= core.MaxMode(space); mode++ {
-			sink += core.RoundTrip(space, mode, srcs[k], dsts[k])
-		}
-	}
-	_ = sink
 }
 
 // BenchmarkSimulatorThroughput measures raw simulated instructions per

@@ -11,9 +11,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -47,8 +49,15 @@ func main() {
 	if *out == "" {
 		fatal(fmt.Errorf("-o is required (or use -inspect)"))
 	}
+
+	// An interrupted write removes its partial output; a second signal
+	// kills the process, for a write blocked on its input.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
+
 	if *imp != "" {
-		if err := importChampSim(*imp, *out, *gz, *synth, *impMax); err != nil {
+		if err := importChampSim(ctx, *imp, *out, *gz, *synth, *impMax); err != nil {
 			fatal(err)
 		}
 		return
@@ -60,53 +69,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	// An interrupted generation must not leave a truncated trace file
-	// masquerading as a complete one: on cancellation the partial
-	// output is removed before exiting.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	f, err := os.Create(*out)
+	count, size, err := writeTrace(ctx, *out, *gz, workload.NewWalker(prog), *n)
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	w, err := trace.NewWriter(f, *gz)
-	if err != nil {
-		fatal(err)
-	}
-	src := workload.NewWalker(prog)
-	done := ctx.Done()
-	var in trace.Instruction
-	for i := uint64(0); i < *n && src.Next(&in); i++ {
-		if i&0xFFFF == 0 {
-			select {
-			case <-done:
-				f.Close()
-				os.Remove(*out)
-				fatal(fmt.Errorf("interrupted after %d instructions; removed partial %s", i, *out))
-			default:
-			}
-		}
-		if err := w.Write(&in); err != nil {
-			fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		fatal(err)
-	}
-	st, _ := f.Stat()
 	fmt.Printf("wrote %d instructions to %s (%d bytes, %.2f bytes/instr, code footprint %.1f KB)\n",
-		w.Count(), *out, st.Size(), float64(st.Size())/float64(w.Count()),
-		float64(prog.FootprintBytes)/1024)
+		count, *out, size, float64(size)/float64(count), float64(prog.FootprintBytes)/1024)
 }
 
 // importChampSim converts a ChampSim trace into ENTRACE1, streaming
 // record by record so arbitrarily large inputs convert in constant
-// memory. A malformed or over-limit input removes the partial output —
-// a truncated trace must not masquerade as a complete one.
-func importChampSim(src, out string, gz, synthData bool, maxInstrs uint64) error {
+// memory.
+func importChampSim(ctx context.Context, src, out string, gz, synthData bool, maxInstrs uint64) error {
 	var in io.Reader = os.Stdin
 	if src != "-" {
 		f, err := os.Open(src)
@@ -123,40 +97,62 @@ func importChampSim(src, out string, gz, synthData bool, maxInstrs uint64) error
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(out)
+	count, size, err := writeTrace(ctx, out, gz, cr, math.MaxUint64)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	fmt.Printf("imported %d instructions from %s to %s (%d bytes, %.2f bytes/instr)\n",
+		count, src, out, size, float64(size)/float64(count))
+	return nil
+}
+
+// pollEvery is how many records writeTrace writes between two looks
+// at its context.
+const pollEvery = 1 << 16
+
+// writeTrace writes src's first n records to path as ENTRACE1 and
+// returns their number and the file's size. It removes the file when
+// it fails, when src fails or holds no records, and when ctx is
+// canceled: the format stores no record count, so a trace cut at a
+// record boundary would read as a complete, shorter one.
+func writeTrace(ctx context.Context, path string, gz bool, src trace.Source, n uint64) (count uint64, size int64, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			if rerr := os.Remove(path); rerr != nil {
+				err = fmt.Errorf("%w; partial output left behind: %v", err, rerr)
+			} else {
+				err = fmt.Errorf("%w (removed partial %s)", err, path)
+			}
+		}
+	}()
 	w, err := trace.NewWriter(f, gz)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	var rec trace.Instruction
-	for cr.Next(&rec) {
-		if err := w.Write(&rec); err != nil {
-			f.Close()
-			os.Remove(out)
-			return err
+	count, err = trace.Copy(func(in *trace.Instruction) error {
+		if w.Count()%pollEvery == 0 && ctx.Err() != nil {
+			return fmt.Errorf("interrupted after %d instructions: %w", w.Count(), ctx.Err())
 		}
+		return w.Write(in)
+	}, src, n)
+	if err == nil {
+		err = w.Close()
 	}
-	if err := cr.Err(); err != nil {
-		f.Close()
-		os.Remove(out)
-		return fmt.Errorf("%w (removed partial %s)", err, out)
+	if err == nil && count == 0 {
+		err = errors.New("no instructions to write")
 	}
-	if err := w.Close(); err != nil {
-		return err
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
 	}
-	if w.Count() == 0 {
-		f.Close()
-		os.Remove(out)
-		return fmt.Errorf("%s contains no records (removed empty %s)", src, out)
+	if err == nil {
+		err = f.Close()
 	}
-	st, _ := f.Stat()
-	fmt.Printf("imported %d instructions from %s to %s (%d bytes, %.2f bytes/instr)\n",
-		w.Count(), src, out, st.Size(), float64(st.Size())/float64(w.Count()))
-	return nil
+	return count, size, err
 }
 
 func inspectTrace(path string, head int) error {
@@ -198,13 +194,6 @@ func inspectTrace(path string, head int) error {
 		count, branches, 100*float64(taken)/float64(max(branches, 1)), loads, stores,
 		len(lines), float64(len(lines))*64/1024)
 	return nil
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -67,9 +67,6 @@ type Outcome struct {
 	TargetMispredict bool
 }
 
-// Redirect reports whether the front-end must be redirected at all.
-func (o Outcome) Redirect() bool { return o.BTBMiss || o.DirMispredict || o.TargetMispredict }
-
 // Predictor bundles all front-end prediction state.
 type Predictor struct {
 	cfg Config
@@ -314,9 +311,6 @@ func (p *Predictor) popRAS() (uint64, bool) {
 	p.rasTop--
 	return p.ras[p.rasTop], true
 }
-
-// RASDepth returns the current RAS occupancy (for tests).
-func (p *Predictor) RASDepth() int { return p.rasTop }
 
 // CondAccuracy returns the direction-prediction accuracy so far.
 func (p *Predictor) CondAccuracy() float64 {

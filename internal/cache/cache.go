@@ -15,9 +15,6 @@ package cache
 // lines as in the paper.
 const LineBits = 6
 
-// LineSize is the cache line size in bytes.
-const LineSize = 1 << LineBits
-
 // LineAddr converts a byte address to a line address.
 func LineAddr(addr uint64) uint64 { return addr >> LineBits }
 

@@ -219,7 +219,7 @@ func newTestICache(ideal bool) (*ICache, *recorder, *fixedLevel) {
 	rec := &recorder{}
 	mem := &fixedLevel{latency: 50}
 	ic := NewICache(ICacheConfig{
-		Sets: 4, Ways: 2, Latency: 4, MSHRs: 4, PQSize: 8, PQIssuePerCycle: 2, Ideal: ideal,
+		Sets: 4, Ways: 2, Latency: 4, MSHRs: 4, PQSize: 8, Ideal: ideal,
 	}, mem, rec)
 	return ic, rec, mem
 }

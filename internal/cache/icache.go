@@ -96,8 +96,6 @@ type ICacheConfig struct {
 	MSHRs int
 	// PQSize is the prefetch queue depth (paper: 32).
 	PQSize int
-	// PQIssuePerCycle bounds prefetch issue bandwidth.
-	PQIssuePerCycle int
 	// Ideal makes every demand access a hit while still sending misses
 	// to the next level (the paper's Ideal prefetcher, which models the
 	// pollution of the L2/LLC but a perfect L1I).
@@ -155,9 +153,6 @@ func NewICache(cfg ICacheConfig, next Level, listener Listener) *ICache {
 	}
 	if cfg.MSHRs <= 0 {
 		panic("cache: ICache needs MSHRs > 0")
-	}
-	if cfg.PQIssuePerCycle <= 0 {
-		cfg.PQIssuePerCycle = 2
 	}
 	arr := lru.New(cfg.Sets, cfg.Ways)
 	return &ICache{
@@ -277,15 +272,12 @@ func (c *ICache) install(cycle, lineAddr uint64, l line) {
 	c.lines[i] = l
 }
 
-// drainPQ issues queued prefetches whose time has come, honoring issue
-// bandwidth and MSHR availability. Reports whether anything issued or
-// was dropped.
+// drainPQ issues queued prefetches whose time has come, in order and
+// as MSHRs allow. Issue is back-to-back: each issue time is at least
+// the previous one (nextIssueSlot), with no per-cycle bound. Reports
+// whether anything issued or was dropped.
 func (c *ICache) drainPQ(now uint64) bool {
 	progress := false
-	interval := uint64(1)
-	if c.cfg.PQIssuePerCycle > 1 {
-		interval = 0 // multiple per cycle are treated as back-to-back
-	}
 	for c.pqLen > 0 {
 		head := c.pq[c.pqHead]
 		t := head.readyToIssue
@@ -300,7 +292,7 @@ func (c *ICache) drainPQ(now uint64) bool {
 		if c.arr.Find(head.lineAddr, head.lineAddr) >= 0 {
 			c.stats.PrefetchDroppedHit++
 			c.popPQ()
-			c.nextIssueSlot = t + interval
+			c.nextIssueSlot = t
 			progress = true
 			continue
 		}
@@ -308,7 +300,7 @@ func (c *ICache) drainPQ(now uint64) bool {
 		if c.findMSHR(head.lineAddr) >= 0 {
 			c.stats.PrefetchDroppedMSHR++
 			c.popPQ()
-			c.nextIssueSlot = t + interval
+			c.nextIssueSlot = t
 			progress = true
 			continue
 		}
@@ -331,7 +323,7 @@ func (c *ICache) drainPQ(now uint64) bool {
 		}
 		c.stats.PrefetchIssued++
 		c.popPQ()
-		c.nextIssueSlot = t + interval
+		c.nextIssueSlot = t
 		progress = true
 	}
 	return progress
@@ -522,6 +514,3 @@ func (c *ICache) Prefetch(notBefore uint64, lineAddr uint64, meta uint64) bool {
 	c.pqLen++
 	return true
 }
-
-// PQLen returns the current prefetch-queue occupancy (test helper).
-func (c *ICache) PQLen() int { return c.pqLen }

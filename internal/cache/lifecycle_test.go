@@ -263,7 +263,7 @@ func TestLifecycleMatchesMaps(t *testing.T) {
 func TestLifecycleAgainstICache(t *testing.T) {
 	tr := NewLifecycleTracker(nil)
 	next := &fixedLevel{latency: 100}
-	c := NewICache(ICacheConfig{Sets: 4, Ways: 2, Latency: 4, MSHRs: 4, PQSize: 8, PQIssuePerCycle: 2}, next, tr)
+	c := NewICache(ICacheConfig{Sets: 4, Ways: 2, Latency: 4, MSHRs: 4, PQSize: 8}, next, tr)
 
 	// Timely: prefetch line 5, let it fill, demand it.
 	c.Prefetch(0, 5, 0)

@@ -60,10 +60,6 @@ var geometries = map[AddressSpace]geometry{
 	Physical: {modeBits: 2, payloadBits: 44, lineBits: 42, sigBits: []int{42, 20, 12, 9}},
 }
 
-// MaxMode returns the number of modes (= maximum destinations per
-// entry) for the address space.
-func MaxMode(space AddressSpace) int { return len(geometries[space].sigBits) }
-
 // SigBits returns the per-destination significant-bit budget of the
 // given mode (1-based).
 func SigBits(space AddressSpace, mode int) int {
@@ -133,11 +129,4 @@ func decompressDst(space AddressSpace, mode int, src, sig uint64) uint64 {
 	sb := SigBits(space, mode)
 	mask := uint64(1)<<sb - 1
 	return (src&lineMask(space))&^mask | sig&mask
-}
-
-// RoundTrip compresses dst under the given mode and reconstructs it
-// relative to src, returning the reconstructed line address. It is the
-// unit the compression micro-benchmarks exercise.
-func RoundTrip(space AddressSpace, mode int, src, dst uint64) uint64 {
-	return decompressDst(space, mode, src, compressDst(space, mode, dst))
 }

@@ -1,9 +1,45 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// maxMode returns the number of modes (= maximum destinations per
+// entry) for the address space.
+func maxMode(space AddressSpace) int { return len(geometries[space].sigBits) }
+
+// BenchmarkTable01VirtualCompression exercises the Table I compression
+// path (encode + decode of a destination under every virtual mode).
+func BenchmarkTable01VirtualCompression(b *testing.B) {
+	benchCompression(b, Virtual)
+}
+
+// BenchmarkTable02PhysicalCompression exercises the Table II
+// compression path.
+func BenchmarkTable02PhysicalCompression(b *testing.B) {
+	benchCompression(b, Physical)
+}
+
+func benchCompression(b *testing.B, space AddressSpace) {
+	rng := rand.New(rand.NewSource(1))
+	srcs := make([]uint64, 1024)
+	dsts := make([]uint64, 1024)
+	for i := range srcs {
+		srcs[i] = rng.Uint64()
+		dsts[i] = srcs[i] ^ uint64(rng.Intn(1<<uint(rng.Intn(40)+1)))
+	}
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		k := i % len(srcs)
+		for mode := 1; mode <= maxMode(space); mode++ {
+			sink += decompressDst(space, mode, srcs[k], compressDst(space, mode, dsts[k]))
+		}
+	}
+	_ = sink
+}
 
 func TestGeometryTables(t *testing.T) {
 	// Table I: 3-bit mode + 60 payload bits; modes 1..6 with
@@ -21,8 +57,8 @@ func TestGeometryTables(t *testing.T) {
 			t.Errorf("virtual mode %d overflows payload", k+1)
 		}
 	}
-	if MaxMode(Virtual) != 6 {
-		t.Errorf("virtual MaxMode = %d", MaxMode(Virtual))
+	if maxMode(Virtual) != 6 {
+		t.Errorf("virtual mode count = %d", maxMode(Virtual))
 	}
 
 	// Table II: 2-bit mode + 44 payload bits; modes 1..4 with
@@ -39,8 +75,8 @@ func TestGeometryTables(t *testing.T) {
 			t.Errorf("physical mode %d overflows payload", k+1)
 		}
 	}
-	if MaxMode(Physical) != 4 {
-		t.Errorf("physical MaxMode = %d", MaxMode(Physical))
+	if maxMode(Physical) != 4 {
+		t.Errorf("physical mode count = %d", maxMode(Physical))
 	}
 	if LineBits(Virtual) != 58 || LineBits(Physical) != 42 {
 		t.Error("line bits wrong")
@@ -96,7 +132,7 @@ func TestCompressRoundTrip(t *testing.T) {
 			s := src & lineMask(space)
 			d := dst & lineMask(space)
 			need := neededBits(space, s, d)
-			for mode := 1; mode <= MaxMode(space); mode++ {
+			for mode := 1; mode <= maxMode(space); mode++ {
 				if SigBits(space, mode) < need {
 					continue
 				}

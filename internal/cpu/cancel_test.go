@@ -14,10 +14,7 @@ import (
 // cancelTrace packs and presolves a mixed stream six chunks long.
 func cancelTrace(t *testing.T) *Presolved {
 	t.Helper()
-	p, err := trace.Pack(mixedStream(6*cancelCheckInterval + 321))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPack(t, mixedStream(6*cancelCheckInterval+321))
 	pre, err := Presolve(p, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

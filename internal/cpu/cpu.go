@@ -88,7 +88,7 @@ func DefaultConfig() Config {
 		BTBMissPenalty:    3,
 		MispredictPenalty: 2,
 		L1I: cache.ICacheConfig{
-			Sets: 64, Ways: 8, Latency: 4, MSHRs: 10, PQSize: 32, PQIssuePerCycle: 2,
+			Sets: 64, Ways: 8, Latency: 4, MSHRs: 10, PQSize: 32,
 		},
 		L1D: cache.TimingConfig{Name: "L1D", Sets: 64, Ways: 12, Latency: 5, ServiceInterval: 0},
 		L2:  cache.TimingConfig{Name: "L2", Sets: 1024, Ways: 8, Latency: 14, ServiceInterval: 1},
@@ -320,17 +320,15 @@ func (m *Machine) snap() snapshot {
 // warmup measures the whole run. It packs src's first warmup+measure
 // records, presolves them and replays them with RunPresolvedCtx. A
 // simulator ignores a non-branch's target and a non-memory op's data
-// address, so trace.Packer.Repack clears those rather than refusing them. RunWindows panics
-// with ErrMachineUsed on a consumed machine, with the packer's error
-// when src yields a record the packed form cannot hold (a branch type
-// beyond Return), and with Presolve's on an L1D it cannot presolve.
+// address, so trace.Packer.Repack clears those rather than refusing
+// them. RunWindows panics with ErrMachineUsed on a consumed machine,
+// with the packer's error when src yields a record the packed form
+// cannot hold (a branch type beyond Return), with a decoding src's
+// error, and with Presolve's on an L1D it cannot presolve.
 func (m *Machine) RunWindows(src trace.Source, warmup, measure uint64) Results {
 	pk := trace.NewPacker(0, 0)
-	var in trace.Instruction
-	for n := warmup + measure; n > 0 && src.Next(&in); n-- {
-		if err := pk.Repack(&in); err != nil {
-			panic(err)
-		}
+	if _, err := trace.Copy(pk.Repack, src, warmup+measure); err != nil {
+		panic(err)
 	}
 	pre, err := Presolve(pk.Packed(), m.cfg)
 	if err != nil {

@@ -176,10 +176,7 @@ func TestLimitedRunStopsEarly(t *testing.T) {
 // presolvedSource packs src's records and presolves them under cfg.
 func presolvedSource(t *testing.T, src *trace.SliceSource, cfg Config) *Presolved {
 	t.Helper()
-	p, err := trace.Pack(src.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPack(t, src.Instrs)
 	pre, err := Presolve(p, cfg)
 	if err != nil {
 		t.Fatal(err)

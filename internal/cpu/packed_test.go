@@ -10,6 +10,16 @@ import (
 	"entangling/internal/trace"
 )
 
+// mustPack packs ins whole.
+func mustPack(t *testing.T, ins []trace.Instruction) *trace.Packed {
+	t.Helper()
+	pk := trace.NewPacker(len(ins), 0)
+	if _, err := trace.Copy(pk.Append, &trace.SliceSource{Instrs: ins}, uint64(len(ins))); err != nil {
+		t.Fatal(err)
+	}
+	return pk.Packed()
+}
+
 // mixedStream is a deterministic stream with every kind of record the
 // packed form distinguishes: plain, loads, stores, taken and not-taken
 // branches, and jumps and sizes that need an escape.
@@ -83,10 +93,7 @@ func runWindowsErr(m *Machine, src trace.Source, warmup, measure uint64) (res Re
 // those events must be the stream's branches in order.
 func TestPackedCursorResumes(t *testing.T) {
 	ins := mixedStream(3*cancelCheckInterval + 1234)
-	p, err := trace.Pack(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPack(t, ins)
 	pre, err := Presolve(p, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

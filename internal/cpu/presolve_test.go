@@ -76,10 +76,7 @@ func FuzzCancellableReplayMatches(f *testing.F) {
 			return
 		}
 		n := cancelCheckInterval + 8192
-		p, err := trace.Pack(fuzzStream(data, n))
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := mustPack(t, fuzzStream(data, n))
 		warmup := uint64(cancelCheckInterval/2) + uint64(data[0])*48
 		measure := uint64(n) - warmup - uint64(data[1]%8)*100
 
@@ -113,10 +110,7 @@ func FuzzCancellableReplayMatches(f *testing.F) {
 // or address mapping are refused by a machine of another, and the
 // refusal leaves the machine runnable.
 func TestPresolvedKeyMismatch(t *testing.T) {
-	p, err := trace.Pack(mixedStream(5000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPack(t, mixedStream(5000))
 	phys := DefaultConfig()
 	phys.PhysicalAddresses, phys.TranslatorSalt = true, 7
 	pre, err := Presolve(p, phys)
@@ -163,10 +157,7 @@ func TestPresolvedKeyMismatch(t *testing.T) {
 func TestPresolveRefusesWideL1D(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1D.Sets, cfg.L1D.Ways = 4, maxPresolvedWays+1
-	p, err := trace.Pack(mixedStream(100))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPack(t, mixedStream(100))
 	if _, err := Presolve(p, cfg); err == nil {
 		t.Error("Presolve accepted an L1D of too many ways")
 	}

@@ -55,9 +55,6 @@ type Breakdown struct {
 // but reported separately).
 func (b Breakdown) Total() float64 { return b.L1I + b.L1D + b.L2 + b.LLC }
 
-// TotalWithDRAM adds the memory energy.
-func (b Breakdown) TotalWithDRAM() float64 { return b.Total() + b.DRAM }
-
 // Compute derives the energy breakdown of a run from its access
 // counters.
 func (m Model) Compute(r *cpu.Results) Breakdown {

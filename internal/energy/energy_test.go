@@ -40,9 +40,6 @@ func TestComputeBreakdown(t *testing.T) {
 	if b.Total() != 111+444+999+1776 {
 		t.Errorf("Total = %v", b.Total())
 	}
-	if b.TotalWithDRAM() != b.Total()+5000 {
-		t.Errorf("TotalWithDRAM = %v", b.TotalWithDRAM())
-	}
 }
 
 func TestDefault22nmOrdering(t *testing.T) {

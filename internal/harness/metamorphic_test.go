@@ -202,14 +202,14 @@ func TestOracleCrossChecksCacheStats(t *testing.T) {
 					t.Errorf("%s/%s: oracle saw no demanded fills", cfg.Name, spec.Name)
 				}
 
-				// TimelyFraction is a CDF over distances: within [0,1] and
-				// non-decreasing.
-				tf := co.TimelyFraction()
+				// The timely fraction Fig01 reads is a CDF over distances:
+				// within [0,1] and non-decreasing.
 				prev := 0.0
-				for d, f := range tf {
+				for d := 1; d <= 10; d++ {
+					f := co.Distances.CumulativeFraction(d)
 					if f < prev || f < 0 || f > 1 {
-						t.Fatalf("%s/%s: TimelyFraction not a CDF at distance %d: %v",
-							cfg.Name, spec.Name, d+1, tf)
+						t.Fatalf("%s/%s: timely fraction not a CDF at distance %d: %v after %v",
+							cfg.Name, spec.Name, d, f, prev)
 					}
 					prev = f
 				}

@@ -151,21 +151,8 @@ func TestQualityTable(t *testing.T) {
 	}
 }
 
-func TestLifecycleFractionAccessors(t *testing.T) {
+func TestL1IStallShares(t *testing.T) {
 	_, _, s := tinySuite(t)
-	for _, cfg := range []string{"nextline", "entangling-2k"} {
-		tf := s.TimelyFractions(cfg)
-		lf := s.LateFractions(cfg)
-		inf := s.InaccurateFractions(cfg)
-		if len(tf) == 0 || len(lf) == 0 || len(inf) == 0 {
-			t.Fatalf("%s: empty fraction vectors", cfg)
-		}
-		for i := range tf {
-			if tf[i] < 0 || tf[i] > 1 || lf[i] < 0 || lf[i] > 1 || inf[i] < 0 || inf[i] > 1 {
-				t.Errorf("%s[%d]: fractions out of [0,1]: %v %v %v", cfg, i, tf[i], lf[i], inf[i])
-			}
-		}
-	}
 	shares := s.L1IStallShares("no")
 	if len(shares) == 0 {
 		t.Fatal("no stall shares for baseline")

@@ -422,39 +422,6 @@ func (s *SuiteResults) Categories() []workload.Category {
 	return cats
 }
 
-// TimelyFractions returns, per workload, the fraction of cfg's
-// prefetch fills that served a demand fully ahead of need.
-func (s *SuiteResults) TimelyFractions(cfg string) []float64 {
-	return s.lifecycleFractions(cfg, func(r RunResult) uint64 { return r.R.Lifecycle.Timely })
-}
-
-// LateFractions returns, per workload, the fraction of cfg's prefetch
-// fills a demand caught in flight (partial latency hidden).
-func (s *SuiteResults) LateFractions(cfg string) []float64 {
-	return s.lifecycleFractions(cfg, func(r RunResult) uint64 { return r.R.Lifecycle.Late })
-}
-
-// InaccurateFractions returns, per workload, the fraction of cfg's
-// prefetch fills evicted unused and never demanded again.
-func (s *SuiteResults) InaccurateFractions(cfg string) []float64 {
-	return s.lifecycleFractions(cfg, func(r RunResult) uint64 { return r.R.Lifecycle.Inaccurate() })
-}
-
-// lifecycleFractions returns a WorkloadOrder-aligned vector (NaN where
-// the run is missing or had no prefetch fills to classify).
-func (s *SuiteResults) lifecycleFractions(cfg string, num func(RunResult) uint64) []float64 {
-	out := make([]float64, len(s.WorkloadOrder))
-	for i, wl := range s.WorkloadOrder {
-		r, ok := s.Runs[cfg][wl]
-		if !ok || r.R.L1I.PrefetchFills == 0 {
-			out[i] = nan
-			continue
-		}
-		out[i] = float64(num(r)) / float64(r.R.L1I.PrefetchFills)
-	}
-	return out
-}
-
 // L1IStallShares returns, per workload, the share of attributed stall
 // cycles the L1I is responsible for under cfg — the top-down number a
 // prefetcher exists to shrink. Aligned with WorkloadOrder (NaN where

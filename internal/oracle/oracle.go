@@ -103,15 +103,3 @@ func (o *LookaheadOracle) OnFill(ev cache.FillEvent) {
 	}
 	o.Distances.Add(maxTracked + 1) // overflow: ">10"
 }
-
-// TimelyFraction returns, for each distance 1..10, the fraction of
-// misses a fixed look-ahead of that distance would have served timely
-// (cumulative, as in Figure 1: issuing earlier than necessary is still
-// timely).
-func (o *LookaheadOracle) TimelyFraction() []float64 {
-	out := make([]float64, maxTracked)
-	for d := 1; d <= maxTracked; d++ {
-		out[d-1] = o.Distances.CumulativeFraction(d)
-	}
-	return out
-}

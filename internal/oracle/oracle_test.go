@@ -25,8 +25,8 @@ func TestDistanceOne(t *testing.T) {
 	if o.Distances.Buckets[0] != 1 {
 		t.Errorf("distance histogram: %+v", o.Distances)
 	}
-	if f := o.TimelyFraction(); f[0] != 1 {
-		t.Errorf("TimelyFraction[0] = %v", f[0])
+	if f := o.Distances.CumulativeFraction(1); f != 1 {
+		t.Errorf("timely fraction at distance 1 = %v", f)
 	}
 }
 
@@ -119,10 +119,9 @@ func TestTimelyFractionMonotone(t *testing.T) {
 	for i := uint64(0); i < 20; i++ {
 		o.OnFill(demandFill(200+i*17, 260+i*23))
 	}
-	f := o.TimelyFraction()
-	for i := 1; i < len(f); i++ {
-		if f[i] < f[i-1] {
-			t.Errorf("TimelyFraction not monotone at %d: %v", i, f)
+	for d := 2; d <= maxTracked; d++ {
+		if f, prev := o.Distances.CumulativeFraction(d), o.Distances.CumulativeFraction(d-1); f < prev {
+			t.Errorf("timely fraction not monotone at distance %d: %v < %v", d, f, prev)
 		}
 	}
 }

@@ -54,9 +54,6 @@ func (l PrefetchLifecycle) Inaccurate() uint64 {
 	return l.EvictedUnused - l.EarlyEvicted
 }
 
-// Useful returns prefetches that served a demand (fully or partially).
-func (l PrefetchLifecycle) Useful() uint64 { return l.Timely + l.Late }
-
 // MeanLead returns the average fill-to-use lead of timely prefetches.
 func (l PrefetchLifecycle) MeanLead() float64 {
 	if l.Timely == 0 {

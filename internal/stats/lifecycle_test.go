@@ -15,9 +15,6 @@ func TestPrefetchLifecycleDerived(t *testing.T) {
 	if got := l.Inaccurate(); got != 4 {
 		t.Errorf("Inaccurate = %d, want 4", got)
 	}
-	if got := l.Useful(); got != 14 {
-		t.Errorf("Useful = %d, want 14", got)
-	}
 	if got := l.MeanLead(); got != 25 {
 		t.Errorf("MeanLead = %v, want 25", got)
 	}

@@ -68,34 +68,6 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(sum / float64(len(xs)))
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. It returns 0 for an empty
-// slice. xs is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
 // Sorted returns a copy of xs sorted ascending. The paper's Figures 7-10
 // plot each configuration's per-workload metric sorted independently;
 // Sorted is the building block for those series.
@@ -184,19 +156,6 @@ func (h *Histogram) Total() uint64 {
 		t += b
 	}
 	return t
-}
-
-// Fraction returns the fraction of all observations in the bucket for
-// value v (0 when nothing was recorded).
-func (h *Histogram) Fraction(v int) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	if v < h.Lo || v >= h.Lo+len(h.Buckets) {
-		return 0
-	}
-	return float64(h.Buckets[v-h.Lo]) / float64(t)
 }
 
 // CumulativeFraction returns the fraction of observations with value
@@ -309,9 +268,6 @@ type RunningMean struct {
 
 // Add records one sample.
 func (r *RunningMean) Add(x float64) { r.n++; r.sum += x }
-
-// AddN records a pre-aggregated batch of n samples summing to sum.
-func (r *RunningMean) AddN(n uint64, sum float64) { r.n += n; r.sum += sum }
 
 // Mean returns the current mean (0 before any samples).
 func (r *RunningMean) Mean() float64 {

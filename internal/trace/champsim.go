@@ -302,34 +302,3 @@ func (c *ChampSimReader) convert(in *Instruction) {
 		}
 	}
 }
-
-// ConvertChampSim streams a ChampSim trace from src into an ENTRACE1
-// stream on dst (uncompressed payload; wrap dst or recompress offline
-// if needed), returning the number of instructions converted. Limits
-// in opt cut the conversion off mid-stream with a *LimitError.
-func ConvertChampSim(dst io.Writer, src io.Reader, opt ChampSimOptions) (uint64, error) {
-	cr, err := NewChampSimReader(src, opt)
-	if err != nil {
-		return 0, err
-	}
-	w, err := NewWriter(dst, false)
-	if err != nil {
-		return 0, err
-	}
-	var in Instruction
-	for cr.Next(&in) {
-		if err := w.Write(&in); err != nil {
-			return w.Count(), err
-		}
-	}
-	if err := cr.Err(); err != nil {
-		return w.Count(), err
-	}
-	if err := w.Close(); err != nil {
-		return w.Count(), err
-	}
-	if w.Count() == 0 {
-		return 0, errors.New("trace: champsim input contains no records")
-	}
-	return w.Count(), nil
-}

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -330,7 +331,7 @@ func TestChampSimRoundTripThroughCodec(t *testing.T) {
 	}
 
 	var enc bytes.Buffer
-	count, err := ConvertChampSim(&enc, bytes.NewReader(b.buf.Bytes()), ChampSimOptions{})
+	count, err := convertChampSim(&enc, bytes.NewReader(b.buf.Bytes()), ChampSimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestChampSimRoundTripThroughCodec(t *testing.T) {
 
 	// Converting the same fixture twice is deterministic.
 	var enc2 bytes.Buffer
-	if _, err := ConvertChampSim(&enc2, bytes.NewReader(b.buf.Bytes()), ChampSimOptions{}); err != nil {
+	if _, err := convertChampSim(&enc2, bytes.NewReader(b.buf.Bytes()), ChampSimOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
@@ -371,7 +372,7 @@ func TestChampSimRoundTripThroughCodec(t *testing.T) {
 
 func TestConvertChampSimEmptyInput(t *testing.T) {
 	var enc bytes.Buffer
-	if _, err := ConvertChampSim(&enc, bytes.NewReader(nil), ChampSimOptions{}); err == nil {
+	if _, err := convertChampSim(&enc, bytes.NewReader(nil), ChampSimOptions{}); err == nil {
 		t.Error("empty champsim input converted without error")
 	}
 }
@@ -393,7 +394,7 @@ func FuzzChampSimConvert(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, synth bool) {
 		var enc bytes.Buffer
-		count, err := ConvertChampSim(&enc, bytes.NewReader(data),
+		count, err := convertChampSim(&enc, bytes.NewReader(data),
 			ChampSimOptions{SynthesizeData: synth, Limits: Limits{MaxInstrs: 10_000}})
 		if err != nil {
 			return
@@ -414,4 +415,14 @@ func FuzzChampSimConvert(f *testing.F) {
 			t.Fatalf("importer reported %d records, stream has %d", count, n)
 		}
 	})
+}
+
+// convertChampSim converts a ChampSim trace to ENTRACE1 as Store.Put
+// does.
+func convertChampSim(dst io.Writer, src io.Reader, opt ChampSimOptions) (uint64, error) {
+	cr, err := NewChampSimReader(src, opt)
+	if err != nil {
+		return 0, err
+	}
+	return encode(dst, cr)
 }

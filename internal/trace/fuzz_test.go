@@ -190,11 +190,7 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		checkExpand(t, pk.Packed(), ins)
 
 		valid := instructionsFromBytes(data)
-		p, err := Pack(valid)
-		if err != nil {
-			t.Fatalf("packing a valid stream: %v", err)
-		}
-		checkExpand(t, p, valid)
+		checkExpand(t, mustPack(t, valid), valid)
 	})
 }
 

@@ -116,17 +116,6 @@ func NewPacker(records, words int) *Packer {
 	return &Packer{p: Packed{Ops: make([]byte, 0, records), Words: make([]uint64, 0, words)}}
 }
 
-// Pack packs a whole record slice.
-func Pack(instrs []Instruction) (*Packed, error) {
-	pk := NewPacker(len(instrs), 0)
-	for i := range instrs {
-		if err := pk.Append(&instrs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return pk.Packed(), nil
-}
-
 // Append adds one record. It fails, adding nothing, on a record the
 // packed form cannot hold exactly: a branch type beyond Return
 // (ErrBadBranch), a target on a non-branch (ErrStrayTarget) or a data

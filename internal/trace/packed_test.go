@@ -22,11 +22,11 @@ func packedStream(seed int64, n int) []Instruction {
 
 func mustPack(t *testing.T, ins []Instruction) *Packed {
 	t.Helper()
-	p, err := Pack(ins)
-	if err != nil {
+	pk := NewPacker(len(ins), 0)
+	if _, err := Copy(pk.Append, &SliceSource{Instrs: ins}, uint64(len(ins))); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return pk.Packed()
 }
 
 func TestPackedRoundTrip(t *testing.T) {
@@ -96,8 +96,9 @@ func TestPackerRejectsUnrepresentable(t *testing.T) {
 			if p := pk.Packed(); p.Len() != 0 || len(p.Words) != 0 {
 				t.Fatalf("a refused record left %d ops and %d words", p.Len(), len(p.Words))
 			}
-			if _, err := Pack([]Instruction{{PC: 0, Size: 4}, tc.in}); !errors.Is(err, tc.want) {
-				t.Fatalf("Pack = %v, want %v", err, tc.want)
+			src := &SliceSource{Instrs: []Instruction{{PC: 0, Size: 4}, tc.in}}
+			if n, err := Copy(NewPacker(2, 0).Append, src, 2); n != 1 || !errors.Is(err, tc.want) {
+				t.Fatalf("Copy = %d, %v; want 1, %v", n, err, tc.want)
 			}
 		})
 	}

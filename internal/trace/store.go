@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 
 	"entangling/internal/blob"
 )
@@ -100,20 +101,21 @@ func (s *Store) Put(r io.Reader, format string, lim Limits) (TraceInfo, bool, er
 	var size byteCount
 	out := io.MultiWriter(tmp, h, &size)
 
-	var count uint64
+	var src Source
 	switch format {
 	case "champsim":
-		count, err = ConvertChampSim(out, r, ChampSimOptions{Limits: lim})
-		if err != nil {
-			return TraceInfo{}, false, err
-		}
+		src, err = NewChampSimReader(r, ChampSimOptions{Limits: lim})
 	case "", "entrace1":
-		count, err = reencode(out, r, lim)
-		if err != nil {
-			return TraceInfo{}, false, err
-		}
+		src, err = NewReaderLimited(r, lim)
 	default:
 		return TraceInfo{}, false, fmt.Errorf("trace: unknown upload format %q", format)
+	}
+	if err != nil {
+		return TraceInfo{}, false, err
+	}
+	count, err := encode(out, src)
+	if err != nil {
+		return TraceInfo{}, false, err
 	}
 
 	info := TraceInfo{
@@ -160,33 +162,23 @@ func (c *byteCount) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// reencode validates an ENTRACE1 upload record by record (under lim)
-// and writes the canonical uncompressed encoding to dst.
-func reencode(dst io.Writer, src io.Reader, lim Limits) (uint64, error) {
-	rd, err := NewReaderLimited(src, lim)
-	if err != nil {
-		return 0, err
-	}
+// encode writes src's records to dst as canonical ENTRACE1 (an
+// uncompressed payload with minimal deltas) and returns their number.
+// A decoding src validates each record as it is read, so a malformed
+// or over-limit input fails mid-stream; an input of no records fails.
+func encode(dst io.Writer, src Source) (uint64, error) {
 	w, err := NewWriter(dst, false)
 	if err != nil {
 		return 0, err
 	}
-	var in Instruction
-	for rd.Next(&in) {
-		if err := w.Write(&in); err != nil {
-			return w.Count(), err
-		}
+	n, err := Copy(w.Write, src, math.MaxUint64)
+	if err == nil {
+		err = w.Close()
 	}
-	if err := rd.Err(); err != nil {
-		return w.Count(), err
+	if err == nil && n == 0 {
+		err = errors.New("trace: input contains no records")
 	}
-	if err := w.Close(); err != nil {
-		return w.Count(), err
-	}
-	if w.Count() == 0 {
-		return 0, errors.New("trace: upload contains no records")
-	}
-	return w.Count(), nil
+	return n, err
 }
 
 // Stat returns the metadata of a stored trace. A corrupt sidecar is

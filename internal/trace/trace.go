@@ -106,8 +106,26 @@ type Source interface {
 	Next(in *Instruction) bool
 }
 
-// SliceSource serves instructions from an in-memory slice; it is used
-// heavily by tests and by the trace round-trip tooling.
+// Copy passes src's records to put, one at a time, until n records
+// are passed, src ends or put fails, and returns how many records put
+// accepted. put's record is reused by the next call. When src is a
+// decoder with an Err method, its decode error ends the copy too.
+func Copy(put func(*Instruction) error, src Source, n uint64) (uint64, error) {
+	var in Instruction
+	var i uint64
+	for ; i < n && src.Next(&in); i++ {
+		if err := put(&in); err != nil {
+			return i, err
+		}
+	}
+	if d, ok := src.(interface{ Err() error }); ok {
+		return i, d.Err()
+	}
+	return i, nil
+}
+
+// SliceSource serves instructions from an in-memory slice. Tests feed
+// hand-written record streams through it.
 type SliceSource struct {
 	Instrs []Instruction
 	pos    int

@@ -2,9 +2,48 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 )
+
+// TestCopy: Copy stops at n records, at the end of its source or at
+// put's first error, and reports a decoding source's error.
+func TestCopy(t *testing.T) {
+	ins := genStream(1, 10)
+	var got []Instruction
+	collect := func(in *Instruction) error { got = append(got, *in); return nil }
+	for _, n := range []uint64{0, 4, 10, math.MaxUint64} {
+		got = nil
+		want := ins[:min(n, 10)]
+		if c, err := Copy(collect, &SliceSource{Instrs: ins}, n); c != uint64(len(want)) || err != nil || !slices.Equal(got, want) {
+			t.Fatalf("Copy(n=%d) = %d, %v, copied %d records; want %d", n, c, err, len(got), len(want))
+		}
+	}
+
+	stop := errors.New("stop")
+	calls := 0
+	c, err := Copy(func(*Instruction) error {
+		if calls++; calls == 3 {
+			return stop
+		}
+		return nil
+	}, &SliceSource{Instrs: ins}, 10)
+	if c != 2 || err != stop || calls != 3 {
+		t.Fatalf("Copy with a failing put = %d, %v after %d calls; want 2, stop after 3", c, err, calls)
+	}
+
+	enc := encodeAll(t, ins, false)
+	rd, err := NewReader(bytes.NewReader(enc[:len(enc)-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Copy(func(*Instruction) error { return nil }, rd, math.MaxUint64); err == nil || c != 9 {
+		t.Fatalf("Copy from a truncated trace = %d, %v; want 9 and a decode error", c, err)
+	}
+}
 
 func TestReaderShortHeader(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader([]byte("ENT"))); err == nil {

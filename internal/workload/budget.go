@@ -17,8 +17,9 @@ import (
 // value means "no limit" for every field; servers use DefaultBudget.
 type Budget struct {
 	// MaxTraceInstrs caps the materialized stream length
-	// (warmup+measure): the dominant allocation, sizeof(Instruction)
-	// bytes per instruction.
+	// (warmup+measure): the dominant allocation, held packed at about
+	// 5 bytes per instruction (one op byte, plus an 8-byte word per
+	// branch target, data address and escape; 33 bytes at most).
 	MaxTraceInstrs uint64
 	// MaxStaticInstrs caps the synthesized program size
 	// (Functions x MeanBlocks x MeanBlockInstrs).
@@ -32,7 +33,7 @@ type Budget struct {
 // DefaultBudget returns limits comfortably above every curated suite
 // and figure windows (paperfigs runs 3M-instruction cells over
 // programs of ~10^5 static instructions) while keeping a single
-// request's trace under ~1 GiB.
+// request's packed trace near 80 MB (about 530 MB at most).
 func DefaultBudget() Budget {
 	return Budget{
 		MaxTraceInstrs:   16_000_000,

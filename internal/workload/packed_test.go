@@ -15,6 +15,16 @@ import (
 // benchWindow is the warmup + measure window of the benchmark's sweeps.
 const benchWindow = 600_000
 
+// mustPack packs ins whole.
+func mustPack(t *testing.T, ins []trace.Instruction) *trace.Packed {
+	t.Helper()
+	tr, err := packSource("test", &trace.SliceSource{Instrs: ins}, uint64(len(ins)), trace.NewPacker(len(ins), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Packed
+}
+
 // TestPackedSuitesRoundTrip: every record of the shipped suites at the
 // sweep window packs and decodes back to exactly the record the walker
 // produced. serverless-cold's cold restart moves every code address,
@@ -35,10 +45,7 @@ func TestPackedSuitesRoundTrip(t *testing.T) {
 			for i := range want {
 				w.Next(&want[i])
 			}
-			p, err := trace.Pack(want)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := mustPack(t, want)
 			src := trace.NewPackedSource(p)
 			var got trace.Instruction
 			for i := range want {

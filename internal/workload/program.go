@@ -249,10 +249,3 @@ func geometric(rng *rand.Rand, mean float64) int {
 	}
 	return g
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

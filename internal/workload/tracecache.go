@@ -146,7 +146,7 @@ func pack(spec Spec, n uint64, trim bool) (*Trace, error) {
 	}
 	// A word per branch and per memory op: the shipped specs need 0.36
 	// to 0.48 per instruction, so the presized stream does not grow.
-	// The loop calls the walker directly, not through packSource's
+	// The loop calls the walker directly, not through trace.Copy's
 	// Source interface; the walker's stream is unbounded.
 	pk := trace.NewPacker(int(n), int(n/2))
 	var in trace.Instruction
@@ -167,13 +167,10 @@ func pack(spec Spec, n uint64, trim bool) (*Trace, error) {
 }
 
 // packSource packs the first n records of src into pk. A record the
-// packed form cannot hold fails the build with the packer's error.
+// packed form cannot hold, or a decoding src's error, fails the build.
 func packSource(name string, src trace.Source, n uint64, pk *trace.Packer) (*Trace, error) {
-	var in trace.Instruction
-	for i := uint64(0); i < n && src.Next(&in); i++ {
-		if err := pk.Append(&in); err != nil {
-			return nil, fmt.Errorf("workload %s: %w", name, err)
-		}
+	if _, err := trace.Copy(pk.Append, src, n); err != nil {
+		return nil, fmt.Errorf("workload %s: %w", name, err)
 	}
 	return &Trace{Name: name, Packed: pk.Packed()}, nil
 }
@@ -208,9 +205,6 @@ func materializeTrace(spec Spec, n uint64) (*Trace, error) {
 	tr, err := packSource(spec.Name, rd, n, trace.NewPacker(0, 0))
 	if err != nil {
 		return nil, err
-	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("workload %s: decoding trace: %w", spec.Name, err)
 	}
 	if held := uint64(tr.Packed.Len()); held < n {
 		return nil, fmt.Errorf("workload %s: %w: it holds %d records, %d requested", spec.Name, ErrTraceTooShort, held, n)

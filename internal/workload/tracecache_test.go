@@ -53,10 +53,7 @@ func TestMaterializeMatchesWalker(t *testing.T) {
 }
 
 func TestTraceSourceIndependentReaders(t *testing.T) {
-	p, err := trace.Pack([]trace.Instruction{{PC: 1}, {PC: 2}, {PC: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPack(t, []trace.Instruction{{PC: 1}, {PC: 2}, {PC: 3}})
 	tr := &Trace{Packed: p}
 	a, b := tr.Source(), tr.Source()
 	var in trace.Instruction

@@ -168,9 +168,6 @@ func (w *Walker) decide() uint64 {
 // Count returns the number of instructions emitted so far.
 func (w *Walker) Count() uint64 { return w.count }
 
-// Depth returns the current call-stack depth.
-func (w *Walker) Depth() int { return len(w.stack) }
-
 // Next implements trace.Source. The stream is unbounded: a reader
 // takes the records it needs and stops, as pack and cpu's RunWindows
 // do.
