@@ -60,7 +60,8 @@ func TestTraceFileRunsAsCells(t *testing.T) {
 		t.Fatalf("spec %s addressed %s, want %s at sha256 %x", spec.Name, spec.Params.TraceSHA256, path, sum)
 	}
 
-	store, err := harness.OpenCheckpointStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := harness.OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +74,8 @@ func TestTraceFileRunsAsCells(t *testing.T) {
 	if r := first.Runs["nextline"][path].R; r.Instructions != 20_000 || r.PrefetcherName != "nextline" {
 		t.Fatalf("nextline run: %d instructions under %q", r.Instructions, r.PrefetcherName)
 	}
-	if n, err := store.Count(); err != nil || n != 2 {
-		t.Fatalf("checkpointed %d cells (%v), want 2", n, err)
+	if ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt")); err != nil || len(ckpts) != 2 {
+		t.Fatalf("checkpointed %d cells (%v), want 2", len(ckpts), err)
 	}
 
 	opt.Resume = true

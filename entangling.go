@@ -58,7 +58,7 @@ type (
 	// Results.Stalls carries one.
 	StallBreakdown = stats.StallBreakdown
 	// PrefetchFeedback is the lifecycle feedback (late/useless) the
-	// simulator routes back to prefetchers implementing FeedbackSink.
+	// simulator routes back to prefetchers with an OnPrefetchFeedback method.
 	PrefetchFeedback = prefetch.Feedback
 
 	// WorkloadSpec names a synthetic workload and its parameters.

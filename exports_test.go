@@ -2,8 +2,10 @@ package entangling_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -16,34 +18,79 @@ import (
 // unusedExportAllowed names the exports under internal/ that may have
 // no caller in non-test code, each with the reason it stays.
 var unusedExportAllowed = map[string]string{
-	"client.Client.WaitResult":  "SDK method for job clients outside this module",
-	"client.Client.UploadTrace": "SDK method for job clients outside this module",
-	"client.Client.Healthz":     "SDK method for job clients outside this module",
-	"harness.RunTrace":          "benchmark's tests run a single trace through it",
-	"trace.SliceSource":         "the record stream of the cpu, trace and workload tests",
-	"Unwrap":                    "errors.Is and errors.As call it on every typed error",
+	"harness.RunTrace":  "benchmark's tests run a single trace through it",
+	"trace.SliceSource": "the record stream of the cpu, trace and workload tests",
+}
+
+// stdlibCalls declares the interfaces whose methods the standard
+// library calls on the values non-test code hands it.
+const stdlibCalls = `package stdlib
+
+import "fmt"
+
+type (
+	stringer  fmt.Stringer                // fmt's %s and %v
+	errorer   error                       // fmt, errors
+	unwrapper interface{ Unwrap() error } // errors.Is and errors.As
+)
+`
+
+// moduleImporter type-checks the module's packages (benchmark/
+// included) from their non-test files, recording every use in one
+// types.Info, and leaves the standard library to the default importer.
+type moduleImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	files map[string][]*ast.File // import path -> non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(ip string) (*types.Package, error) {
+	if p, ok := m.pkgs[ip]; ok {
+		return p, nil
+	}
+	files, ok := m.files[ip]
+	if !ok {
+		return m.std.Import(ip)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(ip, m.fset, files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[ip] = p
+	return p, nil
 }
 
 // TestInternalExportsHaveCallers fails on an exported top-level func,
 // method or type under internal/ that no non-test Go file of the
-// module (benchmark/ included) refers to. Such a name is either dead
-// or a test helper, which belongs in the package's export_test.go.
+// module (benchmark/ included) uses. Such a name is either dead or a
+// test helper, which belongs in the package's export_test.go.
 //
-// The check is by name: a func or type counts as used when its own
-// package names it or another package selects it through an import
-// of that package; a method counts as used when any file selects a
-// field or method of that name. A package that only tests import
+// Uses are resolved by type. A func or type counts as used when
+// non-test code outside its own declaration refers to it; a type's
+// own method receivers do not count. A method counts as used when
+// non-test code selects it on its receiver type (embedding included),
+// or when its type satisfies an interface, named or literal, whose
+// method of that name non-test code calls, or the standard library
+// does (stdlibCalls). Struct fields are not checked: encoding/json
+// reaches them by reflection. A package that only tests import
 // (leakcheck, faultinject) is test support and is not checked. An
 // allowlist entry that no longer matches an unused export fails too.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	type decl struct {
-		key  string // pkg.Name or pkg.Type.Method
-		name string
-		pos  token.Pos
-	}
 	const module = "entangling"
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // directory -> non-test files
+	m := &moduleImporter{
+		fset:  token.NewFileSet(),
+		std:   importer.Default(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
 	testImports := map[string]bool{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -59,130 +106,161 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			return nil
 		}
 		if strings.HasSuffix(p, "_test.go") {
-			f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+			f, err := parser.ParseFile(m.fset, p, nil, parser.ImportsOnly)
 			for _, im := range f.Imports {
 				ip, _ := strconv.Unquote(im.Path.Value)
 				testImports[ip] = true
 			}
 			return err
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		files[dir] = append(files[dir], f)
+		ip := path.Join(module, filepath.ToSlash(filepath.Dir(p)))
+		m.files[ip] = append(m.files[ip], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var decls []decl
-	declIdents := map[*ast.Ident]bool{}
-	// idents[dir] holds the identifiers each package's files use;
-	// selected[importPath] the names selected through an import of it.
-	idents := map[string]map[string]bool{}
-	selected := map[string]map[string]bool{}
-	methodsUsed := map[string]bool{}
 	imported := map[string]bool{} // import paths of non-test files
-	for dir, fs := range files {
-		for _, f := range fs {
-			if !strings.HasPrefix(dir, "internal/") {
-				continue
+	var paths []string
+	for ip, files := range m.files {
+		paths = append(paths, ip)
+		for _, f := range files {
+			for _, im := range f.Imports {
+				p, _ := strconv.Unquote(im.Path.Value)
+				imported[p] = true
 			}
-			pkg := f.Name.Name
+		}
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := m.Import(ip); err != nil {
+			t.Fatalf("type-checking %s: %v", ip, err)
+		}
+	}
+
+	// The checked declarations, and the source span of each: a use
+	// inside its own declaration (recursion, a type's own methods)
+	// does not count.
+	type span struct{ pos, end token.Pos }
+	decls := map[types.Object]span{}
+	var receivers []span
+	for _, ip := range paths {
+		if !strings.HasPrefix(ip, module+"/internal/") || (testImports[ip] && !imported[ip]) {
+			continue
+		}
+		for _, f := range m.files[ip] {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					if d.Recv != nil {
-						// A type's own methods do not use it.
-						ast.Inspect(d.Recv, func(n ast.Node) bool {
-							if id, ok := n.(*ast.Ident); ok {
-								declIdents[id] = true
-							}
-							return true
-						})
+						receivers = append(receivers, span{d.Recv.Pos(), d.Recv.End()})
 					}
-					if !d.Name.IsExported() {
-						continue
+					if d.Name.IsExported() {
+						decls[m.info.Defs[d.Name]] = span{d.Pos(), d.End()}
 					}
-					declIdents[d.Name] = true
-					key := pkg + "." + d.Name.Name
-					if d.Recv != nil {
-						key = pkg + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
-					}
-					decls = append(decls, decl{key, d.Name.Name, d.Name.Pos()})
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						if ts, ok := s.(*ast.TypeSpec); ok && ts.Name.IsExported() {
-							declIdents[ts.Name] = true
-							decls = append(decls, decl{pkg + "." + ts.Name.Name, ts.Name.Name, ts.Name.Pos()})
+							decls[m.info.Defs[ts.Name]] = span{ts.Pos(), ts.End()}
 						}
 					}
 				}
 			}
 		}
 	}
-	for dir, fs := range files {
-		own := map[string]bool{}
-		idents[dir] = own
-		for _, f := range fs {
-			imports := map[string]string{} // local name -> import path
-			for _, im := range f.Imports {
-				ip, _ := strconv.Unquote(im.Path.Value)
-				name := path.Base(ip)
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = ip
-				imported[ip] = true
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					methodsUsed[n.Sel.Name] = true
-					if x, ok := n.X.(*ast.Ident); ok {
-						if ip, ok := imports[x.Name]; ok {
-							if selected[ip] == nil {
-								selected[ip] = map[string]bool{}
-							}
-							selected[ip][n.Sel.Name] = true
-						}
-					}
-				case *ast.Ident:
-					if !declIdents[n] {
-						own[n.Name] = true
-					}
-				}
+	within := func(p token.Pos, s span) bool { return s.pos <= p && p < s.end }
+	inReceiver := func(p token.Pos) bool {
+		for _, r := range receivers {
+			if within(p, r) {
 				return true
-			})
+			}
+		}
+		return false
+	}
+
+	used := map[types.Object]bool{}
+	for id, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		s, ok := decls[obj]
+		if !ok || within(id.Pos(), s) {
+			continue
+		}
+		if _, isType := obj.(*types.TypeName); isType && inReceiver(id.Pos()) {
+			continue
+		}
+		used[obj] = true
+	}
+
+	// A method called through an interface marks the method of that
+	// name on every named type that satisfies the interface.
+	type ifaceCall struct {
+		iface *types.Interface
+		name  string
+	}
+	calls := map[ifaceCall]bool{}
+	f, err := parser.ParseFile(m.fset, "stdlib.go", stdlibCalls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, err := (&types.Config{Importer: m.std}).Check("stdlib", m.fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range std.Scope().Names() {
+		iface := std.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			calls[ifaceCall{iface, iface.Method(i).Name()}] = true
+		}
+	}
+	for _, sel := range m.info.Selections {
+		if sel.Kind() == types.FieldVal || !types.IsInterface(sel.Recv()) {
+			continue
+		}
+		calls[ifaceCall{sel.Recv().Underlying().(*types.Interface), sel.Obj().Name()}] = true
+	}
+	for _, p := range m.pkgs {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			for c := range calls {
+				if !types.Implements(tn.Type(), c.iface) && !types.Implements(types.NewPointer(tn.Type()), c.iface) {
+					continue
+				}
+				obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, p, c.name)
+				if fn, ok := obj.(*types.Func); ok {
+					used[fn.Origin()] = true
+				}
+			}
 		}
 	}
 
 	var unused []string
 	allowed := map[string]bool{}
-	for _, d := range decls {
-		dir := filepath.ToSlash(filepath.Dir(fset.Position(d.pos).Filename))
-		if testImports[module+"/"+dir] && !imported[module+"/"+dir] {
+	for obj, s := range decls {
+		if used[obj] {
 			continue
 		}
-		isMethod := strings.Count(d.key, ".") == 2
-		used := methodsUsed[d.name]
-		if !isMethod {
-			used = idents[dir][d.name] || selected[module+"/"+dir][d.name]
+		key := obj.Pkg().Name() + "." + obj.Name()
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			recv := sig.Recv().Type()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			key = obj.Pkg().Name() + "." + recv.(*types.Named).Obj().Name() + "." + obj.Name()
 		}
-		key := d.key
-		if _, ok := unusedExportAllowed[d.name]; ok && isMethod {
-			key = d.name
-		}
-		switch _, ok := unusedExportAllowed[key]; {
-		case used:
-		case ok:
+		if _, ok := unusedExportAllowed[key]; ok {
 			allowed[key] = true
-		default:
-			unused = append(unused, d.key+" ("+fset.Position(d.pos).String()+")")
+			continue
 		}
+		unused = append(unused, key+" ("+m.fset.Position(s.pos).String()+")")
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
@@ -191,24 +269,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	for name := range unusedExportAllowed {
 		if !allowed[name] {
 			t.Errorf("allowlisted %s has a caller outside tests or no longer exists", name)
-		}
-	}
-}
-
-// recvType returns the type name of a method receiver.
-func recvType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 )
 
 // ErrConflict reports a Put over a committed file that holds different
@@ -28,8 +27,7 @@ var ErrConflict = errors.New("conflicting content")
 // Store is a directory of committed files. Safe for concurrent use,
 // also by several Store values or processes sharing one directory.
 type Store struct {
-	dir         string
-	quarantined atomic.Int64
+	dir string
 
 	// fault runs before each step of a put ("write", "sync" and
 	// "commit") and fails the step with its error. Only tests, which
@@ -44,9 +42,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir, fault: func(string) error { return nil }}, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) path(name string) string { return filepath.Join(s.dir, name) }
 
@@ -156,8 +151,8 @@ func (s *Store) Put(name string, data []byte, verify func([]byte) error) error {
 }
 
 // Get returns the file committed under name; ok is false when there
-// is none. A file verify rejects is quarantined to <name>.bad, counted
-// in Quarantined, and reported missing.
+// is none. A file verify rejects is quarantined to <name>.bad and
+// reported missing.
 func (s *Store) Get(name string, verify func([]byte) error) (data []byte, ok bool, err error) {
 	b, err := os.ReadFile(s.path(name))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -176,7 +171,6 @@ func (s *Store) Get(name string, verify func([]byte) error) (data []byte, ok boo
 }
 
 func (s *Store) quarantine(name string) error {
-	s.quarantined.Add(1)
 	return os.Rename(s.path(name), s.path(name+".bad"))
 }
 
@@ -200,7 +194,3 @@ func (s *Store) List(suffix string) ([]string, error) {
 	}
 	return out, nil
 }
-
-// Quarantined reports how many corrupt files the store has set aside
-// since it was opened.
-func (s *Store) Quarantined() int { return int(s.quarantined.Load()) }

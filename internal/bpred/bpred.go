@@ -311,11 +311,3 @@ func (p *Predictor) popRAS() (uint64, bool) {
 	p.rasTop--
 	return p.ras[p.rasTop], true
 }
-
-// CondAccuracy returns the direction-prediction accuracy so far.
-func (p *Predictor) CondAccuracy() float64 {
-	if p.CondLookups == 0 {
-		return 1
-	}
-	return 1 - float64(p.DirMispredicts)/float64(p.CondLookups)
-}

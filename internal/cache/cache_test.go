@@ -72,7 +72,7 @@ func TestLineAddr(t *testing.T) {
 
 func TestTimingCacheHitMiss(t *testing.T) {
 	mem := &fixedLevel{latency: 100}
-	l2 := NewTimingCache(TimingConfig{Name: "L2", Sets: 16, Ways: 4, Latency: 10}, mem)
+	l2 := NewTimingCache(TimingConfig{Sets: 16, Ways: 4, Latency: 10}, mem)
 
 	// Cold miss: latency = own 10 (lookup) + 100 (mem) + 10 (fill-to-use).
 	ready := l2.Access(0, 42, false)
@@ -90,9 +90,6 @@ func TestTimingCacheHitMiss(t *testing.T) {
 	}
 	if !l2.Contains(42) || l2.Contains(43) {
 		t.Error("Contains wrong")
-	}
-	if l2.Name() != "L2" {
-		t.Error("Name wrong")
 	}
 }
 

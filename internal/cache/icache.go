@@ -174,10 +174,6 @@ func (c *ICache) Stats() *Stats { return &c.stats }
 // constructed after the cache).
 func (c *ICache) SetListener(l Listener) { c.listener = l }
 
-// Now returns the cache's internal clock (the latest time it has
-// processed up to).
-func (c *ICache) Now() uint64 { return c.now }
-
 // AdvanceTo processes fills and prefetch issue up to cycle now.
 func (c *ICache) AdvanceTo(now uint64) {
 	if now < c.now {

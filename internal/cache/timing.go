@@ -11,7 +11,6 @@ type Level interface {
 
 // TimingConfig sizes a timing cache level.
 type TimingConfig struct {
-	Name       string
 	Sets, Ways int
 	// Latency is the hit latency in cycles.
 	Latency uint64
@@ -109,9 +108,6 @@ func NewTimingStage(cfg TimingConfig, next Level) *TimingCache {
 
 // Stats returns a snapshot pointer of the level's counters.
 func (c *TimingCache) Stats() *Stats { return &c.stats }
-
-// Name returns the configured level name.
-func (c *TimingCache) Name() string { return c.cfg.Name }
 
 // Access implements Level: the tag step, then the timing step.
 func (c *TimingCache) Access(now uint64, lineAddr uint64, prefetch bool) uint64 {

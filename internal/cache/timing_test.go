@@ -23,13 +23,13 @@ func FuzzL1DTimingMatchesAccess(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint64(nil, 0x0123456789abcdef))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		shapes := []TimingConfig{
-			{Name: "L1D", Sets: 4, Ways: 3, Latency: 5},
-			{Name: "L1D", Sets: 3, Ways: 2, Latency: 5, ServiceInterval: 1},
+			{Sets: 4, Ways: 3, Latency: 5},
+			{Sets: 3, Ways: 2, Latency: 5, ServiceInterval: 1},
 		}
 		for _, cfg := range shapes {
 			hier := func() (*TimingCache, *DRAM) {
 				d := NewDRAM(DRAMConfig{Latency: 40, ServiceInterval: 3, JitterMask: 0xF})
-				return NewTimingCache(TimingConfig{Name: "L2", Sets: 2, Ways: 2, Latency: 9, ServiceInterval: 1}, d), d
+				return NewTimingCache(TimingConfig{Sets: 2, Ways: 2, Latency: 9, ServiceInterval: 1}, d), d
 			}
 			l2a, da := hier()
 			l2b, db := hier()

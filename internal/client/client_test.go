@@ -18,7 +18,7 @@ import (
 	"entangling/internal/server"
 )
 
-// This file is the SDK battery. The centerpiece is the severed-stream
+// This file is the client's battery. The centerpiece is the severed-stream
 // resume test: an in-process flaky proxy truncates every SSE response
 // after a couple of frames, and the client must still deliver the
 // exact ordered, gapless, duplicate-free event sequence an
@@ -48,7 +48,7 @@ func startNode(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// virtualClock returns a Sleep that records requested delays without
+// virtualClock returns a sleep func that records requested delays without
 // actually waiting, so backoff schedules run instantly.
 func virtualClock() (func(context.Context, time.Duration) error, *[]time.Duration) {
 	var slept []time.Duration
@@ -63,8 +63,8 @@ func virtualClock() (func(context.Context, time.Duration) error, *[]time.Duratio
 
 func newTestClient(t *testing.T, baseURL string, mut func(*Config)) *Client {
 	t.Helper()
-	cfg := Config{BaseURL: baseURL, Logf: t.Logf}
-	cfg.Sleep, _ = virtualClock()
+	cfg := Config{BaseURL: baseURL}
+	cfg.sleep, _ = virtualClock()
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -73,6 +73,22 @@ func newTestClient(t *testing.T, baseURL string, mut func(*Config)) *Client {
 		t.Fatalf("client.New: %v", err)
 	}
 	return c
+}
+
+// waitResult polls Result until the job is terminal and returns its
+// document with the raw bytes.
+func waitResult(t *testing.T, c *Client, id string) (server.ResultDoc, []byte) {
+	t.Helper()
+	for {
+		doc, raw, done, err := c.Result(context.Background(), id)
+		if err != nil {
+			t.Fatalf("result: %v", err)
+		}
+		if done {
+			return doc, raw
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func testJob() server.JobRequest {
@@ -142,7 +158,7 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestEventsResumeAfterSeveredStream: with every SSE connection cut
 // after two frames, Events still delivers the exact sequence an
 // uninterrupted stream yields, and the result document is
-// byte-identical — the SDK's resume is invisible to the caller.
+// byte-identical — the client's resume is invisible to the caller.
 func TestEventsResumeAfterSeveredStream(t *testing.T) {
 	node := startNode(t)
 	proxy := &flakyProxy{backend: node.URL, cutAfter: 2}
@@ -150,9 +166,8 @@ func TestEventsResumeAfterSeveredStream(t *testing.T) {
 	defer front.Close()
 
 	direct := newTestClient(t, node.URL, nil)
-	flaky := newTestClient(t, front.URL, func(c *Config) {
-		c.Retries = 50 // every reconnect counts against this budget
-	})
+	// The job's 7 events cost 3 reconnects, within maxRetries.
+	flaky := newTestClient(t, front.URL, nil)
 
 	ctx := context.Background()
 	sub, err := direct.Submit(ctx, testJob())
@@ -161,10 +176,7 @@ func TestEventsResumeAfterSeveredStream(t *testing.T) {
 	}
 	// Finish the job first so both streams replay the same complete,
 	// immutable event log — the comparison is then exact, not racy.
-	wantDoc, wantRaw, err := direct.WaitResult(ctx, sub.ID)
-	if err != nil {
-		t.Fatalf("wait result: %v", err)
-	}
+	wantDoc, wantRaw := waitResult(t, direct, sub.ID)
 	if wantDoc.State != server.StateCompleted {
 		t.Fatalf("job state %q, want completed", wantDoc.State)
 	}
@@ -200,10 +212,7 @@ func TestEventsResumeAfterSeveredStream(t *testing.T) {
 	}
 
 	// The result fetched through the flaky proxy hashes identically.
-	_, gotRaw, err := flaky.WaitResult(ctx, sub.ID)
-	if err != nil {
-		t.Fatalf("wait result via proxy: %v", err)
-	}
+	_, gotRaw := waitResult(t, flaky, sub.ID)
 	if sha256.Sum256(gotRaw) != sha256.Sum256(wantRaw) {
 		t.Fatalf("result bytes via flaky proxy differ from direct fetch")
 	}
@@ -221,9 +230,7 @@ func TestEventsStopOnCallbackError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, _, err := cl.WaitResult(ctx, sub.ID); err != nil {
-		t.Fatalf("wait result: %v", err)
-	}
+	waitResult(t, cl, sub.ID)
 
 	sentinel := errors.New("stop here")
 	calls := 0
@@ -240,7 +247,7 @@ func TestEventsStopOnCallbackError(t *testing.T) {
 }
 
 // TestRetryHonorsRetryAfter: 503s are retried and a server Retry-After
-// hint stretches the backoff (capped at MaxDelay).
+// hint stretches the backoff (capped at maxDelay).
 func TestRetryHonorsRetryAfter(t *testing.T) {
 	var hits atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -249,19 +256,14 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 			http.Error(w, "warming up", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte("ok\n"))
+		w.Write([]byte(`{"state":"completed"}`))
 	}))
 	defer ts.Close()
 
 	sleep, slept := virtualClock()
-	cl := newTestClient(t, ts.URL, func(c *Config) {
-		c.Retries = 3
-		c.BaseDelay = 10 * time.Millisecond
-		c.MaxDelay = 5 * time.Second
-		c.Sleep = sleep
-	})
-	if err := cl.Healthz(context.Background()); err != nil {
-		t.Fatalf("healthz after recovery: %v", err)
+	cl := newTestClient(t, ts.URL, func(c *Config) { c.sleep = sleep })
+	if _, _, _, err := cl.Result(context.Background(), "x"); err != nil {
+		t.Fatalf("result after recovery: %v", err)
 	}
 	if hits.Load() != 3 {
 		t.Fatalf("server saw %d requests, want 3", hits.Load())
@@ -273,7 +275,7 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 
 // TestQuotaRejectionNotRetried: a 429 surfaces immediately as a typed
 // APIError carrying the machine reason and the Retry-After hint — the
-// SDK must not burn retries hiding quota pressure from the caller.
+// client must not burn retries hiding quota pressure from the caller.
 func TestQuotaRejectionNotRetried(t *testing.T) {
 	var hits atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -309,21 +311,18 @@ func TestQuotaRejectionNotRetried(t *testing.T) {
 }
 
 // TestTransportRetryBudget: connection-level failures are retried
-// exactly Retries times, then the last error surfaces.
+// exactly maxRetries times, then the last error surfaces.
 func TestTransportRetryBudget(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	ts.Close() // nothing listens: every dial fails
 
 	sleep, slept := virtualClock()
-	cl := newTestClient(t, ts.URL, func(c *Config) {
-		c.Retries = 3
-		c.Sleep = sleep
-	})
-	if err := cl.Healthz(context.Background()); err == nil {
-		t.Fatalf("healthz against a dead node succeeded")
+	cl := newTestClient(t, ts.URL, func(c *Config) { c.sleep = sleep })
+	if _, err := cl.Submit(context.Background(), testJob()); err == nil {
+		t.Fatalf("submit to a dead node succeeded")
 	}
-	if len(*slept) != 3 {
-		t.Fatalf("retried %d times, want 3", len(*slept))
+	if len(*slept) != maxRetries {
+		t.Fatalf("retried %d times, want %d", len(*slept), maxRetries)
 	}
 	for i := 1; i < len(*slept); i++ {
 		if (*slept)[i] < (*slept)[i-1] {
@@ -337,7 +336,7 @@ func TestTransportRetryBudget(t *testing.T) {
 func TestEventsUnknownJobFailsFast(t *testing.T) {
 	node := startNode(t)
 	sleep, slept := virtualClock()
-	cl := newTestClient(t, node.URL, func(c *Config) { c.Sleep = sleep })
+	cl := newTestClient(t, node.URL, func(c *Config) { c.sleep = sleep })
 
 	err := cl.Events(context.Background(), "nope", func(server.Event) error { return nil })
 	var apiErr *APIError

@@ -13,7 +13,7 @@ import (
 	"entangling/internal/server"
 )
 
-// This file implements the SSE side of the SDK: Events follows a
+// This file implements the SSE side of the client: Events follows a
 // job's progress stream and transparently survives severed
 // connections. The server's event log is append-only and replayable
 // from any position, and every SSE frame carries its sequence number
@@ -25,8 +25,8 @@ import (
 // Events streams a job's progress events to fn, in order, exactly
 // once each, until the terminal job.done event (returns nil), the
 // context cancels, fn returns an error (propagated), or the retry
-// budget is exhausted reconnecting. A non-retryable API answer (401,
-// 403, 404) returns its *APIError immediately.
+// budget (maxRetries) is exhausted reconnecting. A non-retryable API
+// answer (401, 403, 404) returns its *APIError immediately.
 func (c *Client) Events(ctx context.Context, id string, fn func(server.Event) error) error {
 	lastSeq := 0
 	failures := 0
@@ -48,14 +48,12 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.Event) er
 		}
 		// The connection died mid-stream (or the server was briefly
 		// unavailable): back off and resume from lastSeq.
-		if failures >= c.cfg.Retries {
+		if failures >= maxRetries {
 			return fmt.Errorf("client: event stream for job %s: %w", id, err)
 		}
-		d := c.backoffDelay(failures, 0)
+		d := backoffDelay(failures, 0)
 		failures++
-		c.cfg.Logf("client: event stream for %s interrupted after seq %d (%v); resuming in %s",
-			id, lastSeq, err, d)
-		if serr := c.cfg.Sleep(ctx, d); serr != nil {
+		if serr := c.cfg.sleep(ctx, d); serr != nil {
 			return fmt.Errorf("client: event stream for job %s: %w", id, err)
 		}
 	}

@@ -318,9 +318,6 @@ func (e *Entangling) blockSize(line uint64) uint8 {
 // Name implements prefetch.Prefetcher.
 func (e *Entangling) Name() string { return e.cfg.Name }
 
-// Config returns the active configuration.
-func (e *Entangling) Config() Config { return e.cfg }
-
 // Stats returns a snapshot of the internal counters; the per-format
 // insert histogram is copied from the table.
 func (e *Entangling) Stats() Stats {
@@ -580,7 +577,7 @@ func (e *Entangling) OnEvict(ev cache.EvictEvent) {
 	}
 }
 
-// OnPrefetchFeedback implements prefetch.FeedbackSink: Entangling
+// OnPrefetchFeedback implements cache.FeedbackSink: Entangling
 // counts late and useless outcomes of its own prefetches. (Confidence
 // already throttles via OnEvict/OnAccess; these counters expose the
 // timeliness signal a distance-adaptive variant would consume.)

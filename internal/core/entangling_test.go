@@ -380,7 +380,7 @@ func TestNameAndInterfaces(t *testing.T) {
 	}
 	var _ prefetch.Prefetcher = e
 	e.OnBranch(prefetch.BranchEvent{}) // must be a no-op
-	if e.Config().Sets != 256 {
+	if e.cfg.Sets != 256 {
 		t.Error("Config() accessor wrong")
 	}
 }

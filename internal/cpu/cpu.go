@@ -90,9 +90,9 @@ func DefaultConfig() Config {
 		L1I: cache.ICacheConfig{
 			Sets: 64, Ways: 8, Latency: 4, MSHRs: 10, PQSize: 32,
 		},
-		L1D: cache.TimingConfig{Name: "L1D", Sets: 64, Ways: 12, Latency: 5, ServiceInterval: 0},
-		L2:  cache.TimingConfig{Name: "L2", Sets: 1024, Ways: 8, Latency: 14, ServiceInterval: 1},
-		LLC: cache.TimingConfig{Name: "LLC", Sets: 2048, Ways: 16, Latency: 34, ServiceInterval: 2},
+		L1D: cache.TimingConfig{Sets: 64, Ways: 12, Latency: 5, ServiceInterval: 0},
+		L2:  cache.TimingConfig{Sets: 1024, Ways: 8, Latency: 14, ServiceInterval: 1},
+		LLC: cache.TimingConfig{Sets: 2048, Ways: 16, Latency: 34, ServiceInterval: 2},
 		DRAM: cache.DRAMConfig{
 			Latency: 200, ServiceInterval: 8, JitterMask: 0x3F,
 		},

@@ -160,9 +160,6 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 	return &CheckpointStore{blobs: b}, nil
 }
 
-// Dir returns the store's directory.
-func (s *CheckpointStore) Dir() string { return s.blobs.Dir() }
-
 // Save atomically and durably persists rec as <fingerprint>.ckpt.
 //
 // Save is idempotent under concurrency: saving a record identical to
@@ -218,14 +215,4 @@ func (s *CheckpointStore) Load(fingerprint, config, workload string) (RunResult,
 		return RunResult{}, false, nil
 	}
 	return rec.Result, true, nil
-}
-
-// Quarantined reports how many corrupt records this store has set
-// aside since it was opened.
-func (s *CheckpointStore) Quarantined() int { return s.blobs.Quarantined() }
-
-// Count returns the number of resident (valid-named) records.
-func (s *CheckpointStore) Count() (int, error) {
-	names, err := s.blobs.List(".ckpt")
-	return len(names), err
 }

@@ -81,8 +81,15 @@ func TestCellFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// badFiles counts the records quarantined in a store directory.
+func badFiles(dir string) int {
+	bad, _ := filepath.Glob(filepath.Join(dir, "*.bad"))
+	return len(bad)
+}
+
 func TestCheckpointStoreSaveLoad(t *testing.T) {
-	store, err := OpenCheckpointStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +114,7 @@ func TestCheckpointStoreSaveLoad(t *testing.T) {
 		t.Errorf("Count = %d, %v", n, err)
 	}
 	// No temp droppings left behind.
-	if tmps, _ := filepath.Glob(filepath.Join(store.Dir(), "*.tmp")); len(tmps) != 0 {
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 		t.Errorf("stale temp files: %v", tmps)
 	}
 }
@@ -117,13 +124,14 @@ func TestCheckpointStoreSaveLoad(t *testing.T) {
 // after itself; the store directory never accumulates .tmp files that
 // a later crash-recovery scan would have to reason about.
 func TestCheckpointStoreSaveErrorLeavesNoTemp(t *testing.T) {
-	store, err := OpenCheckpointStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noTemps := func(when string) {
 		t.Helper()
-		if tmps, _ := filepath.Glob(filepath.Join(store.Dir(), "*.tmp")); len(tmps) != 0 {
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 			t.Fatalf("%s left temp files behind: %v", when, tmps)
 		}
 	}
@@ -140,7 +148,7 @@ func TestCheckpointStoreSaveErrorLeavesNoTemp(t *testing.T) {
 	// directory, so the rename cannot succeed no matter the platform
 	// or privilege level. The written temp file must be removed.
 	rec := sampleRecord()
-	final := filepath.Join(store.Dir(), rec.Fingerprint+".ckpt")
+	final := filepath.Join(dir, rec.Fingerprint+".ckpt")
 	if err := os.MkdirAll(filepath.Join(final, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +188,12 @@ func TestCheckpointStoreQuarantinesCorruption(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
-			store, err := OpenCheckpointStore(t.TempDir())
+			dir := t.TempDir()
+			store, err := OpenCheckpointStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(store.Dir(), rec.Fingerprint+".ckpt")
+			path := filepath.Join(dir, rec.Fingerprint+".ckpt")
 			if err := os.WriteFile(path, corrupt(valid), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -195,8 +204,8 @@ func TestCheckpointStoreQuarantinesCorruption(t *testing.T) {
 			if ok {
 				t.Fatal("corrupt record was merged as a valid result")
 			}
-			if store.Quarantined() != 1 {
-				t.Errorf("Quarantined = %d, want 1", store.Quarantined())
+			if n := badFiles(dir); n != 1 {
+				t.Errorf("%d quarantined records, want 1", n)
 			}
 			if _, err := os.Stat(path + ".bad"); err != nil {
 				t.Errorf("corrupt record not set aside: %v", err)
@@ -215,7 +224,8 @@ func TestCheckpointStoreQuarantinesCorruption(t *testing.T) {
 // TestCheckpointStoreRejectsForeignFingerprint: a record stored under
 // the wrong key (e.g. a hand-renamed file) must not resume that cell.
 func TestCheckpointStoreRejectsForeignFingerprint(t *testing.T) {
-	store, err := OpenCheckpointStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +235,14 @@ func TestCheckpointStoreRejectsForeignFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := strings.Repeat("f", len(rec.Fingerprint))
-	if err := os.WriteFile(filepath.Join(store.Dir(), other+".ckpt"), b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, other+".ckpt"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := store.Load(other, rec.Config, rec.Workload); ok {
 		t.Fatal("record accepted under a foreign fingerprint")
 	}
-	if store.Quarantined() != 1 {
-		t.Errorf("Quarantined = %d, want 1", store.Quarantined())
+	if n := badFiles(dir); n != 1 {
+		t.Errorf("%d quarantined records, want 1", n)
 	}
 }
 
@@ -302,7 +312,8 @@ func TestFuzzCheckpointDecodeSeedsPass(t *testing.T) {
 // must succeed without an error and without doubling files —
 // re-persisting what is already stored is a no-op, not a conflict.
 func TestCheckpointStoreSaveIdempotent(t *testing.T) {
-	store, err := OpenCheckpointStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +343,7 @@ func TestCheckpointStoreSaveIdempotent(t *testing.T) {
 	if !reflect.DeepEqual(got, rec.Result) {
 		t.Errorf("record damaged by concurrent saves:\ngot  %+v\nwant %+v", got, rec.Result)
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(store.Dir(), "*.tmp")); len(tmps) != 0 {
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
 		t.Errorf("stale temp files: %v", tmps)
 	}
 }
@@ -370,12 +381,13 @@ func TestCheckpointStoreSaveConflict(t *testing.T) {
 // never going to resume; a fresh Save of the same fingerprint replaces
 // it instead of reporting a conflict against garbage.
 func TestCheckpointStoreSaveReplacesCorrupt(t *testing.T) {
-	store, err := OpenCheckpointStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := sampleRecord()
-	path := filepath.Join(store.Dir(), rec.Fingerprint+".ckpt")
+	path := filepath.Join(dir, rec.Fingerprint+".ckpt")
 	if err := os.WriteFile(path, []byte("ENTCKPT v1 garbage\nnot json"), 0o644); err != nil {
 		t.Fatal(err)
 	}

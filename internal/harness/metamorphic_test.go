@@ -120,7 +120,7 @@ func (c *crossCheck) OnBranch(e prefetch.BranchEvent) {
 }
 
 func (c *crossCheck) OnPrefetchFeedback(f prefetch.Feedback) {
-	if s, ok := c.Prefetcher.(prefetch.FeedbackSink); ok {
+	if s, ok := c.Prefetcher.(cache.FeedbackSink); ok {
 		s.OnPrefetchFeedback(f)
 	}
 	c.co.OnPrefetchFeedback(f)

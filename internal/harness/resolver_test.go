@@ -111,13 +111,14 @@ func TestResolverSharesCellsAcrossSweeps(t *testing.T) {
 // other cells of the resumed sweep complete.
 func TestUnreadableRecordFailsItsCell(t *testing.T) {
 	specs, cfgs, opt := resumeSuite()
-	store, err := OpenCheckpointStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad, badSpec := cfgs[1], specs[0]
 	fp := CellFingerprint(bad, badSpec, opt.Warmup, opt.Measure)
-	if err := os.Mkdir(filepath.Join(store.Dir(), fp+".ckpt"), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(dir, fp+".ckpt"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 

@@ -184,8 +184,8 @@ func (p *DJolt) OnAccess(ev cache.AccessEvent) {
 	}
 }
 
-// OnPrefetchFeedback implements FeedbackSink: D-JOLT records how many
-// of its prefetches arrived late or went unused.
+// OnPrefetchFeedback implements cache.FeedbackSink: D-JOLT records how
+// many of its prefetches arrived late or went unused.
 func (p *DJolt) OnPrefetchFeedback(fb Feedback) {
 	switch fb.Kind {
 	case FeedbackLate:

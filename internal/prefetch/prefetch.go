@@ -49,10 +49,6 @@ const (
 	FeedbackUseless = cache.FeedbackUseless
 )
 
-// FeedbackSink receives lifecycle feedback. Base implements it as a
-// no-op, so every prefetcher embedding Base is automatically wired.
-type FeedbackSink = cache.FeedbackSink
-
 // Prefetcher is an L1I prefetcher. OnAccess/OnFill/OnEvict mirror
 // cache.Listener; the CPU wires the L1I's event stream straight into
 // the active prefetcher.
@@ -143,7 +139,8 @@ func (b *Base) OnEvict(cache.EvictEvent) {}
 // OnBranch implements Prefetcher as a no-op.
 func (b *Base) OnBranch(BranchEvent) {}
 
-// OnPrefetchFeedback implements FeedbackSink as a no-op.
+// OnPrefetchFeedback implements cache.FeedbackSink as a no-op, so
+// every prefetcher embedding Base is wired for lifecycle feedback.
 func (b *Base) OnPrefetchFeedback(Feedback) {}
 
 // None is the no-prefetching baseline configuration.

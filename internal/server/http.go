@@ -121,9 +121,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// submitResponse is the POST /v1/jobs body: the job identity plus
+// SubmitResponse is the POST /v1/jobs body: the job identity plus
 // resource links, so clients need no URL templating.
-type submitResponse struct {
+type SubmitResponse struct {
 	ID      string `json:"id"`
 	State   string `json:"state"`
 	Deduped bool   `json:"deduped"`
@@ -150,7 +150,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reject(w, st, http.StatusBadRequest, ReasonBadRequest, "%v", err)
 		return
 	}
-	spec, err := s.reg.resolve(req, s.cfg.Budget, s.cfg.MaxCells, s.resolveTraceWorkload)
+	spec, err := s.reg.resolve(req, s.cfg.MaxCells, s.resolveTraceWorkload)
 	if errors.Is(err, errTraceStore) {
 		writeErrorReason(w, http.StatusInternalServerError, ReasonInternal, "%v", err)
 		return
@@ -189,7 +189,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	doc := j.status()
-	writeJSON(w, status, submitResponse{
+	writeJSON(w, status, SubmitResponse{
 		ID:      doc.ID,
 		State:   doc.State,
 		Deduped: existed,
@@ -423,14 +423,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // drains gracefully: admission stops, queued jobs cancel, running
 // jobs get the grace period, the checkpoint store is already durable
 // per-cell, and the HTTP server shuts down. Returns nil on a clean
-// drain. The bound address is logged (and available via Addr) so
+// drain. The bound address is logged as "listening on ADDR", so
 // callers can use ":0".
 func (s *Server) Run(ctx context.Context) error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	s.addr.Store(ln.Addr().String())
 	s.cfg.Logf("server: listening on %s", ln.Addr())
 
 	s.Start()
@@ -452,13 +451,4 @@ func (s *Server) Run(ctx context.Context) error {
 	}
 	<-serveErr // Serve has returned http.ErrServerClosed
 	return nil
-}
-
-// Addr returns the bound listen address once Run has started
-// listening ("" before that).
-func (s *Server) Addr() string {
-	if v := s.addr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
 }

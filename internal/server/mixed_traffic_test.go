@@ -1,8 +1,12 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -23,19 +27,21 @@ const (
 	mixRounds  = 2
 )
 
-// mixLane is one tenant driving the node: its SDK client, its index
+// mixLane is one tenant driving the node: its client, its base URL
+// and API key for the calls the client does not make, its index
 // among the lanes, and the outcomes it observed.
 type mixLane struct {
-	name  string
-	cl    *client.Client
-	index int
+	name      string
+	cl        *client.Client
+	base, key string
+	index     int
 
 	mu       sync.Mutex
 	admitted int // submissions that created a job (not deduped)
 	canceled int // cancel ops, each on a job only this lane owns
 }
 
-func (ln *mixLane) submitted(sub client.SubmitResponse) {
+func (ln *mixLane) submitted(sub server.SubmitResponse) {
 	if !sub.Deduped {
 		ln.mu.Lock()
 		ln.admitted++
@@ -47,16 +53,43 @@ func (ln *mixLane) submitted(sub client.SubmitResponse) {
 // did not end in its expected terminal state.
 type mixOp func(ctx context.Context, ln *mixLane, round int) error
 
-// waitState submits req, waits for its result and checks its state.
-func waitState(ctx context.Context, ln *mixLane, req server.JobRequest, want string) (client.SubmitResponse, server.ResultDoc, error) {
+// send makes one authenticated request outside the client and
+// returns the body of a 2xx answer.
+func (ln *mixLane) send(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, ln.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Authorization", "Bearer "+ln.key)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode/100 != 2 {
+		err = fmt.Errorf("%s %s: %d %s", method, path, resp.StatusCode, b)
+	}
+	return b, err
+}
+
+// waitState submits req, follows its events to job.done, fetches its
+// result and checks its state.
+func waitState(ctx context.Context, ln *mixLane, req server.JobRequest, want string) (server.SubmitResponse, server.ResultDoc, error) {
 	sub, err := ln.cl.Submit(ctx, req)
 	if err != nil {
 		return sub, server.ResultDoc{}, err
 	}
 	ln.submitted(sub)
-	doc, _, err := ln.cl.WaitResult(ctx, sub.ID)
+	if err := ln.cl.Events(ctx, sub.ID, func(server.Event) error { return nil }); err != nil {
+		return sub, server.ResultDoc{}, err
+	}
+	doc, _, done, err := ln.cl.Result(ctx, sub.ID)
 	if err != nil {
 		return sub, doc, err
+	}
+	if !done {
+		return sub, doc, fmt.Errorf("job %s: no result after job.done", sub.ID)
 	}
 	if doc.State != want {
 		return sub, doc, fmt.Errorf("job %s ended %s, want %s (%+v)", sub.ID, doc.State, want, doc.Cells)
@@ -102,8 +135,12 @@ func mixOps(trace []byte) map[string]mixOp {
 		},
 		// Upload a trace (later uploads dedupe) and sweep it.
 		"trace": func(ctx context.Context, ln *mixLane, round int) error {
-			doc, err := ln.cl.UploadTrace(ctx, trace, "")
+			b, err := ln.send(ctx, http.MethodPost, "/v1/traces", trace)
 			if err != nil {
+				return err
+			}
+			var doc struct{ Workload string }
+			if err := json.Unmarshal(b, &doc); err != nil {
 				return err
 			}
 			req := server.JobRequest{Configurations: []string{"no", "entangling-2k"}, Workloads: []string{doc.Workload}, Warmup: mixWarmup, Measure: mixMeasure}
@@ -131,7 +168,7 @@ func mixOps(trace []byte) map[string]mixOp {
 				return err
 			}
 			ln.submitted(sub)
-			if _, err := ln.cl.Cancel(ctx, sub.ID); err != nil {
+			if _, err := ln.send(ctx, http.MethodDelete, "/v1/jobs/"+sub.ID, nil); err != nil {
 				return err
 			}
 			ln.mu.Lock()
@@ -156,7 +193,8 @@ func metricValue(t *testing.T, text, series string) int {
 // TestServerMixedTrafficDrainsClean drives a two-tenant node with all
 // five op kinds at once — dedupe resubmits, cold jobs, trace upload
 // then sweep, injected faults and submit-then-cancel — from two concurrent
-// lanes through the client SDK. Every op must end in its expected
+// lanes. Submit, events and result go through the client; upload,
+// cancel and metrics through plain HTTP. Every op must end in its expected
 // terminal state, each tenant's submitted-jobs counter must equal the
 // submissions that lane saw admitted, and the drain must hand back
 // every goroutine (startTestServer's leak check).
@@ -177,7 +215,7 @@ func TestServerMixedTrafficDrainsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lanes = append(lanes, &mixLane{name: l.name, cl: cl, index: i})
+		lanes = append(lanes, &mixLane{name: l.name, cl: cl, base: ts.URL, key: l.key, index: i})
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -215,10 +253,11 @@ func TestServerMixedTrafficDrainsClean(t *testing.T) {
 	}
 	var text string
 	for {
-		var err error
-		if text, err = lanes[0].cl.Metrics(ctx); err != nil {
+		b, err := lanes[0].send(ctx, http.MethodGet, "/metrics", nil)
+		if err != nil {
 			t.Fatalf("metrics: %v", err)
 		}
+		text = string(b)
 		if metricValue(t, text, "entangling_jobs_canceled_total") >= wantCanceled {
 			break
 		}

@@ -106,10 +106,10 @@ func parseJobRequest(r io.Reader) (JobRequest, error) {
 	return req, nil
 }
 
-// resolve validates the request against the registries and the cell
-// budget, and returns the executable jobSpec. traces resolves
-// "trace:<id>" workload names (nil rejects them).
-func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells int, traces traceResolver) (*jobSpec, error) {
+// resolve validates the request against the registries, the cell
+// limit and the workload budget, and returns the executable jobSpec.
+// traces resolves "trace:<id>" workload names (nil rejects them).
+func (r *registries) resolve(req JobRequest, maxCells int, traces traceResolver) (*jobSpec, error) {
 	if len(req.Configurations) == 0 {
 		return nil, fmt.Errorf("job request: no configurations")
 	}
@@ -157,7 +157,7 @@ func (r *registries) resolve(req JobRequest, budget workload.Budget, maxCells in
 				return nil, fmt.Errorf("job request: unknown workload %q", name)
 			}
 		}
-		if err := budget.Check(s, js.traceLen()); err != nil {
+		if err := workload.CheckBudget(s, js.traceLen()); err != nil {
 			return nil, fmt.Errorf("job request: %w", err)
 		}
 		js.specs = append(js.specs, s)

@@ -49,9 +49,6 @@ type Config struct {
 	// PerCategory sizes the CVP workload registry (default 6, the
 	// paperfigs default, so every curated workload name resolves).
 	PerCategory int
-	// Budget bounds per-workload resource use; zero value means
-	// workload.DefaultBudget.
-	Budget workload.Budget
 
 	// CheckpointDir, when set, persists every simulated cell and
 	// serves warm restarts; empty disables durability.
@@ -104,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PerCategory <= 0 {
 		c.PerCategory = 6
-	}
-	if (c.Budget == workload.Budget{}) {
-		c.Budget = workload.DefaultBudget()
 	}
 	if c.TraceDir == "" && c.CheckpointDir != "" {
 		c.TraceDir = filepath.Join(c.CheckpointDir, "traces")
@@ -172,9 +166,6 @@ type Server struct {
 	drained  chan struct{}
 	drainOne sync.Once
 	workers  sync.WaitGroup
-
-	// addr holds the bound listen address once Run is listening.
-	addr atomic.Value
 
 	mu       sync.Mutex
 	jobs     map[string]*job

@@ -98,7 +98,7 @@ func postJob(t *testing.T, ts *httptest.Server, req JobRequest) (int, []byte) {
 
 // submitOK submits a request that must be admitted (202) or deduped
 // (200) and returns the decoded response.
-func submitOK(t *testing.T, ts *httptest.Server, req JobRequest) submitResponse {
+func submitOK(t *testing.T, ts *httptest.Server, req JobRequest) SubmitResponse {
 	t.Helper()
 	return submitAs(t, ts, "", req)
 }
@@ -373,7 +373,7 @@ func TestServerDuplicateSubmissionsSimulateOnce(t *testing.T) {
 
 	type reply struct {
 		status int
-		sr     submitResponse
+		sr     SubmitResponse
 	}
 	replies := make([]reply, 2)
 	var wg sync.WaitGroup
@@ -382,7 +382,7 @@ func TestServerDuplicateSubmissionsSimulateOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			status, body := postJob(t, ts, req)
-			var sr submitResponse
+			var sr SubmitResponse
 			if err := json.Unmarshal(body, &sr); err != nil {
 				t.Errorf("decoding submit response: %v (%s)", err, body)
 				return
@@ -428,7 +428,7 @@ func TestServerDuplicateSubmissionsSimulateOnce(t *testing.T) {
 	// A repeat submission after completion dedupes onto the finished
 	// job and serves the identical bytes immediately.
 	status, body := postJob(t, ts, req)
-	var sr submitResponse
+	var sr SubmitResponse
 	if err := json.Unmarshal(body, &sr); err != nil || status != http.StatusOK || !sr.Deduped {
 		t.Fatalf("post-completion resubmit: status %d, err %v, %+v", status, err, sr)
 	}
@@ -695,7 +695,7 @@ func TestServerFaultPlanDegradedResult(t *testing.T) {
 	if status != http.StatusAccepted {
 		t.Fatalf("resubmitting a degraded job: status %d, want 202 (%s)", status, body)
 	}
-	var again submitResponse
+	var again SubmitResponse
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -1070,7 +1070,15 @@ func getMetrics(t *testing.T, ts *httptest.Server) string {
 func TestServerRunDrainsOnContextCancel(t *testing.T) {
 	cfg := testConfig()
 	cfg.Addr = "127.0.0.1:0"
-	cfg.Logf = t.Logf
+	// Run logs the bound address, as the serve smoke in CI reads it.
+	addrs := make(chan string, 1)
+	cfg.Logf = func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		t.Log(line)
+		if a, ok := strings.CutPrefix(line, "server: listening on "); ok {
+			addrs <- a
+		}
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -1081,15 +1089,11 @@ func TestServerRunDrainsOnContextCancel(t *testing.T) {
 
 	// Wait for the listener, run one job end to end over real TCP.
 	var base string
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if a := s.Addr(); a != "" {
-			base = "http://" + a
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never started listening")
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case a := <-addrs:
+		base = "http://" + a
+	case <-time.After(5 * time.Second):
+		t.Fatalf("server never started listening")
 	}
 	b, _ := json.Marshal(JobRequest{
 		Configurations: []string{"no"},
@@ -1101,7 +1105,7 @@ func TestServerRunDrainsOnContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("POST: %v", err)
 	}
-	var sr submitResponse
+	var sr SubmitResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatalf("decode: %v", err)
 	}

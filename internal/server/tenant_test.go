@@ -101,14 +101,14 @@ func reasonOf(t *testing.T, body []byte) string {
 
 // submitAs submits a job as the given tenant (anonymously when key is
 // empty), requiring admission.
-func submitAs(t *testing.T, ts *httptest.Server, key string, req JobRequest) submitResponse {
+func submitAs(t *testing.T, ts *httptest.Server, key string, req JobRequest) SubmitResponse {
 	t.Helper()
 	b, _ := json.Marshal(req)
 	status, body := doAs(t, ts, key, "POST", "/v1/jobs", b)
 	if status != http.StatusAccepted && status != http.StatusOK {
 		t.Fatalf("submit as %q: status %d, body %s", key, status, body)
 	}
-	var sr submitResponse
+	var sr SubmitResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("decoding submit response: %v (%s)", err, body)
 	}

@@ -88,7 +88,7 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	// instruction cap comes from the workload budget, the byte cap
 	// from the transport limit. MaxBytesReader bounds what the client
 	// may send at all; the decode limit bounds what it may expand to.
-	lim := s.cfg.Budget.DecodeLimits(uint64(s.cfg.MaxTraceBytes))
+	lim := workload.DecodeLimits(uint64(s.cfg.MaxTraceBytes))
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxTraceBytes)
 	info, deduped, err := s.tstore.Put(body, format, lim)
 	if err != nil {

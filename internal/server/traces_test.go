@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -143,8 +145,9 @@ func TestTraceUploadChampSimFormat(t *testing.T) {
 
 func TestTraceUploadRejections(t *testing.T) {
 	cfg := traceTestConfig(t)
-	cfg.MaxTraceBytes = 1 << 20
-	cfg.Budget.MaxTraceInstrs = 10_000
+	// The body cap admits the over-budget trace below, so the
+	// instruction cap is the limit it hits.
+	cfg.MaxTraceBytes = 64 << 20
 	_, ts := startTestServer(t, cfg)
 
 	// Malformed: not a trace at all.
@@ -160,13 +163,21 @@ func TestTraceUploadRejections(t *testing.T) {
 	if status, _ := uploadTrace(t, ts, []byte("x"), "elf"); status != http.StatusBadRequest {
 		t.Errorf("unknown format: status %d, want 400", status)
 	}
-	// Over the instruction budget: 413 naming the limit.
-	big := encodeWalkerTrace(t, 10_001)
-	status, body := doAs(t, ts, "", "POST", "/v1/traces", big)
+	// Over the instruction budget: 413 naming the limit. The body is
+	// a gzipped ENTRACE1 stream of one record more than the budget: a
+	// 4-byte instruction at an explicit PC of 0x1000, then sequential
+	// 4-byte instructions (flags 0, size 4).
+	var big bytes.Buffer
+	big.WriteString("ENTRACE1\x01\x00\x00\x00")
+	zw := gzip.NewWriter(&big)
+	zw.Write([]byte{0x40, 4, 0x80, 0x40})
+	zw.Write(bytes.Repeat([]byte{0, 4}, workload.MaxTraceInstrs))
+	zw.Close()
+	status, body := doAs(t, ts, "", "POST", "/v1/traces", big.Bytes())
 	if status != http.StatusRequestEntityTooLarge {
 		t.Errorf("over-budget upload: status %d, want 413 (%s)", status, body)
 	}
-	if !bytes.Contains(body, []byte("instruction limit of 10000")) {
+	if want := fmt.Sprintf("instruction limit of %d", workload.MaxTraceInstrs); !bytes.Contains(body, []byte(want)) {
 		t.Errorf("413 body does not name the offending limit: %s", body)
 	}
 	// Nothing entered the store.

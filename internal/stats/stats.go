@@ -276,6 +276,3 @@ func (r *RunningMean) Mean() float64 {
 	}
 	return r.sum / float64(r.n)
 }
-
-// Count returns the number of samples recorded.
-func (r *RunningMean) Count() uint64 { return r.n }

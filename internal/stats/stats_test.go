@@ -187,8 +187,8 @@ func TestRunningMean(t *testing.T) {
 	r.Add(4)
 	r.Add(1)
 	r.Add(5)
-	if r.Count() != 4 {
-		t.Errorf("Count = %d, want 4", r.Count())
+	if r.n != 4 {
+		t.Errorf("Count = %d, want 4", r.n)
 	}
 	if got := r.Mean(); !almostEqual(got, 3, 1e-12) {
 		t.Errorf("Mean = %v, want 3", got)

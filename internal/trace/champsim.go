@@ -184,9 +184,6 @@ func NewChampSimReader(r io.Reader, opt ChampSimOptions) (*ChampSimReader, error
 	return &ChampSimReader{r: bufio.NewReaderSize(raw, 1<<16), raw: raw, opt: opt}, nil
 }
 
-// Count returns the number of instructions emitted so far.
-func (c *ChampSimReader) Count() uint64 { return c.count }
-
 // Err returns the first decode error, or nil on clean end of input.
 func (c *ChampSimReader) Err() error { return c.err }
 

@@ -380,9 +380,6 @@ func (r *Reader) Next(in *Instruction) bool {
 	return true
 }
 
-// Count returns the number of records decoded so far.
-func (r *Reader) Count() uint64 { return r.count }
-
 // Err returns the first decode error encountered, or nil on clean EOF.
 func (r *Reader) Err() error { return r.err }
 

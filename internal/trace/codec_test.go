@@ -230,17 +230,6 @@ func TestNextPC(t *testing.T) {
 	}
 }
 
-func TestSliceSourceReset(t *testing.T) {
-	src := &SliceSource{Instrs: genStream(1, 5)}
-	var in Instruction
-	for src.Next(&in) {
-	}
-	src.Reset()
-	if !src.Next(&in) {
-		t.Error("Reset did not rewind")
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	in := Instruction{PC: 0x1000, Size: 4, Branch: DirectCall, Taken: true, Target: 0x2000, IsLoad: true, DataAddr: 0x3000}
 	s := Describe(&in)

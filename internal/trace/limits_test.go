@@ -157,8 +157,8 @@ func TestMaxInstrsOneOverCapFails(t *testing.T) {
 	if !errors.As(err, &le) || le.What != "instruction" || le.Limit != 100 {
 		t.Errorf("LimitError = %+v, want instruction/100", le)
 	}
-	if r.Count() != 100 {
-		t.Errorf("Count = %d after limit, want 100", r.Count())
+	if r.count != 100 {
+		t.Errorf("Count = %d after limit, want 100", r.count)
 	}
 }
 
@@ -189,7 +189,7 @@ func TestMaxBytesStopsGzipBomb(t *testing.T) {
 	}
 	err = r.Err()
 	if !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("gzip bomb decoded cleanly (read %d records), want ErrLimitExceeded", r.Count())
+		t.Fatalf("gzip bomb decoded cleanly (read %d records), want ErrLimitExceeded", r.count)
 	}
 	var le *LimitError
 	if !errors.As(err, &le) || le.What != "payload byte" {
@@ -197,8 +197,8 @@ func TestMaxBytesStopsGzipBomb(t *testing.T) {
 	}
 	// The limit must have fired near the cap, not after materializing
 	// the whole stream (64 KB of payload is ~32k sequential records).
-	if r.Count() >= 100_000 {
-		t.Errorf("decoded %d records before the byte cap fired", r.Count())
+	if r.count >= 100_000 {
+		t.Errorf("decoded %d records before the byte cap fired", r.count)
 	}
 }
 

@@ -58,9 +58,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{blobs: b}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.blobs.Dir() }
-
 // validID gates every ID used in a path: exactly a lowercase SHA-256
 // hex string, so a hostile ID cannot traverse out of the store.
 func validID(id string) bool {

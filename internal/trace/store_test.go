@@ -150,12 +150,16 @@ func TestStorePutChampSim(t *testing.T) {
 // the store directory clean: no trace, no metadata, no leaked temp file
 // — a rejected upload never poisons the namespace.
 func TestStoreRejectsMalformedWithoutResidue(t *testing.T) {
-	s := openTestStore(t)
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := append(header(0, [3]byte{}), flagPCDelta, 0 /* zero size */, 0)
 	if _, _, err := s.Put(bytes.NewReader(bad), "", Limits{}); !errors.Is(err, ErrZeroSize) {
 		t.Fatalf("err = %v, want ErrZeroSize", err)
 	}
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +327,17 @@ func TestStoreSharedDirConcurrentPut(t *testing.T) {
 // trace unknown (a typed error, not a corrupt document), is set aside
 // as <id>.json.bad, and a re-upload restores the entry.
 func TestStoreQuarantinesCorruptSidecar(t *testing.T) {
-	s := openTestStore(t)
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	enc := encodeStream(t, 40, false)
 	info, _, err := s.Put(bytes.NewReader(enc), "", Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := filepath.Join(s.Dir(), info.ID+".json")
+	meta := filepath.Join(dir, info.ID+".json")
 	b, err := os.ReadFile(meta)
 	if err != nil {
 		t.Fatal(err)

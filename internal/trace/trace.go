@@ -140,6 +140,3 @@ func (s *SliceSource) Next(in *Instruction) bool {
 	s.pos++
 	return true
 }
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }

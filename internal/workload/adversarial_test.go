@@ -367,23 +367,71 @@ func TestTraceSpecTooShort(t *testing.T) {
 	}
 }
 
+// TestCheckBudgetBounds: each budget bound admits a request at its
+// constant and rejects one past it.
+func TestCheckBudgetBounds(t *testing.T) {
+	base := Preset(Int)
+	base.Name = "int"
+	cases := []struct {
+		name     string
+		traceLen uint64
+		at, past func(*Params)
+	}{
+		{name: "trace length", traceLen: MaxTraceInstrs},
+		{
+			name: "static instructions", traceLen: 1,
+			at:   func(p *Params) { p.Functions, p.MeanBlocks, p.MeanBlockInstrs = MaxStaticInstrs, 1, 1 },
+			past: func(p *Params) { p.Functions, p.MeanBlocks, p.MeanBlockInstrs = MaxStaticInstrs+1, 1, 1 },
+		},
+		{
+			name: "data footprint", traceLen: 1,
+			at:   func(p *Params) { p.DataFootprint = MaxDataFootprint },
+			past: func(p *Params) { p.DataFootprint = MaxDataFootprint + 1 },
+		},
+		{
+			name: "call depth", traceLen: 1,
+			at:   func(p *Params) { p.MaxCallDepth = MaxCallDepth },
+			past: func(p *Params) { p.MaxCallDepth = MaxCallDepth + 1 },
+		},
+	}
+	for _, c := range cases {
+		at, past := base, base
+		pastLen := c.traceLen
+		if c.at == nil {
+			pastLen++
+		} else {
+			c.at(&at)
+			c.past(&past)
+		}
+		if err := CheckBudget(Spec{Name: "int", Params: at}, c.traceLen); err != nil {
+			t.Errorf("%s at its bound rejected: %v", c.name, err)
+		}
+		err := CheckBudget(Spec{Name: "int", Params: past}, pastLen)
+		if err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Errorf("%s one past its bound: %v, want a budget error", c.name, err)
+		}
+	}
+}
+
 func TestBudgetSkipsShapeChecksForTraces(t *testing.T) {
-	b := Budget{MaxTraceInstrs: 10_000, MaxStaticInstrs: 1, MaxDataFootprint: 1}
 	spec := TraceSpec("trace:abc", "abc123", nil)
-	// Shape caps (static instrs, footprint) do not apply to real traces...
-	if err := b.Check(spec, 5_000); err != nil {
+	// Shape caps (static instrs, footprint, call depth) do not apply
+	// to real traces...
+	spec.Params.Functions, spec.Params.MeanBlocks, spec.Params.MeanBlockInstrs = MaxStaticInstrs+1, 1, 1
+	spec.Params.DataFootprint = MaxDataFootprint + 1
+	spec.Params.MaxCallDepth = MaxCallDepth + 1
+	if err := CheckBudget(spec, MaxTraceInstrs); err != nil {
 		t.Errorf("trace spec rejected by shape checks: %v", err)
 	}
 	// ...but the stream-length cap still does.
-	if err := b.Check(spec, 20_000); err == nil {
+	if err := CheckBudget(spec, MaxTraceInstrs+1); err == nil {
 		t.Error("over-length trace window accepted")
 	}
 }
 
 func TestBudgetDecodeLimits(t *testing.T) {
-	b := Budget{MaxTraceInstrs: 123}
-	lim := b.DecodeLimits(456)
-	if lim.MaxInstrs != 123 || lim.MaxBytes != 456 {
+	lim := DecodeLimits(456)
+	if lim.MaxInstrs != MaxTraceInstrs || lim.MaxBytes != 456 {
 		t.Errorf("DecodeLimits = %+v", lim)
 	}
 }

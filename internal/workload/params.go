@@ -18,7 +18,10 @@
 // observes.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Category labels match the CVP workload classes used throughout the
 // paper's evaluation, plus the CloudSuite class of Figure 16.
@@ -186,6 +189,13 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("workload %s: MeanBlockInstrs must be >= 1", p.Name)
 	case p.MaxCallDepth < 1:
 		return fmt.Errorf("workload %s: MaxCallDepth must be >= 1", p.Name)
+	case !(p.CallSkew > 0) || math.IsInf(p.CallSkew, 1):
+		// pickCallee raises a uniform draw to this power; NaN indexes
+		// out of range, and 0, negatives and +Inf pin every draw to
+		// one function, which it then redraws forever.
+		return fmt.Errorf("workload %s: CallSkew must be finite and > 0", p.Name)
+	case math.IsNaN(p.DispatchSkew) || math.IsInf(p.DispatchSkew, 0):
+		return fmt.Errorf("workload %s: DispatchSkew must be finite", p.Name)
 	case !in01(p.CallFrac) || !in01(p.IndirectFrac) || !in01(p.JumpFrac) || !in01(p.CondFrac):
 		return fmt.Errorf("workload %s: CallFrac, IndirectFrac, JumpFrac and CondFrac must be in [0,1]", p.Name)
 	case p.CallFrac+p.IndirectFrac+p.JumpFrac+p.CondFrac > 1.0:

@@ -218,8 +218,13 @@ func BuildProgram(p Params) (*Program, error) {
 // low-indexed ("hot") functions, which is how desktop/crypto code
 // behaves; server workloads use a flatter skew, spreading fetches over
 // their huge footprint.
+//
+// A draw of self is redrawn, avoiding trivial self-recursion. A skew
+// far from 1 can pin nearly every draw to one index, so after 64
+// redraws the next function takes the call; Validate requires two
+// functions, so it exists.
 func pickCallee(rng *rand.Rand, p Params, self int) int {
-	for {
+	for range 64 {
 		u := rng.Float64()
 		idx := int(math.Pow(u, p.CallSkew) * float64(p.Functions))
 		if idx >= p.Functions {
@@ -228,9 +233,8 @@ func pickCallee(rng *rand.Rand, p Params, self int) int {
 		if idx != self {
 			return idx
 		}
-		// Avoid trivial self-recursion; retry. Validate requires two
-		// functions, so another one exists.
 	}
+	return (self + 1) % p.Functions
 }
 
 // geometric samples a geometric-ish value with the given mean (>= 0).

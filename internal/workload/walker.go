@@ -165,9 +165,6 @@ func (w *Walker) decide() uint64 {
 	return w.curSeed >> 11
 }
 
-// Count returns the number of instructions emitted so far.
-func (w *Walker) Count() uint64 { return w.count }
-
 // Next implements trace.Source. The stream is unbounded: a reader
 // takes the records it needs and stops, as pack and cpu's RunWindows
 // do.

@@ -96,8 +96,8 @@ func TestWalkerCountMonotone(t *testing.T) {
 	var in trace.Instruction
 	for i := uint64(1); i <= 10_000; i++ {
 		w.Next(&in)
-		if w.Count() != i {
-			t.Fatalf("Count = %d at step %d", w.Count(), i)
+		if w.count != i {
+			t.Fatalf("Count = %d at step %d", w.count, i)
 		}
 	}
 }
@@ -176,6 +176,77 @@ func FuzzThresholdMatchesFloat(f *testing.F) {
 			if got, want := k < th, float64(k)/(1<<53) < x; got != want {
 				t.Fatalf("x=%v (%b) k=%d: integer test %v, float test %v", x, math.Float64bits(x), k, got, want)
 			}
+		}
+	})
+}
+
+// FuzzValidParamsWalk: every Params that Validate accepts builds a
+// program, walks 10k records and round-trips its packed stream. The
+// size fields are clamped so that no input allocates much; the float
+// fields are left as the fuzzer makes them.
+func FuzzValidParamsWalk(f *testing.F) {
+	add := func(mutate func(*Params)) {
+		p := Preset(Int)
+		p.Seed = 3
+		mutate(&p)
+		f.Add(p.Seed, p.Functions, p.MeanBlocks, p.MeanBlockInstrs,
+			p.CallFrac, p.IndirectFrac, p.JumpFrac, p.CondFrac,
+			p.LoopBackProb, p.LoopIterMean, p.CondTakenBias, p.CallSkew, p.MaxCallDepth,
+			p.LoadFrac, p.StoreFrac, p.DataFootprint, p.PhaseLen,
+			p.DriverFanout, p.DispatchSkew, p.PathFlavors, p.PathNoise,
+			p.CodePhaseLen, p.CodeRelocFrac, p.InterruptEvery, p.InterruptFns, p.ColdEvery)
+	}
+	add(func(p *Params) {})
+	add(func(p *Params) { p.CallSkew = math.NaN() })
+	add(func(p *Params) { p.CallSkew = 0 })
+	add(func(p *Params) { p.CallSkew = -1 })
+	add(func(p *Params) { p.CallSkew = math.Inf(1) })
+	add(func(p *Params) { p.DispatchSkew = math.NaN() })
+	// Finite skews this far from 1 pin almost every callee draw to
+	// one function, the caller's own among them.
+	add(func(p *Params) { p.CallSkew = 1e300 })
+	add(func(p *Params) { p.CallSkew = 1e-300 })
+	f.Fuzz(func(t *testing.T, seed uint64, functions, meanBlocks, meanBlockInstrs int,
+		callFrac, indirectFrac, jumpFrac, condFrac,
+		loopBackProb, loopIterMean, condTakenBias, callSkew float64, maxCallDepth int,
+		loadFrac, storeFrac float64, dataFootprint, phaseLen uint64,
+		driverFanout int, dispatchSkew float64, pathFlavors int, pathNoise float64,
+		codePhaseLen uint64, codeRelocFrac float64, interruptEvery uint64, interruptFns int, coldEvery uint64) {
+		p := Params{
+			Name: "fuzz", Category: Int, Seed: seed,
+			Functions: min(functions, 64), MeanBlocks: min(meanBlocks, 16), MeanBlockInstrs: min(meanBlockInstrs, 32),
+			CallFrac: callFrac, IndirectFrac: indirectFrac, JumpFrac: jumpFrac, CondFrac: condFrac,
+			LoopBackProb: loopBackProb, LoopIterMean: loopIterMean, CondTakenBias: condTakenBias,
+			CallSkew: callSkew, MaxCallDepth: min(maxCallDepth, 1024),
+			LoadFrac: loadFrac, StoreFrac: storeFrac, DataFootprint: min(dataFootprint, 1<<20),
+			PhaseLen: phaseLen, DriverFanout: min(driverFanout, 128), DispatchSkew: dispatchSkew,
+			PathFlavors: min(pathFlavors, 128), PathNoise: pathNoise,
+			CodePhaseLen: codePhaseLen, CodeRelocFrac: codeRelocFrac,
+			InterruptEvery: interruptEvery, InterruptFns: interruptFns, ColdEvery: coldEvery,
+		}
+		if p.Validate() != nil {
+			return
+		}
+		const n = 10_000
+		spec := Spec{Name: p.Name, Params: p}
+		tr, err := pack(spec, n, false)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		w, err := spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := tr.Source()
+		var want, got trace.Instruction
+		for i := range n {
+			w.Next(&want)
+			if !src.Next(&got) || got != want {
+				t.Fatalf("record %d: packed %+v, walked %+v", i, got, want)
+			}
+		}
+		if src.Next(&got) {
+			t.Fatalf("packed stream longer than %d", n)
 		}
 	})
 }

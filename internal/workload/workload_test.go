@@ -44,6 +44,15 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.JumpFrac = -0.1 },
 		func(p *Params) { p.CondFrac = -0.1 },
 		func(p *Params) { p.LoopBackProb = math.NaN() },
+		// A NaN skew indexes out of range; a CallSkew at or below 0,
+		// or infinite, makes pickCallee redraw its own index forever.
+		func(p *Params) { p.CallSkew = math.NaN() },
+		func(p *Params) { p.CallSkew = 0 },
+		func(p *Params) { p.CallSkew = -1 },
+		func(p *Params) { p.CallSkew = math.Inf(1) },
+		func(p *Params) { p.DispatchSkew = math.NaN() },
+		func(p *Params) { p.DispatchSkew = math.Inf(1) },
+		func(p *Params) { p.DispatchSkew = math.Inf(-1) },
 	}
 	for i, mutate := range cases {
 		p := base
@@ -181,8 +190,8 @@ func TestWalkerStreamConsistency(t *testing.T) {
 				t.Fatalf("%s: depth %d exceeds cap %d", cat, w.Depth(), p.MaxCallDepth)
 			}
 		}
-		if w.Count() != 200_000 {
-			t.Fatalf("%s: Count=%d", cat, w.Count())
+		if w.count != 200_000 {
+			t.Fatalf("%s: Count=%d", cat, w.count)
 		}
 	}
 }
